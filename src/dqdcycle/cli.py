@@ -11,8 +11,8 @@ Subcommands::
 Every number printed here is produced by a library call that the test suite
 exercises directly; the CLI only parses, dispatches and serializes. Options
 may come from flags or from a JSON config file (``--config``); flags win.
-Outputs are composed fully in memory before the destination file is opened,
-so a failed run never leaves a partial file.
+Outputs are composed fully in memory, written to a temporary sibling of the
+destination and renamed onto it, so a failed run leaves the old file or none.
 
 Exit codes: 0 success, 1 verification failure, 2 input/domain error,
 3 I/O error.
@@ -24,24 +24,21 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import verify as verify_mod
 from .qdot import DotParams, spectrum
-from .regimes import (
-    Branch,
-    Mode,
-    classify,
-    constrained_strength,
-    engine_branch_quantities,
-    engine_branch_thresholds,
-    refrigerator_branch_thresholds,
-    refrigerator_minus_quantities,
-    refrigerator_plus_quantities,
-)
-from .sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, to_json_document, write_csv
+from .regimes import BRANCHES, Branch, branch_currents, branch_thresholds, classify
+from .regimes import constrained_strength
+# Not called here; imported so that perfbench/spans.py can rebind them in this module.
+from .regimes import engine_branch_quantities, engine_branch_thresholds  # noqa: F401
+from .regimes import refrigerator_branch_thresholds  # noqa: F401
+from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
+from .sweep import PERFORMANCE_CONVENTION, AxisSpec, GridSpec, _fmt, mode_area_fractions
+from .sweep import run_sweep, to_json_document, write_csv
 from .thermo import CycleInputs, ledger_discrepancy, run_cycle_closed_form, run_cycle_matrix
 
 EXIT_OK = 0
@@ -179,12 +176,17 @@ def _emit(text: str, output: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+        tmp = f"{output}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, output)
+        except BaseException:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def _report(doc: dict, fmt: str) -> str:
@@ -275,27 +277,15 @@ def cmd_classify(args) -> int:
     params = DotParams(args.epsilon, args.tau)
     zero_tol = 1e-12 if args.zero_tol is None else args.zero_tol
 
-    if branch is Branch.ENGINE:
-        _require(args, "a")
-        if args.b is not None:
-            raise ValueError("the engine branch fixes b = a; give --a only")
-        strength = args.a
-        qc, qh, w = engine_branch_quantities(params, args.temperature, strength)
-        thresholds = engine_branch_thresholds(params, args.temperature)._asdict()
-        pinned = None
-    else:
-        _require(args, "b")
-        if args.a is not None:
-            raise ValueError("refrigerator branches fix a thermally; give --b only")
-        strength = args.b
-        quantities = (
-            refrigerator_plus_quantities
-            if branch is Branch.REFRIGERATOR_PLUS
-            else refrigerator_minus_quantities
-        )
-        qc, w, qh = quantities(params, args.temperature, strength)
-        thresholds = refrigerator_branch_thresholds(params, args.temperature, branch)._asdict()
-        pinned = constrained_strength(params, args.temperature, branch)
+    rule = BRANCHES[branch]
+    _require(args, rule.free)
+    if rule.pinned_a is None and args.b is not None:
+        raise ValueError("the engine branch fixes b = a; give --a only")
+    if rule.pinned_a is not None and args.a is not None:
+        raise ValueError("refrigerator branches fix a thermally; give --b only")
+    strength = getattr(args, rule.free)
+    qh, qc, w = branch_currents(branch, params, args.temperature, strength)
+    thresholds = branch_thresholds(branch, params, args.temperature)._asdict()
 
     result = classify(qh, qc, w, zero_tol)
     doc = {
@@ -309,15 +299,12 @@ def cmd_classify(args) -> int:
         "Qc": result.Qc,
         "W": result.W,
         "performance": result.performance,
-        "performance_convention": (
-            None if result.mode is Mode.UNDEFINED
-            else ("eta" if result.mode is Mode.ENGINE else "kappa")
-        ),
+        "performance_convention": PERFORMANCE_CONVENTION.get(result.mode.value),
         "raw_cop": result.raw_cop,
         "thresholds": thresholds,
     }
-    if pinned is not None:
-        doc["constrained_strength"] = pinned
+    if rule.pinned_a is not None:
+        doc["constrained_strength"] = constrained_strength(params, args.temperature, branch)
     if branch is Branch.REFRIGERATOR_MINUS and args.tau == 0.0:
         doc["reason"] = "W=0 at zero tunneling"
     _emit(_report(doc, args.format or "json"), args.output)

@@ -19,7 +19,12 @@ indistinguishable from zero at ``zero_tol``, is Undefined. COP-type figures
 are mapped onto the compact scale kappa = COP / (1 + COP) in (0, 1] so the
 three COP regimes can share one color bar; efficiency stays as eta.
 
-Three one-parameter families slice the (a, b) square:
+Three one-parameter branches slice the (a, b) square. ``BRANCHES`` holds
+one ``BranchRule`` per ``Branch``: the free strength, the pinned a (or
+b = a), the stroke of each of Qh, Qc and W, the analytic thresholds and their
+ordered intervals. ``branch_currents``, ``branch_thresholds`` and
+``expected_mode`` read that table; the per-branch functions below are thin
+wrappers over it that keep their historical return orders.
 
 * ``engine`` branch, b = a: work stroke W = dU3 = 2 epsilon (1 - 2a), hot
   stroke Qh = dU2, cold stroke Qc = dU1. Interval structure over a in [0, 1]:
@@ -45,10 +50,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .qdot import DotParams, spectrum
-from .thermo import CycleInputs, run_cycle_closed_form
+from .thermo import CycleInputs, StrokeLedger, run_cycle_closed_form
 
 
 class Mode(Enum):
@@ -94,8 +100,8 @@ class Classification:
 
 def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = 1e-12) -> Mode:
     """Sign-pattern lookup; currents within ``zero_tol`` of zero are ambiguous."""
-    if zero_tol < 0.0:
-        raise ValueError("zero_tol must be nonnegative")
+    if not (0.0 <= zero_tol < math.inf):
+        raise ValueError("zero_tol must be finite and nonnegative")
     if min(abs(Qh), abs(Qc), abs(W)) <= zero_tol:
         return Mode.UNDEFINED
     if Qh > 0 and Qc < 0 and W < 0:
@@ -119,6 +125,18 @@ def kappa(cop: float) -> float:
     return cop / (1.0 + cop)
 
 
+def _merit(
+    mode: Mode, Qh: float, Qc: float, W: float, zero_tol: float
+) -> tuple[float | None, float | None]:
+    """(figure of merit, raw COP) of a defined mode; raw COP is None for engines."""
+    if mode is Mode.ENGINE:
+        return (None if abs(Qh) <= zero_tol else abs(W / Qh)), None
+    if abs(W) <= zero_tol:
+        return None, None
+    raw = abs((Qc if mode is Mode.REFRIGERATOR else Qh) / W)
+    return kappa(raw), raw
+
+
 def performance(
     mode: Mode, Qh: float, Qc: float, W: float, zero_tol: float = 1e-12
 ) -> float | None:
@@ -129,14 +147,7 @@ def performance(
     """
     if mode is Mode.UNDEFINED:
         raise ValueError("no figure of merit for undefined mode")
-    if mode is Mode.ENGINE:
-        if abs(Qh) <= zero_tol:
-            return None
-        return abs(W / Qh)
-    num = Qc if mode is Mode.REFRIGERATOR else Qh
-    if abs(W) <= zero_tol:
-        return None
-    return kappa(abs(num / W))
+    return _merit(mode, Qh, Qc, W, zero_tol)[0]
 
 
 def classify(Qh: float, Qc: float, W: float, zero_tol: float = 1e-12) -> Classification:
@@ -144,12 +155,7 @@ def classify(Qh: float, Qc: float, W: float, zero_tol: float = 1e-12) -> Classif
     mode = classify_from_signs(Qh, Qc, W, zero_tol)
     if mode is Mode.UNDEFINED:
         return Classification(mode, Qh, Qc, W, None, None)
-    perf = performance(mode, Qh, Qc, W, zero_tol)
-    raw = None
-    if perf is not None and mode is not Mode.ENGINE:
-        num = Qc if mode is Mode.REFRIGERATOR else Qh
-        raw = abs(num / W)
-    return Classification(mode, Qh, Qc, W, perf, raw)
+    return Classification(mode, Qh, Qc, W, *_merit(mode, Qh, Qc, W, zero_tol))
 
 
 def _require_positive_detuning(params: DotParams):
@@ -164,68 +170,113 @@ def _tanh_gap(params: DotParams, temperature: float) -> tuple[float, float]:
     return gap, math.tanh(gap / temperature)
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _mid(x: float) -> float:
+    """(1 + x)/2 clamped to [0, 1]: every pinned strength and threshold has this form."""
+    return min(1.0, max(0.0, 0.5 * (1.0 + x)))
 
 
 # ---------------------------------------------------------------------------
-# engine branch (b = a)
+# the branch table
+
+Currents = tuple[float, float, float]
 
 
-def engine_branch_quantities(
-    params: DotParams, temperature: float, a: float
-) -> tuple[float, float, float]:
-    """(Qc, Qh, W) on the b = a branch: cold = stroke 1, hot = stroke 2, work = stroke 3."""
+class BranchRule(NamedTuple):
+    """What distinguishes one branch; ``BRANCHES`` holds one rule per ``Branch``."""
+
+    free: str  # the swept strength, "a" or "b"
+    pinned_a: Callable[[float], float] | None  # a from t = tanh(E/T); None means b = a
+    strokes: Callable[[StrokeLedger], Currents]  # picks (Qh, Qc, W) from the ledger
+    thresholds: Callable[[float, float], tuple]  # (t, (E/eps) t) -> critical strengths
+    intervals: tuple[tuple[str, str, Mode], ...]  # (threshold, "<" or ">", mode), first wins
+
+
+_REFRIGERATOR_INTERVALS = (("accelerator_max", "<", Mode.ACCELERATOR),
+                           ("refrigerator_min", ">", Mode.REFRIGERATOR))
+
+BRANCHES = {
+    Branch.ENGINE: BranchRule(
+        free="a", pinned_a=None, strokes=attrgetter("dU2", "dU1", "dU3"),
+        thresholds=lambda t, ratio: EngineThresholds(_mid(-ratio), 0.5, _mid(ratio)),
+        intervals=(("heater_max", "<", Mode.HEATER), ("engine_min", "<", Mode.ACCELERATOR),
+                   ("engine_max", "<", Mode.ENGINE)),
+    ),
+    Branch.REFRIGERATOR_PLUS: BranchRule(
+        free="b", pinned_a=_mid, strokes=attrgetter("dU3", "dU1", "dU2"),
+        thresholds=lambda t, ratio: RefrigeratorThresholds(_mid(-t), _mid(ratio)),
+        intervals=_REFRIGERATOR_INTERVALS,
+    ),
+    Branch.REFRIGERATOR_MINUS: BranchRule(
+        free="b", pinned_a=lambda t: _mid(-t), strokes=attrgetter("dU3", "dU1", "dU2"),
+        thresholds=lambda t, ratio: RefrigeratorThresholds(_mid(t), _mid(ratio)),
+        intervals=_REFRIGERATOR_INTERVALS,
+    ),
+}
+
+
+def branch_currents(
+    branch: Branch, params: DotParams, temperature: float, strength: float
+) -> Currents:
+    """(Qh, Qc, W) at the point of ``branch`` whose free strength is ``strength``."""
     _require_positive_detuning(params)
-    ledger = run_cycle_closed_form(CycleInputs(params, temperature, a=a, b=a))
-    return ledger.dU1, ledger.dU2, ledger.dU3
+    rule = BRANCHES[branch]
+    a = strength if rule.pinned_a is None else rule.pinned_a(_tanh_gap(params, temperature)[1])
+    return rule.strokes(run_cycle_closed_form(CycleInputs(params, temperature, a, strength)))
+
+
+def branch_thresholds(
+    branch: Branch, params: DotParams, temperature: float
+) -> EngineThresholds | RefrigeratorThresholds:
+    """The branch's critical strengths, clamped to [0, 1]."""
+    _require_positive_detuning(params)
+    gap, t = _tanh_gap(params, temperature)
+    return BRANCHES[branch].thresholds(t, gap / params.epsilon * t)
+
+
+def expected_mode(branch: Branch, strength: float, thresholds) -> Mode | None:
+    """Mode the thresholds predict at ``strength``; None outside the cataloged windows."""
+    for name, side, mode in BRANCHES[branch].intervals:
+        bound = getattr(thresholds, name)
+        if (strength < bound) if side == "<" else (strength > bound):
+            return mode
+    return None
+
+
+# ---------------------------------------------------------------------------
+# per-branch wrappers, in their historical return orders
+
+
+def engine_branch_quantities(params: DotParams, temperature: float, a: float) -> Currents:
+    """(Qc, Qh, W) on the b = a branch: cold = stroke 1, hot = stroke 2, work = stroke 3."""
+    qh, qc, w = branch_currents(Branch.ENGINE, params, temperature, a)
+    return qc, qh, w
 
 
 def engine_branch_thresholds(params: DotParams, temperature: float) -> EngineThresholds:
     """Regime boundaries in a: heater / accelerator / engine / accelerator."""
-    _require_positive_detuning(params)
-    gap, t = _tanh_gap(params, temperature)
-    ratio = gap / params.epsilon * t
-    return EngineThresholds(
-        heater_max=_clamp01(0.5 * (1.0 - ratio)),
-        engine_min=0.5,
-        engine_max=_clamp01(0.5 * (1.0 + ratio)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# refrigerator branches (a pinned by the thermal population)
+    return branch_thresholds(Branch.ENGINE, params, temperature)
 
 
 def constrained_strength(params: DotParams, temperature: float, branch: Branch) -> float:
     """The pinned channel-A strength a = (1 +- tanh(E/T))/2 of a refrigerator branch."""
     _require_positive_detuning(params)
     _, t = _tanh_gap(params, temperature)
-    if branch is Branch.REFRIGERATOR_PLUS:
-        return 0.5 * (1.0 + t)
-    if branch is Branch.REFRIGERATOR_MINUS:
-        return 0.5 * (1.0 - t)
-    raise ValueError("constrained strength only exists for refrigerator branches")
+    pinned_a = BRANCHES[branch].pinned_a
+    if pinned_a is None:
+        raise ValueError("constrained strength only exists for refrigerator branches")
+    return pinned_a(t)
 
 
-def refrigerator_plus_quantities(
-    params: DotParams, temperature: float, b: float
-) -> tuple[float, float, float]:
+def refrigerator_plus_quantities(params: DotParams, temperature: float, b: float) -> Currents:
     """(Qc, W, Qh) with a = (1 + tanh(E/T))/2: work input W = (E + eps) tanh(E/T)."""
-    _require_positive_detuning(params)
-    a = constrained_strength(params, temperature, Branch.REFRIGERATOR_PLUS)
-    ledger = run_cycle_closed_form(CycleInputs(params, temperature, a=a, b=b))
-    return ledger.dU1, ledger.dU2, ledger.dU3
+    qh, qc, w = branch_currents(Branch.REFRIGERATOR_PLUS, params, temperature, b)
+    return qc, w, qh
 
 
-def refrigerator_minus_quantities(
-    params: DotParams, temperature: float, b: float
-) -> tuple[float, float, float]:
+def refrigerator_minus_quantities(params: DotParams, temperature: float, b: float) -> Currents:
     """(Qc, W, Qh) with a = (1 - tanh(E/T))/2: work input W = (E - eps) tanh(E/T)."""
-    _require_positive_detuning(params)
-    a = constrained_strength(params, temperature, Branch.REFRIGERATOR_MINUS)
-    ledger = run_cycle_closed_form(CycleInputs(params, temperature, a=a, b=b))
-    return ledger.dU1, ledger.dU2, ledger.dU3
+    qh, qc, w = branch_currents(Branch.REFRIGERATOR_MINUS, params, temperature, b)
+    return qc, w, qh
 
 
 def refrigerator_branch_thresholds(
@@ -236,16 +287,6 @@ def refrigerator_branch_thresholds(
     Below ``accelerator_max`` the point accelerates, above ``refrigerator_min``
     it refrigerates; the band between is heater territory.
     """
-    _require_positive_detuning(params)
-    gap, t = _tanh_gap(params, temperature)
-    if branch is Branch.REFRIGERATOR_PLUS:
-        accel = 0.5 * (1.0 - t)
-    elif branch is Branch.REFRIGERATOR_MINUS:
-        accel = 0.5 * (1.0 + t)
-    else:
+    if branch is Branch.ENGINE:
         raise ValueError("thresholds only exist for refrigerator branches")
-    refmin = 0.5 * (1.0 + gap / params.epsilon * t)
-    return RefrigeratorThresholds(
-        accelerator_max=_clamp01(accel),
-        refrigerator_min=_clamp01(refmin),
-    )
+    return branch_thresholds(branch, params, temperature)

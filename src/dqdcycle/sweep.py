@@ -33,15 +33,10 @@ from typing import IO
 import numpy as np
 
 from .qdot import DotParams
-from .regimes import (
-    Branch,
-    Classification,
-    Mode,
-    classify,
-    engine_branch_quantities,
-    refrigerator_minus_quantities,
-    refrigerator_plus_quantities,
-)
+from .regimes import Branch, Classification, Mode, branch_currents, classify
+# Not called here; imported so that perfbench/spans.py can rebind them in this module.
+from .regimes import engine_branch_quantities  # noqa: F401
+from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
 
 CSV_COLUMNS = ("strength", "epsilon", "mode", "performance", "Qh", "Qc", "W")
 
@@ -80,6 +75,8 @@ class GridSpec:
         for axis, name in ((self.strength_axis, "strength"), (self.epsilon_axis, "epsilon")):
             if axis.steps < 2:
                 raise ValueError(f"{name} axis needs at least 2 steps")
+            if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
+                raise ValueError(f"{name} axis bounds must be finite")
             if not (axis.start < axis.stop):
                 raise ValueError(f"{name} axis must have start < stop")
         if not (0.0 <= self.strength_axis.start and self.strength_axis.stop <= 1.0):
@@ -88,8 +85,10 @@ class GridSpec:
             raise ValueError("epsilon axis must be positive")
         if not (math.isfinite(self.temperature) and self.temperature > 0.0):
             raise ValueError("temperature must be positive")
-        if self.zero_tol < 0.0:
-            raise ValueError("zero_tol must be nonnegative")
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite")
+        if not (0.0 <= self.zero_tol < math.inf):
+            raise ValueError("zero_tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -106,20 +105,9 @@ class SweepResult:
     counts: dict[Mode, int]
 
 
-def _branch_currents(branch: Branch, params: DotParams, temperature: float, strength: float):
-    """(Qh, Qc, W) for one cell, from the branch's stroke-role assignment."""
-    if branch is Branch.ENGINE:
-        qc, qh, w = engine_branch_quantities(params, temperature, strength)
-    elif branch is Branch.REFRIGERATOR_PLUS:
-        qc, w, qh = refrigerator_plus_quantities(params, temperature, strength)
-    else:
-        qc, w, qh = refrigerator_minus_quantities(params, temperature, strength)
-    return qh, qc, w
-
-
 def evaluate_cell(spec: GridSpec, strength: float, epsilon: float) -> SweepCell:
     params = DotParams(epsilon=epsilon, tau=spec.tau)
-    qh, qc, w = _branch_currents(spec.branch, params, spec.temperature, strength)
+    qh, qc, w = branch_currents(spec.branch, params, spec.temperature, strength)
     return SweepCell(strength, epsilon, classify(qh, qc, w, spec.zero_tol))
 
 

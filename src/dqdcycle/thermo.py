@@ -22,7 +22,9 @@ entropies h(p) = -p ln p - (1-p) ln(1-p):
 where g = (1 - tanh(E/T))/2 is the excited-level thermal population. Both the
 closed forms and a literal density-matrix pipeline (build the states, trace
 against H, diagonalize for entropies) are exposed; they must agree, and the
-ledger discrepancy between them is the package's standing self-check.
+ledger discrepancy between them is the package's standing self-check. The
+closed forms are pure scalar arithmetic: only the matrix ledger carries the
+states rho1..rho3, and a closed-form ledger leaves them as None.
 
 Sign convention: dU_i > 0 means energy flows *into* the dot during stroke i.
 """
@@ -58,7 +60,7 @@ class CycleInputs:
 
 @dataclass(frozen=True)
 class StrokeLedger:
-    """Per-stroke energy and entropy changes plus the three cycle states."""
+    """Per-stroke energy and entropy changes; the matrix route adds the three states."""
 
     dU1: float
     dU2: float
@@ -66,9 +68,9 @@ class StrokeLedger:
     dS1: float
     dS2: float
     dS3: float
-    rho1: np.ndarray
-    rho2: np.ndarray
-    rho3: np.ndarray
+    rho1: np.ndarray | None = None
+    rho2: np.ndarray | None = None
+    rho3: np.ndarray | None = None
 
     @property
     def energy_closure(self) -> float:
@@ -91,17 +93,12 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def _cycle_states(inputs: CycleInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rho1 = gibbs_state(inputs.params, inputs.temperature)
-    rho2 = apply_channel(MeasurementChannel(inputs.a, Orientation.A), rho1)
-    rho3 = apply_channel(MeasurementChannel(inputs.b, Orientation.B), rho2)
-    return rho1, rho2, rho3
-
-
 def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
     """Ledger from the explicit density-matrix pipeline (no closed forms)."""
     h = hamiltonian(inputs.params)
-    rho1, rho2, rho3 = _cycle_states(inputs)
+    rho1 = gibbs_state(inputs.params, inputs.temperature)
+    rho2 = apply_channel(MeasurementChannel(inputs.a, Orientation.A), rho1)
+    rho3 = apply_channel(MeasurementChannel(inputs.b, Orientation.B), rho2)
     u1, u2, u3 = (internal_energy(h, r) for r in (rho1, rho2, rho3))
     s1, s2, s3 = (von_neumann_entropy(r) for r in (rho1, rho2, rho3))
     return StrokeLedger(
@@ -112,13 +109,12 @@ def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
 
 
 def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
-    """Ledger from the analytic stroke formulas; states attached for reference."""
+    """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
     eps = inputs.params.epsilon
     gap = spectrum(inputs.params).gap
     t = math.tanh(gap / inputs.temperature)
     g = 0.5 * (1.0 - t)
     a, b = inputs.a, inputs.b
-    rho1, rho2, rho3 = _cycle_states(inputs)
     return StrokeLedger(
         dU1=-gap * t + eps * (2.0 * b - 1.0),
         dU2=gap * t + eps * (2.0 * a - 1.0),
@@ -126,7 +122,6 @@ def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
         dS1=binary_entropy(g) - binary_entropy(b),
         dS2=binary_entropy(a) - binary_entropy(g),
         dS3=binary_entropy(b) - binary_entropy(a),
-        rho1=rho1, rho2=rho2, rho3=rho3,
     )
 
 

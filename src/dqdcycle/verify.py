@@ -29,16 +29,11 @@ import numpy as np
 from . import channels
 from .channels import KrausSet, MeasurementChannel, Orientation, apply_kraus, completeness_residual
 from .qdot import DotParams, is_density_matrix, max_abs
-from .regimes import (
-    Branch,
-    Mode,
-    classify_from_signs,
-    engine_branch_quantities,
-    engine_branch_thresholds,
-    refrigerator_branch_thresholds,
-    refrigerator_minus_quantities,
-    refrigerator_plus_quantities,
-)
+from .regimes import Branch, branch_currents, branch_thresholds, classify_from_signs, expected_mode
+# Not called here; imported so that perfbench/spans.py can rebind them in this module.
+from .regimes import engine_branch_quantities, engine_branch_thresholds  # noqa: F401
+from .regimes import refrigerator_branch_thresholds  # noqa: F401
+from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
 from .thermo import CycleInputs, ledger_discrepancy, run_cycle_closed_form, run_cycle_matrix
 
 COMPLETENESS_TOL = 1e-14
@@ -181,38 +176,13 @@ def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckR
         branch = rng.choice(list(Branch))
         strength = float(rng.uniform(0.0, 1.0))
 
-        if branch is Branch.ENGINE:
-            th = engine_branch_thresholds(params, temperature)
-            bounds = (th.heater_max, th.engine_min, th.engine_max)
-            if min(abs(strength - x) for x in bounds) < THRESHOLD_MARGIN:
-                continue
-            if strength < th.heater_max:
-                expected = Mode.HEATER
-            elif strength < th.engine_min:
-                expected = Mode.ACCELERATOR
-            elif strength < th.engine_max:
-                expected = Mode.ENGINE
-            else:
-                expected = None  # outside the cataloged windows
-            qc, qh, w = engine_branch_quantities(params, temperature, strength)
-        else:
-            th = refrigerator_branch_thresholds(params, temperature, branch)
-            bounds = (th.accelerator_max, th.refrigerator_min)
-            if min(abs(strength - x) for x in bounds) < THRESHOLD_MARGIN:
-                continue
-            if strength < th.accelerator_max:
-                expected = Mode.ACCELERATOR
-            elif strength > th.refrigerator_min:
-                expected = Mode.REFRIGERATOR
-            else:
-                expected = None
-            if branch is Branch.REFRIGERATOR_PLUS:
-                qc, w, qh = refrigerator_plus_quantities(params, temperature, strength)
-            else:
-                qc, w, qh = refrigerator_minus_quantities(params, temperature, strength)
-
-        if expected is None:
+        th = branch_thresholds(branch, params, temperature)
+        if min(abs(strength - x) for x in th) < THRESHOLD_MARGIN:
             continue
+        expected = expected_mode(branch, strength, th)
+        if expected is None:
+            continue  # outside the cataloged windows
+        qh, qc, w = branch_currents(branch, params, temperature, strength)
         got = classify_from_signs(qh, qc, w)
         if got is not expected:
             mismatches += 1

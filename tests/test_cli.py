@@ -180,6 +180,12 @@ def test_classify_rejects_nonpositive_detuning(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_classify_rejects_nan_zero_tol(capsys):
+    assert run_cli("classify", "--branch", "engine", "--epsilon", "1", "--tau", "0",
+                   "--temperature", "1", "--a", "0.7", "--zero-tol", "nan") == 2
+    assert "zero_tol" in capsys.readouterr().err
+
+
 def test_classify_rejects_wrong_strength_flag(capsys):
     assert run_cli("classify", "--branch", "engine", "--epsilon", "1", "--tau", "0",
                    "--temperature", "1", "--a", "0.7", "--b", "0.3") == 2
@@ -257,6 +263,51 @@ def test_sweep_unwritable_path_is_io_error(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "map.csv"
     assert run_cli(*sweep_args(out)) == 3
     assert "I/O" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("zero-tol", "nan"), ("tau", "nan"),
+                                         ("grid-epsilon", "0.5:inf:3")])
+def test_sweep_non_finite_input_is_rejected_before_work(tmp_path, capsys, flag, value):
+    out = tmp_path / "map.csv"
+    assert run_cli(*sweep_args(out, **{flag: value})) == 2
+    assert not out.exists()
+    assert flag.split("-")[-1] in capsys.readouterr().err
+
+
+def test_failed_write_keeps_old_output_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "map.csv"
+    out.write_text("old contents\n")
+
+    class FullDisk:
+        """A file that takes the first half of the text, then runs out of space."""
+
+        def __init__(self, path, *args, **kwargs):
+            self.fh = open(path, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    assert run_cli(*sweep_args(out)) == 3
+    assert "No space left" in capsys.readouterr().err
+    assert out.read_text() == "old contents\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_sweep_replaces_existing_output(tmp_path):
+    out = tmp_path / "map.csv"
+    out.write_text("old contents\n")
+    assert run_cli(*sweep_args(out)) == 0
+    assert out.read_text().startswith("strength,epsilon,")
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_sweep_bad_axis_syntax():

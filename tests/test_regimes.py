@@ -6,14 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqdcycle.qdot import DotParams
+from dqdcycle.thermo import CycleInputs, run_cycle_closed_form
 from dqdcycle.regimes import (
+    BRANCHES,
     Branch,
+    EngineThresholds,
     Mode,
+    RefrigeratorThresholds,
+    branch_currents,
+    branch_thresholds,
     classify,
     classify_from_signs,
     constrained_strength,
     engine_branch_quantities,
     engine_branch_thresholds,
+    expected_mode,
     kappa,
     performance,
     refrigerator_branch_thresholds,
@@ -247,6 +254,110 @@ def test_refrigerator_scan_matches_thresholds():
 def test_branch_thresholds_reject_engine():
     with pytest.raises(ValueError, match="refrigerator"):
         refrigerator_branch_thresholds(DotParams(1.0, 0.0), 1.0, Branch.ENGINE)
+
+
+# ---------------------------------------------------------------------------
+# the branch table
+
+STRENGTH_GRID = [0.0, 0.05, 0.3, 0.5, 0.5216361462600286, 0.73, 0.999, 1.0]
+
+
+def test_table_covers_every_branch():
+    assert set(BRANCHES) == set(Branch)
+
+
+@pytest.mark.parametrize("strength", STRENGTH_GRID)
+@pytest.mark.parametrize("tau, temperature", [(0.0, 1.0), (0.3, 2.0), (1.0, 0.5)])
+def test_branch_currents_match_wrappers_and_stroke_roles(strength, tau, temperature):
+    p = DotParams(1.3, tau)
+    t = math.tanh(math.hypot(1.3, tau) / temperature)
+
+    qh, qc, w = branch_currents(Branch.ENGINE, p, temperature, strength)
+    assert (qc, qh, w) == engine_branch_quantities(p, temperature, strength)
+    ledger = run_cycle_closed_form(CycleInputs(p, temperature, strength, strength))
+    assert (qh, qc, w) == (ledger.dU2, ledger.dU1, ledger.dU3)
+
+    for branch, wrapper, a in (
+        (Branch.REFRIGERATOR_PLUS, refrigerator_plus_quantities, 0.5 * (1.0 + t)),
+        (Branch.REFRIGERATOR_MINUS, refrigerator_minus_quantities, 0.5 * (1.0 - t)),
+    ):
+        qh, qc, w = branch_currents(branch, p, temperature, strength)
+        assert (qc, w, qh) == wrapper(p, temperature, strength)
+        ledger = run_cycle_closed_form(CycleInputs(p, temperature, a, strength))
+        assert (qh, qc, w) == (ledger.dU3, ledger.dU1, ledger.dU2)
+
+
+def test_branch_thresholds_match_wrappers():
+    p = DotParams(0.8, 0.4)
+    assert branch_thresholds(Branch.ENGINE, p, 1.5) == engine_branch_thresholds(p, 1.5)
+    for branch in (Branch.REFRIGERATOR_PLUS, Branch.REFRIGERATOR_MINUS):
+        th = branch_thresholds(branch, p, 1.5)
+        assert th == refrigerator_branch_thresholds(p, 1.5, branch)
+        assert isinstance(th, RefrigeratorThresholds)
+
+
+@pytest.mark.parametrize(
+    "strength, mode",
+    [
+        (0.1, Mode.HEATER),
+        (0.2, Mode.ACCELERATOR),  # strict < heater_max
+        (0.4, Mode.ACCELERATOR),
+        (0.5, Mode.ENGINE),  # strict < engine_min
+        (0.7, Mode.ENGINE),
+        (0.8, None),  # strict < engine_max
+        (0.9, None),
+    ],
+)
+def test_expected_mode_engine_boundaries(strength, mode):
+    th = EngineThresholds(heater_max=0.2, engine_min=0.5, engine_max=0.8)
+    assert expected_mode(Branch.ENGINE, strength, th) is mode
+
+
+@pytest.mark.parametrize("branch", [Branch.REFRIGERATOR_PLUS, Branch.REFRIGERATOR_MINUS])
+@pytest.mark.parametrize(
+    "strength, mode",
+    [
+        (0.1, Mode.ACCELERATOR),
+        (0.3, None),  # strict < accelerator_max
+        (0.5, None),  # the heater band is not predicted
+        (0.7, None),  # strict > refrigerator_min
+        (0.9, Mode.REFRIGERATOR),
+    ],
+)
+def test_expected_mode_refrigerator_boundaries(branch, strength, mode):
+    th = RefrigeratorThresholds(accelerator_max=0.3, refrigerator_min=0.7)
+    assert expected_mode(branch, strength, th) is mode
+
+
+# The seed-32 failure of verify's threshold_consistency: just above tau = 0
+# the minus branch's W sits below the absolute zero_tol, so the signs read
+# undefined where the thresholds predict an accelerator (ROADMAP item 4).
+SEED32_POINT = (
+    DotParams(1.626048089325509, 2.1093739255295674e-06),
+    1.9347005760920484,
+    0.5216361462600286,
+)
+
+
+def test_seed32_point_is_predicted_accelerator():
+    params, temperature, strength = SEED32_POINT
+    th = branch_thresholds(Branch.REFRIGERATOR_MINUS, params, temperature)
+    assert expected_mode(Branch.REFRIGERATOR_MINUS, strength, th) is Mode.ACCELERATOR
+
+
+@pytest.mark.xfail(strict=True, reason="absolute zero_tol; ROADMAP item 4")
+def test_seed32_point_signs_agree_with_thresholds():
+    params, temperature, strength = SEED32_POINT
+    branch = Branch.REFRIGERATOR_MINUS
+    th = branch_thresholds(branch, params, temperature)
+    qh, qc, w = branch_currents(branch, params, temperature, strength)
+    assert classify_from_signs(qh, qc, w) is expected_mode(branch, strength, th)
+
+
+@pytest.mark.parametrize("zero_tol", [math.nan, math.inf])
+def test_classify_rejects_non_finite_zero_tol(zero_tol):
+    with pytest.raises(ValueError, match="zero_tol"):
+        classify_from_signs(1.0, -1.0, -1.0, zero_tol=zero_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 
 import numpy as np
@@ -46,6 +47,13 @@ def test_axis_points_inclusive():
         (dict(epsilon_axis=AxisSpec(-1.0, 1.0, 5)), "positive"),
         (dict(temperature=0.0), "temperature"),
         (dict(zero_tol=-1e-3), "zero_tol"),
+        (dict(zero_tol=math.nan), "zero_tol"),
+        (dict(zero_tol=math.inf), "zero_tol"),
+        (dict(tau=math.nan), "tau"),
+        (dict(tau=math.inf), "tau"),
+        (dict(epsilon_axis=AxisSpec(0.5, math.inf, 3)), "epsilon axis"),
+        (dict(epsilon_axis=AxisSpec(math.nan, 2.0, 3)), "epsilon axis"),
+        (dict(strength_axis=AxisSpec(math.nan, 1.0, 3)), "strength axis"),
     ],
 )
 def test_grid_spec_validation(kwargs, message):
