@@ -40,7 +40,8 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", type=Path, default=Path("maps"))
     parser.add_argument("--steps", type=int, default=201, help="grid points per axis")
     parser.add_argument("--epsilon-max", type=float, default=3.0)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility and ignored (must be >= 1)")
     args = parser.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)

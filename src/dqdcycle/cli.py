@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--zero-tol", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted for compatibility and ignored (must be >= 1)")
     common(p)
 
     p = sub.add_parser("verify", help="run the randomized self-check suites")

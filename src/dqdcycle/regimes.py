@@ -25,6 +25,9 @@ b = a), the stroke of each of Qh, Qc and W, the analytic thresholds and their
 ordered intervals. ``branch_currents``, ``branch_thresholds`` and
 ``expected_mode`` read that table; the per-branch functions below are thin
 wrappers over it that keep their historical return orders.
+``branch_currents_grid`` and ``classify_grid`` are the array twins of
+``branch_currents`` and ``classify`` that sweeps use; they read the same
+table and sign patterns and give the same floats bit for bit.
 
 * ``engine`` branch, b = a: work stroke W = dU3 = 2 epsilon (1 - 2a), hot
   stroke Qh = dU2, cold stroke Qc = dU1. Interval structure over a in [0, 1]:
@@ -50,11 +53,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .qdot import DotParams, spectrum
-from .thermo import CycleInputs, StrokeLedger, run_cycle_closed_form
+import numpy as np
+
+from .qdot import DotParams
+# Not called here; imported so that perfbench/spans.py can rebind them in this module.
+from .qdot import spectrum  # noqa: F401
+from .thermo import run_cycle_closed_form  # noqa: F401
+from .thermo import stroke_energies
 
 
 class Mode(Enum):
@@ -98,20 +105,28 @@ class Classification:
     raw_cop: float | None
 
 
-def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = 1e-12) -> Mode:
-    """Sign-pattern lookup; currents within ``zero_tol`` of zero are ambiguous."""
+# The signs of (Qh, Qc, W) in each defined mode; any other pattern is undefined.
+SIGN_PATTERNS = {
+    Mode.ENGINE: (1, -1, -1),
+    Mode.REFRIGERATOR: (-1, 1, 1),
+    Mode.ACCELERATOR: (1, -1, 1),
+    Mode.HEATER: (-1, -1, 1),
+}
+
+
+def _check_zero_tol(zero_tol: float) -> None:
     if not (0.0 <= zero_tol < math.inf):
         raise ValueError("zero_tol must be finite and nonnegative")
+
+
+def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = 1e-12) -> Mode:
+    """Sign-pattern lookup; currents within ``zero_tol`` of zero are ambiguous."""
+    _check_zero_tol(zero_tol)
     if min(abs(Qh), abs(Qc), abs(W)) <= zero_tol:
         return Mode.UNDEFINED
-    if Qh > 0 and Qc < 0 and W < 0:
-        return Mode.ENGINE
-    if Qh < 0 and Qc > 0 and W > 0:
-        return Mode.REFRIGERATOR
-    if Qh > 0 and Qc < 0 and W > 0:
-        return Mode.ACCELERATOR
-    if Qh < 0 and Qc < 0 and W > 0:
-        return Mode.HEATER
+    for mode, (sh, sc, sw) in SIGN_PATTERNS.items():
+        if sh * Qh > 0 and sc * Qc > 0 and sw * W > 0:
+            return mode
     return Mode.UNDEFINED
 
 
@@ -158,15 +173,43 @@ def classify(Qh: float, Qc: float, W: float, zero_tol: float = 1e-12) -> Classif
     return Classification(mode, Qh, Qc, W, *_merit(mode, Qh, Qc, W, zero_tol))
 
 
-def _require_positive_detuning(params: DotParams):
-    if params.epsilon <= 0.0:
+def classify_grid(
+    Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray, zero_tol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array twin of ``classify``: (mode, performance, raw COP) object arrays.
+
+    Every element equals the matching ``classify`` field for the same three
+    floats, None included, and the same warning or error is raised.
+    """
+    _check_zero_tol(zero_tol)
+    defined = (np.abs(Qh) > zero_tol) & (np.abs(Qc) > zero_tol) & (np.abs(W) > zero_tol)
+    modes = np.full(Qh.shape, Mode.UNDEFINED, dtype=object)
+    hits = {}
+    for mode, (sh, sc, sw) in SIGN_PATTERNS.items():
+        hits[mode] = defined & (sh * Qh > 0) & (sc * Qc > 0) & (sw * W > 0)
+        modes[hits[mode]] = mode
+    engine = hits[Mode.ENGINE]
+    cop = hits[Mode.REFRIGERATOR] | hits[Mode.ACCELERATOR] | hits[Mode.HEATER]
+    numerator = np.where(engine, W, np.where(hits[Mode.REFRIGERATOR], Qc, Qh))
+    denominator = np.where(engine, Qh, W)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float division is
+        ratio = np.abs(np.divide(numerator, denominator, out=np.zeros(Qh.shape),
+                                 where=engine | cop))
+        compressed = ratio / (1.0 + ratio)
+    odd = cop & ~(np.isfinite(ratio) & (ratio > 0.0))
+    if odd.any():  # kappa's own warning (infinite COP) or error (NaN or zero COP)
+        compressed[odd] = [kappa(r) for r in ratio[odd].tolist()]
+    performance = np.where(engine, ratio, np.where(cop, compressed, None))
+    return modes, performance, np.where(cop, ratio, None)
+
+
+def _tanh_gap(epsilon: float, tau: float, temperature: float) -> tuple[float, float]:
+    """E = hypot(epsilon, tau), as in ``qdot.spectrum``, and tanh(E/T)."""
+    if epsilon <= 0.0:
         raise ValueError("branch operations require epsilon > 0")
-
-
-def _tanh_gap(params: DotParams, temperature: float) -> tuple[float, float]:
     if not (math.isfinite(temperature) and temperature > 0.0):
         raise ValueError("temperature must be positive")
-    gap = spectrum(params).gap
+    gap = math.hypot(epsilon, tau)
     return gap, math.tanh(gap / temperature)
 
 
@@ -186,7 +229,7 @@ class BranchRule(NamedTuple):
 
     free: str  # the swept strength, "a" or "b"
     pinned_a: Callable[[float], float] | None  # a from t = tanh(E/T); None means b = a
-    strokes: Callable[[StrokeLedger], Currents]  # picks (Qh, Qc, W) from the ledger
+    strokes: tuple[int, int, int]  # indices of Qh, Qc and W in (dU1, dU2, dU3)
     thresholds: Callable[[float, float], tuple]  # (t, (E/eps) t) -> critical strengths
     intervals: tuple[tuple[str, str, Mode], ...]  # (threshold, "<" or ">", mode), first wins
 
@@ -196,18 +239,18 @@ _REFRIGERATOR_INTERVALS = (("accelerator_max", "<", Mode.ACCELERATOR),
 
 BRANCHES = {
     Branch.ENGINE: BranchRule(
-        free="a", pinned_a=None, strokes=attrgetter("dU2", "dU1", "dU3"),
+        free="a", pinned_a=None, strokes=(1, 0, 2),
         thresholds=lambda t, ratio: EngineThresholds(_mid(-ratio), 0.5, _mid(ratio)),
         intervals=(("heater_max", "<", Mode.HEATER), ("engine_min", "<", Mode.ACCELERATOR),
                    ("engine_max", "<", Mode.ENGINE)),
     ),
     Branch.REFRIGERATOR_PLUS: BranchRule(
-        free="b", pinned_a=_mid, strokes=attrgetter("dU3", "dU1", "dU2"),
+        free="b", pinned_a=_mid, strokes=(2, 0, 1),
         thresholds=lambda t, ratio: RefrigeratorThresholds(_mid(-t), _mid(ratio)),
         intervals=_REFRIGERATOR_INTERVALS,
     ),
     Branch.REFRIGERATOR_MINUS: BranchRule(
-        free="b", pinned_a=lambda t: _mid(-t), strokes=attrgetter("dU3", "dU1", "dU2"),
+        free="b", pinned_a=lambda t: _mid(-t), strokes=(2, 0, 1),
         thresholds=lambda t, ratio: RefrigeratorThresholds(_mid(t), _mid(ratio)),
         intervals=_REFRIGERATOR_INTERVALS,
     ),
@@ -218,18 +261,47 @@ def branch_currents(
     branch: Branch, params: DotParams, temperature: float, strength: float
 ) -> Currents:
     """(Qh, Qc, W) at the point of ``branch`` whose free strength is ``strength``."""
-    _require_positive_detuning(params)
     rule = BRANCHES[branch]
-    a = strength if rule.pinned_a is None else rule.pinned_a(_tanh_gap(params, temperature)[1])
-    return rule.strokes(run_cycle_closed_form(CycleInputs(params, temperature, a, strength)))
+    gap, t = _tanh_gap(params.epsilon, params.tau, temperature)
+    if not (math.isfinite(strength) and 0.0 <= strength <= 1.0):
+        raise ValueError(f"{rule.free} must be in [0, 1]")
+    a = strength if rule.pinned_a is None else rule.pinned_a(t)
+    du = stroke_energies(params.epsilon, gap, t, a, strength)
+    return tuple(du[i] for i in rule.strokes)
+
+
+def _column(values) -> np.ndarray:
+    """One value per epsilon-row, shaped to broadcast over the strength axis."""
+    return np.array(values, dtype=float)[:, None]
+
+
+def branch_currents_grid(
+    branch: Branch, epsilons: list[float], tau: float, temperature: float,
+    strengths: list[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Qh, Qc, W) arrays of shape (len(epsilons), len(strengths)).
+
+    E and tanh(E/T) come from ``math`` once per epsilon, as in
+    ``branch_currents``; numpy's hypot and tanh can differ in the last bit.
+    Only ``stroke_energies``' correctly rounded + - * run on arrays, so each
+    element equals ``branch_currents`` at that point bit for bit.
+    """
+    rule = BRANCHES[branch]
+    s = np.array(strengths, dtype=float)
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError(f"{rule.free} must be in [0, 1]")
+    gaps, tanhs = zip(*(_tanh_gap(e, tau, temperature) for e in epsilons))
+    a = s if rule.pinned_a is None else _column([rule.pinned_a(t) for t in tanhs])
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        du = stroke_energies(_column(epsilons), _column(gaps), _column(tanhs), a, s)
+    return tuple(np.broadcast_to(du[i], (len(epsilons), len(s))) for i in rule.strokes)
 
 
 def branch_thresholds(
     branch: Branch, params: DotParams, temperature: float
 ) -> EngineThresholds | RefrigeratorThresholds:
     """The branch's critical strengths, clamped to [0, 1]."""
-    _require_positive_detuning(params)
-    gap, t = _tanh_gap(params, temperature)
+    gap, t = _tanh_gap(params.epsilon, params.tau, temperature)
     return BRANCHES[branch].thresholds(t, gap / params.epsilon * t)
 
 
@@ -259,8 +331,7 @@ def engine_branch_thresholds(params: DotParams, temperature: float) -> EngineThr
 
 def constrained_strength(params: DotParams, temperature: float, branch: Branch) -> float:
     """The pinned channel-A strength a = (1 +- tanh(E/T))/2 of a refrigerator branch."""
-    _require_positive_detuning(params)
-    _, t = _tanh_gap(params, temperature)
+    _, t = _tanh_gap(params.epsilon, params.tau, temperature)
     pinned_a = BRANCHES[branch].pinned_a
     if pinned_a is None:
         raise ValueError("constrained strength only exists for refrigerator branches")

@@ -6,10 +6,16 @@ measurement strength (a on the engine branch, b on the refrigerator branches)
 on the other. The output is the regime map plus per-cell figures of merit --
 the raw material for the phase-diagram and performance figures.
 
-Cells are evaluated in a fixed row-major order (epsilon outer, strength
-inner) regardless of ``workers``, so runs are reproducible bit for bit; the
-thread pool only splits whole epsilon-rows and results are reassembled in
-order. Each cell is a pure function of its coordinates, so this is safe.
+The whole grid is evaluated in one array pass, and cells come out in
+row-major order (epsilon outer, strength inner). The pass is bit-identical to
+the scalar ``evaluate_cell`` because of one rule: the only transcendentals,
+E = hypot(epsilon, tau) and tanh(E/T), depend on epsilon alone and are taken
+from ``math`` once per row, exactly as the scalar route takes them; everything
+broadcast over the strength axis is float64 + - * / and abs, which are
+correctly rounded. numpy's own hypot and tanh may differ in the last bit, so
+they are never used. ``evaluate_cell`` stays as the scalar oracle that tests
+compare the grid against. ``run_sweep`` starts no thread; its ``workers``
+argument is validated and otherwise ignored.
 
 Serialization: ``write_csv`` emits the exact column set
 
@@ -23,9 +29,7 @@ fractions, and a note on which figure-of-merit convention each mode uses.
 
 from __future__ import annotations
 
-import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO
@@ -33,8 +37,10 @@ from typing import IO
 import numpy as np
 
 from .qdot import DotParams
-from .regimes import Branch, Classification, Mode, branch_currents, classify
+from .regimes import Branch, Classification, Mode, branch_currents, branch_currents_grid
+from .regimes import classify, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from .regimes import engine_branch_quantities  # noqa: F401
 from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
 
@@ -106,29 +112,33 @@ class SweepResult:
 
 
 def evaluate_cell(spec: GridSpec, strength: float, epsilon: float) -> SweepCell:
+    """One cell through the scalar route: the oracle for ``run_sweep``."""
     params = DotParams(epsilon=epsilon, tau=spec.tau)
     qh, qc, w = branch_currents(spec.branch, params, spec.temperature, strength)
     return SweepCell(strength, epsilon, classify(qh, qc, w, spec.zero_tol))
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the full grid; ``workers`` > 1 parallelizes over epsilon-rows."""
+    """Evaluate the full grid in one array pass.
+
+    ``workers`` is kept for compatibility: it must be >= 1 and is otherwise
+    ignored, because no thread is started.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    strengths = spec.strength_axis.points()
-    epsilons = spec.epsilon_axis.points()
-
-    def row(eps: float) -> list[SweepCell]:
-        return [evaluate_cell(spec, float(s), float(eps)) for s in strengths]
-
-    if workers == 1:
-        rows = [row(eps) for eps in epsilons]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, epsilons))
-
-    cells = [cell for r in rows for cell in r]
-    counts = Counter(cell.result.mode for cell in cells)
+    strengths = spec.strength_axis.points().tolist()
+    epsilons = spec.epsilon_axis.points().tolist()
+    qh, qc, w = branch_currents_grid(spec.branch, epsilons, spec.tau, spec.temperature,
+                                     strengths)
+    modes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
+    rows = zip(epsilons, modes.tolist(), qh.tolist(), qc.tolist(), w.tolist(),
+               perf.tolist(), raw.tolist())
+    cells = [
+        SweepCell(s, e, Classification(m, h, c, x, p, r))
+        for e, *row in rows
+        for s, m, h, c, x, p, r in zip(strengths, *row)
+    ]
+    counts = Counter(modes.ravel().tolist())
     return SweepResult(spec, cells, {m: counts.get(m, 0) for m in Mode})
 
 
@@ -143,15 +153,16 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(result: SweepResult, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    # No field can hold a comma, quote or newline, so these lines are exactly
+    # what csv.writer would write: no field is ever quoted. "%.12e" % x is
+    # the same text as _fmt(x).
+    lines = [",".join(CSV_COLUMNS) + "\n"]
     for cell in result.cells:
         c = cell.result
-        perf = "" if c.performance is None else _fmt(c.performance)
-        writer.writerow(
-            [_fmt(cell.strength), _fmt(cell.epsilon), c.mode.value,
-             perf, _fmt(c.Qh), _fmt(c.Qc), _fmt(c.W)]
-        )
+        perf = "" if c.performance is None else "%.12e" % c.performance
+        lines.append("%.12e,%.12e,%s,%s,%.12e,%.12e,%.12e\n" % (
+            cell.strength, cell.epsilon, c.mode.value, perf, c.Qh, c.Qc, c.W))
+    stream.write("".join(lines))
 
 
 def to_json_document(result: SweepResult) -> dict:

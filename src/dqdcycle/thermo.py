@@ -108,17 +108,29 @@ def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
     )
 
 
+def stroke_energies(epsilon, gap, t, a, b):
+    """(dU1, dU2, dU3) from epsilon, E, t = tanh(E/T) and the two strengths.
+
+    Takes floats or broadcastable float64 arrays. Only + - * are used, and
+    each is correctly rounded, so an array element equals the float result
+    for the same inputs bit for bit.
+    """
+    return (
+        -gap * t + epsilon * (2.0 * b - 1.0),
+        gap * t + epsilon * (2.0 * a - 1.0),
+        2.0 * epsilon * (1.0 - a - b),
+    )
+
+
 def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
     """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
-    eps = inputs.params.epsilon
     gap = spectrum(inputs.params).gap
     t = math.tanh(gap / inputs.temperature)
     g = 0.5 * (1.0 - t)
     a, b = inputs.a, inputs.b
+    du1, du2, du3 = stroke_energies(inputs.params.epsilon, gap, t, a, b)
     return StrokeLedger(
-        dU1=-gap * t + eps * (2.0 * b - 1.0),
-        dU2=gap * t + eps * (2.0 * a - 1.0),
-        dU3=2.0 * eps * (1.0 - a - b),
+        dU1=du1, dU2=du2, dU3=du3,
         dS1=binary_entropy(g) - binary_entropy(b),
         dS2=binary_entropy(a) - binary_entropy(g),
         dS3=binary_entropy(b) - binary_entropy(a),

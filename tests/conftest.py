@@ -6,9 +6,13 @@ checklist of the package's headline guarantees.
 """
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+
+from dqdcycle.regimes import Mode
+from dqdcycle.sweep import SweepResult, evaluate_cell
 
 CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
@@ -24,7 +28,7 @@ TITLES = {
     9: "kappa(1) = 0.5 exactly and kappa strictly increasing in COP",
     10: "engine-branch map reproduces the analytic regime geometry",
     11: "refrigerator region grows and heater region shrinks with temperature",
-    12: "serial and parallel sweeps emit byte-identical CSV",
+    12: "sweeps emit the scalar oracle's CSV bytes whatever workers is",
     13: "pixel-level figure matching out of scope; analytic checks substitute",
 }
 
@@ -32,6 +36,20 @@ TITLES = {
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def oracle_sweep():
+    """The scalar reference for ``run_sweep``: ``evaluate_cell`` on every cell, row-major."""
+
+    def sweep(spec):
+        cells = [evaluate_cell(spec, s, e)
+                 for e in spec.epsilon_axis.points().tolist()
+                 for s in spec.strength_axis.points().tolist()]
+        counts = Counter(cell.result.mode for cell in cells)
+        return SweepResult(spec, cells, {m: counts.get(m, 0) for m in Mode})
+
+    return sweep
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -261,8 +261,8 @@ def test_criterion_11_refrigeration_grows_with_temperature():
     assert all(hi < lo for lo, hi in zip(heater, heater[1:]))
 
 
-def test_criterion_12_sweep_determinism():
-    """Serial and maximally parallel sweeps serialize to identical bytes."""
+def test_criterion_12_sweep_determinism(oracle_sweep):
+    """Sweeps with any ``workers`` serialize to identical bytes, equal to the scalar oracle's."""
     spec = GridSpec(
         branch=Branch.ENGINE,
         strength_axis=AxisSpec(0.0, 1.0, 41),
@@ -274,6 +274,9 @@ def test_criterion_12_sweep_determinism():
     write_csv(run_sweep(spec, workers=1), serial)
     write_csv(run_sweep(spec, workers=8), parallel)
     assert serial.getvalue() == parallel.getvalue()
+    oracle = io.StringIO()
+    write_csv(oracle_sweep(spec), oracle)
+    assert serial.getvalue() == oracle.getvalue()
 
 
 def test_criterion_13_pixel_matching_out_of_scope():

@@ -1,10 +1,13 @@
 import io
 import math
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from dqdcycle import sweep
 from dqdcycle.qdot import DotParams
 from dqdcycle.regimes import Branch, Mode, classify, engine_branch_quantities
 from dqdcycle.sweep import (
@@ -19,6 +22,12 @@ from dqdcycle.sweep import (
 )
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
+
+
+def csv_text(result):
+    buf = io.StringIO()
+    write_csv(result, buf)
+    return buf.getvalue()
 
 
 def small_spec(branch=Branch.ENGINE, tau=0.0, temperature=1.0, steps=5):
@@ -147,7 +156,14 @@ def test_csv_round_trips_grid_coordinates():
     assert firsts == [0.0, 0.5, 1.0]
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch, oracle_sweep):
+    """``workers`` is accepted and ignored: no thread starts and the bytes never change."""
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("run_sweep started a thread")
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_thread)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     spec = small_spec(branch=Branch.REFRIGERATOR_PLUS, tau=0.2, temperature=2.0, steps=9)
     serial = run_sweep(spec, workers=1)
     parallel = run_sweep(spec, workers=8)
@@ -155,6 +171,67 @@ def test_parallel_matches_serial():
     write_csv(serial, buf_s)
     write_csv(parallel, buf_p)
     assert buf_s.getvalue() == buf_p.getvalue()
+    assert buf_s.getvalue() == csv_text(oracle_sweep(spec))
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(spec, workers=0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e6])
+@pytest.mark.parametrize("zero_tol", [0.0, 1e-12])
+@pytest.mark.parametrize("temperature", [0.05, 1.0, 6.0])
+@pytest.mark.parametrize("tau", [0.0, 0.2, -0.4])
+@pytest.mark.parametrize("branch", list(Branch))
+def test_grid_matches_scalar_oracle(branch, tau, temperature, zero_tol, scale, oracle_sweep):
+    """The array pass equals ``evaluate_cell`` cell by cell, with no numpy warning.
+
+    Energies are scaled together, so each scale shows the same physics; the
+    minus branch at tau = 0 is the all-undefined case.
+    """
+    spec = GridSpec(branch, AxisSpec(0.0, 1.0, 13), AxisSpec(0.05 * scale, 3.0 * scale, 11),
+                    tau * scale, temperature * scale, zero_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(spec)
+        oracle = oracle_sweep(spec)
+    assert result.cells == oracle.cells
+    assert result.counts == oracle.counts
+    assert csv_text(result) == csv_text(oracle)
+
+
+def test_current_equal_to_zero_tol_is_undefined(oracle_sweep):
+    # tau = 0 engine branch: W = 2 eps (1 - 2a) is exactly +-0.5 at
+    # (eps, a) = (0.5, 0.25), (0.5, 0.75), (1, 0.375) and (1, 0.625).
+    spec = GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 9), AxisSpec(0.5, 2.0, 4), 0.0, 1.0,
+                    zero_tol=0.5)
+    result = run_sweep(spec)
+    boundary = [c for c in result.cells if abs(c.result.W) == 0.5]
+    assert len(boundary) == 4
+    assert all(c.result.mode is Mode.UNDEFINED for c in boundary)
+    assert result.cells == oracle_sweep(spec).cells
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize(
+    "epsilon_axis, tau",
+    [
+        (AxisSpec(1e-320, 2e-320, 3), 1.0),  # subnormal detuning: a COP overflows to inf
+        (AxisSpec(1e307, 1.7e308, 4), 0.0),  # currents overflow to inf and NaN
+    ],
+)
+def test_grid_follows_oracle_at_float_range_edges(branch, epsilon_axis, tau, oracle_sweep):
+    """Same output, warnings and errors as the scalar route, where float arithmetic overflows."""
+    spec = GridSpec(branch, AxisSpec(0.0, 1.0, 5), epsilon_axis, tau, 1.0, zero_tol=0.0)
+
+    def outcome(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                text = csv_text(run(spec))
+            except ValueError as exc:
+                text = repr(exc)
+        return text, sorted({str(w.message) for w in caught})
+
+    assert outcome(run_sweep) == outcome(oracle_sweep)
 
 
 def test_json_document_layout():
