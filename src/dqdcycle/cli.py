@@ -37,8 +37,9 @@ from .regimes import constrained_strength
 from .regimes import engine_branch_quantities, engine_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
+from .sweep import to_json_document  # noqa: F401
 from .sweep import PERFORMANCE_CONVENTION, AxisSpec, GridSpec, _fmt, mode_area_fractions
-from .sweep import run_sweep, to_json_document, write_csv
+from .sweep import run_sweep, write_csv, write_json
 from .thermo import CycleInputs, ledger_discrepancy, run_cycle_closed_form, run_cycle_matrix
 
 EXIT_OK = 0
@@ -325,14 +326,10 @@ def cmd_sweep(args) -> int:
     workers = 1 if args.workers is None else args.workers
     result = run_sweep(spec, workers=workers)
 
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        buf = io.StringIO()
-        write_csv(result, buf)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(to_json_document(result), indent=2) + "\n"
-    _emit(text, args.output)
+    write = {"csv": write_csv, "json": write_json}[args.format or "csv"]
+    buf = io.StringIO()
+    write(result, buf)
+    _emit(buf.getvalue(), args.output)
 
     for mode, fraction in mode_area_fractions(result).items():
         sys.stdout.write(f"{mode.value}: {fraction:.6f}\n")

@@ -17,22 +17,31 @@ they are never used. ``evaluate_cell`` stays as the scalar oracle that tests
 compare the grid against. ``run_sweep`` starts no thread; its ``workers``
 argument is validated and otherwise ignored.
 
-Serialization: ``write_csv`` emits the exact column set
+Serialization: ``run_sweep`` keeps the cells as flat row-major ``Columns``
+(strength, epsilon, mode, performance, raw COP, Qh, Qc, W) behind
+``SweepCells``, which builds a ``SweepCell`` only when one is read. Both
+writers format straight from those columns; a plain list of cells is first
+transposed into the same columns. ``write_csv`` emits the exact column set
 
     strength,epsilon,mode,performance,Qh,Qc,W
 
 with floats in scientific notation at 13 significant digits and an empty
-performance field for undefined cells; ``to_json_document`` wraps the same
-rows in a versioned document with the grid spec, per-mode counts and area
-fractions, and a note on which figure-of-merit convention each mode uses.
+performance field for undefined cells. ``write_json`` emits a versioned
+document with the grid spec, per-mode counts and area fractions, a note on
+which figure-of-merit convention each mode uses, then the same rows.
+``to_json_document`` builds that document as a dict, cell by cell; its
+``json.dumps(..., indent=2)`` text is the reference ``write_json`` matches
+byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO
+from itertools import chain
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -104,10 +113,67 @@ class SweepCell:
     result: Classification
 
 
+class Columns(NamedTuple):
+    """One list per cell field, row-major: the form both writers format from."""
+
+    strength: list
+    epsilon: list
+    mode: list
+    performance: list
+    raw_cop: list
+    Qh: list
+    Qc: list
+    W: list
+
+
+class SweepCells(Sequence):
+    """The cells of a grid sweep, stored as ``Columns``.
+
+    Behaves as the list of ``SweepCell`` it stands for: ``len``, indexing,
+    slicing, row-major iteration and ``==`` against a plain list (either side).
+    Each ``SweepCell`` is built only when it is read.
+    """
+
+    def __init__(self, columns: Columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns.mode)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return _cell(*(column[index] for column in self.columns))
+
+    def __iter__(self):
+        return map(_cell, *self.columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, SweepCells)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"SweepCells({list(self)!r})"
+
+
+def _cell(strength, epsilon, mode, performance, raw_cop, qh, qc, w) -> SweepCell:
+    return SweepCell(strength, epsilon, Classification(mode, qh, qc, w, performance, raw_cop))
+
+
+def _columns(cells) -> Columns:
+    """The columns of ``cells``: read from ``SweepCells``, transposed from any other list."""
+    if isinstance(cells, SweepCells):
+        return cells.columns
+    rows = [(c.strength, c.epsilon, c.result.mode, c.result.performance, c.result.raw_cop,
+             c.result.Qh, c.result.Qc, c.result.W) for c in cells]
+    return Columns(*map(list, zip(*rows))) if rows else Columns(*([] for _ in Columns._fields))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     spec: GridSpec
-    cells: list[SweepCell]
+    cells: Sequence[SweepCell]
     counts: dict[Mode, int]
 
 
@@ -131,14 +197,18 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     qh, qc, w = branch_currents_grid(spec.branch, epsilons, spec.tau, spec.temperature,
                                      strengths)
     modes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
-    rows = zip(epsilons, modes.tolist(), qh.tolist(), qc.tolist(), w.tolist(),
-               perf.tolist(), raw.tolist())
-    cells = [
-        SweepCell(s, e, Classification(m, h, c, x, p, r))
-        for e, *row in rows
-        for s, m, h, c, x, p, r in zip(strengths, *row)
-    ]
-    counts = Counter(modes.ravel().tolist())
+    mode_column = modes.ravel().tolist()
+    cells = SweepCells(Columns(
+        strengths * len(epsilons),
+        [e for e in epsilons for _ in strengths],
+        mode_column,
+        perf.ravel().tolist(),
+        raw.ravel().tolist(),
+        qh.ravel().tolist(),
+        qc.ravel().tolist(),
+        w.ravel().tolist(),
+    ))
+    counts = Counter(mode_column)
     return SweepResult(spec, cells, {m: counts.get(m, 0) for m in Mode})
 
 
@@ -152,21 +222,58 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
+_MODE_TEXT = {m: m.value for m in Mode}
+
+# One CSV row. No field can hold a comma, quote or newline, so these lines are
+# exactly what csv.writer would write: no field is ever quoted. "%.12e" % x is
+# the same text as _fmt(x).
+_CSV_ROW = "%.12e,%.12e,%s,%s,%.12e,%.12e,%.12e\n"
+
+# One element of the "cells" array as json.dumps(..., indent=2) lays it out.
+_JSON_CELL = ("    {\n"
+              '      "strength": %s,\n'
+              '      "epsilon": %s,\n'
+              '      "mode": %s,\n'
+              '      "performance": %s,\n'
+              '      "Qh": %s,\n'
+              '      "Qc": %s,\n'
+              '      "W": %s\n'
+              "    }")
+
+
 def write_csv(result: SweepResult, stream: IO[str]) -> None:
-    # No field can hold a comma, quote or newline, so these lines are exactly
-    # what csv.writer would write: no field is ever quoted. "%.12e" % x is
-    # the same text as _fmt(x).
-    lines = [",".join(CSV_COLUMNS) + "\n"]
-    for cell in result.cells:
-        c = cell.result
-        perf = "" if c.performance is None else "%.12e" % c.performance
-        lines.append("%.12e,%.12e,%s,%s,%.12e,%.12e,%.12e\n" % (
-            cell.strength, cell.epsilon, c.mode.value, perf, c.Qh, c.Qc, c.W))
-    stream.write("".join(lines))
+    c = _columns(result.cells)
+    performance = ["" if p is None else "%.12e" % p for p in c.performance]
+    fields = zip(c.strength, c.epsilon, map(_MODE_TEXT.__getitem__, c.mode), performance,
+                 c.Qh, c.Qc, c.W)
+    stream.write(",".join(CSV_COLUMNS) + "\n"
+                 + (_CSV_ROW * len(performance)) % tuple(chain.from_iterable(fields)))
 
 
-def to_json_document(result: SweepResult) -> dict:
-    """JSON-ready document: schema tag, grid spec, summary, then the rows."""
+def write_json(result: SweepResult, stream: IO[str]) -> None:
+    """Write exactly ``json.dumps(to_json_document(result), indent=2) + "\n"``.
+
+    Each column is encoded by one call of the C encoder, which writes floats
+    as ``repr`` does and non-finite floats as ``Infinity``, ``-Infinity`` and
+    ``NaN``; no token it writes for a float or None contains ``", "``, so
+    splitting on it gives one token per cell.
+    """
+    import json  # here, not at the top, so that importing the package loads no json
+
+    def tokens(values: list) -> list[str]:
+        return json.dumps(values)[1:-1].split(", ")
+
+    head = json.dumps(_document(result, []), indent=2)
+    c = _columns(result.cells)
+    mode_tokens = {m: json.dumps(m.value) for m in Mode}
+    fields = zip(tokens(c.strength), tokens(c.epsilon), map(mode_tokens.__getitem__, c.mode),
+                 tokens(c.performance), tokens(c.Qh), tokens(c.Qc), tokens(c.W))
+    body = ",\n".join([_JSON_CELL % row for row in fields])
+    # head ends with '"cells": []\n}'; the rows go between the brackets.
+    stream.write(head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n")
+
+
+def _document(result: SweepResult, cells: list) -> dict:
     spec = result.spec
     fractions = mode_area_fractions(result)
     return {
@@ -188,16 +295,25 @@ def to_json_document(result: SweepResult) -> dict:
             "counts": {m.value: result.counts[m] for m in Mode},
             "area_fractions": {m.value: fractions[m] for m in Mode},
         },
-        "cells": [
-            {
-                "strength": cell.strength,
-                "epsilon": cell.epsilon,
-                "mode": cell.result.mode.value,
-                "performance": cell.result.performance,
-                "Qh": cell.result.Qh,
-                "Qc": cell.result.Qc,
-                "W": cell.result.W,
-            }
-            for cell in result.cells
-        ],
+        "cells": cells,
     }
+
+
+def to_json_document(result: SweepResult) -> dict:
+    """JSON-ready document: schema tag, grid spec, summary, then the rows.
+
+    Built cell by cell; ``write_json`` must write exactly its
+    ``json.dumps(..., indent=2)`` text.
+    """
+    return _document(result, [
+        {
+            "strength": cell.strength,
+            "epsilon": cell.epsilon,
+            "mode": cell.result.mode.value,
+            "performance": cell.result.performance,
+            "Qh": cell.result.Qh,
+            "Qc": cell.result.Qc,
+            "W": cell.result.W,
+        }
+        for cell in result.cells
+    ])

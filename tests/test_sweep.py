@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import json
 import math
 import re
 import threading
@@ -19,6 +21,7 @@ from dqdcycle.sweep import (
     run_sweep,
     to_json_document,
     write_csv,
+    write_json,
 )
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
@@ -28,6 +31,17 @@ def csv_text(result):
     buf = io.StringIO()
     write_csv(result, buf)
     return buf.getvalue()
+
+
+def json_text(result):
+    buf = io.StringIO()
+    write_json(result, buf)
+    return buf.getvalue()
+
+
+def json_reference(result):
+    """The bytes ``write_json`` must write: the dict form through the stock encoder."""
+    return json.dumps(to_json_document(result), indent=2) + "\n"
 
 
 def small_spec(branch=Branch.ENGINE, tau=0.0, temperature=1.0, steps=5):
@@ -196,6 +210,7 @@ def test_grid_matches_scalar_oracle(branch, tau, temperature, zero_tol, scale, o
     assert result.cells == oracle.cells
     assert result.counts == oracle.counts
     assert csv_text(result) == csv_text(oracle)
+    assert json_text(result) == json_reference(result) == json_text(oracle) == json_reference(oracle)
 
 
 def test_current_equal_to_zero_tol_is_undefined(oracle_sweep):
@@ -226,10 +241,13 @@ def test_grid_follows_oracle_at_float_range_edges(branch, epsilon_axis, tau, ora
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                text = csv_text(run(spec))
+                result = run(spec)
             except ValueError as exc:
-                text = repr(exc)
-        return text, sorted({str(w.message) for w in caught})
+                texts = (repr(exc),)
+            else:
+                texts = (csv_text(result), json_text(result))
+                assert texts[1] == json_reference(result)
+        return texts, sorted({str(w.message) for w in caught})
 
     assert outcome(run_sweep) == outcome(oracle_sweep)
 
@@ -252,3 +270,44 @@ def test_json_document_layout():
     assert doc["summary"]["counts"].keys() == {m.value for m in Mode}
     undefined = [c for c in doc["cells"] if c["mode"] == "undefined"]
     assert all(c["performance"] is None for c in undefined)
+
+
+def test_cells_behave_as_the_oracle_list(oracle_sweep):
+    spec = small_spec(branch=Branch.REFRIGERATOR_PLUS, tau=0.2, temperature=2.0, steps=4)
+    cells, expected = run_sweep(spec).cells, oracle_sweep(spec).cells
+    assert type(expected) is list and type(cells) is not list
+    assert len(cells) == len(expected) == 16
+    assert [cells[i] for i in range(16)] == expected
+    assert [cells[-i] for i in range(1, 17)] == expected[::-1]
+    for index in (16, -17):
+        with pytest.raises(IndexError):
+            cells[index]
+    assert list(cells) == expected
+    assert [(c.epsilon, c.strength) for c in cells] == [
+        (e, s) for e in spec.epsilon_axis.points().tolist()
+        for s in spec.strength_axis.points().tolist()]
+    assert cells == expected and expected == cells
+    assert not (cells != expected or expected != cells)
+    shorter = expected[:-1]
+    assert cells != shorter and shorter != cells
+
+
+def test_replaced_cells_reach_both_writers():
+    result = run_sweep(small_spec(steps=4))
+    cells = list(result.cells)
+    cell = cells[5]
+    cells[5] = dataclasses.replace(
+        cell, result=dataclasses.replace(cell.result, mode=Mode.HEATER, Qh=123.5,
+                                         performance=None))
+    changed = dataclasses.replace(result, cells=cells)
+    assert changed.cells == cells and changed.cells[5].result.Qh == 123.5
+
+    old_rows, new_rows = csv_text(result).splitlines(), csv_text(changed).splitlines()
+    assert [i for i, (a, b) in enumerate(zip(old_rows, new_rows)) if a != b] == [6]
+    assert new_rows[6].split(",")[2:5] == ["heater", "", "1.235000000000e+02"]
+
+    text = json_text(changed)
+    assert text == json_reference(changed) != json_text(result)
+    assert json.loads(text)["cells"][5] == {
+        "strength": cell.strength, "epsilon": cell.epsilon, "mode": "heater",
+        "performance": None, "Qh": 123.5, "Qc": cell.result.Qc, "W": cell.result.W}
