@@ -16,12 +16,14 @@ rendering is left to whatever plotting stack sits downstream.
 """
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from dqdcycle.cli import emit
 from dqdcycle.regimes import Branch
 from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
 
@@ -40,8 +42,6 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", type=Path, default=Path("maps"))
     parser.add_argument("--steps", type=int, default=201, help="grid points per axis")
     parser.add_argument("--epsilon-max", type=float, default=3.0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility and ignored (must be >= 1)")
     args = parser.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -55,10 +55,11 @@ def main(argv=None) -> int:
                 tau=tau,
                 temperature=temperature,
             )
-            result = run_sweep(spec, workers=args.workers)
+            result = run_sweep(spec)
             name = f"{branch.value}_tau{tau:g}_T{temperature:g}.csv"
-            with open(args.outdir / name, "w", encoding="utf-8", newline="") as fh:
-                write_csv(result, fh)
+            buf = io.StringIO()
+            write_csv(result, buf)
+            emit(buf.getvalue(), str(args.outdir / name))
             fractions = {m.value: f for m, f in mode_area_fractions(result).items()}
             summary.append(
                 {"file": name, "branch": branch.value, "tau": tau,
@@ -67,8 +68,7 @@ def main(argv=None) -> int:
             shares = "  ".join(f"{k}={v:.3f}" for k, v in fractions.items() if v > 0)
             print(f"{name:<40s} {shares}")
 
-    with open(args.outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump({"schema": 1, "maps": summary}, fh, indent=2)
+    emit(json.dumps({"schema": 1, "maps": summary}, indent=2), str(args.outdir / "summary.json"))
     print(f"\n{len(summary)} maps -> {args.outdir}/ (+ summary.json)")
     return 0
 

@@ -34,12 +34,11 @@ from .qdot import dagger
 
 KrausSet = list[np.ndarray]
 
-_KET0 = np.array([1.0, 0.0], dtype=np.complex128)
-_KET1 = np.array([0.0, 1.0], dtype=np.complex128)
-
-
-def _op(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
-    return np.outer(ket, bra.conj())
+# The matrix units |i><j|; every Kraus operator is sqrt(1-p) or sqrt(p) times one of them.
+_E00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+_E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+_E10 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
+_E11 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 
 class Orientation(Enum):
@@ -64,18 +63,8 @@ def kraus_operators(channel: MeasurementChannel) -> KrausSet:
     p = channel.strength
     keep, flip = math.sqrt(1.0 - p), math.sqrt(p)
     if channel.orientation is Orientation.A:
-        return [
-            keep * _op(_KET0, _KET0),
-            keep * _op(_KET0, _KET1),
-            flip * _op(_KET1, _KET1),
-            flip * _op(_KET1, _KET0),
-        ]
-    return [
-        keep * _op(_KET1, _KET1),
-        keep * _op(_KET1, _KET0),
-        flip * _op(_KET0, _KET0),
-        flip * _op(_KET0, _KET1),
-    ]
+        return [keep * _E00, keep * _E01, flip * _E11, flip * _E10]
+    return [keep * _E11, keep * _E10, flip * _E00, flip * _E01]
 
 
 def apply_kraus(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:

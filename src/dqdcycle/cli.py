@@ -172,7 +172,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ValueError(f"missing required option(s): {flags}")
 
 
-def _emit(text: str, output: str | None) -> None:
+def emit(text: str, output: str | None) -> None:
+    """Print ``text``, or write it to ``output`` whole or not at all (temp file, then rename)."""
     if output is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -246,7 +247,7 @@ def cmd_spectrum(args) -> int:
         "populations": {"ground": 0.5 * (1.0 + t), "excited": 0.5 * (1.0 - t)},
         "degenerate": spec.degenerate,
     }
-    _emit(_report(doc, args.format or "json"), args.output)
+    emit(_report(doc, args.format or "json"), args.output)
     return EXIT_OK
 
 
@@ -269,7 +270,7 @@ def cmd_cycle(args) -> int:
             name: np.real(getattr(matrix, name)).tolist()
             for name in ("rho1", "rho2", "rho3")
         }
-    _emit(_report(doc, args.format or "json"), args.output)
+    emit(_report(doc, args.format or "json"), args.output)
     return EXIT_OK
 
 
@@ -309,7 +310,7 @@ def cmd_classify(args) -> int:
         doc["constrained_strength"] = constrained_strength(params, args.temperature, branch)
     if branch is Branch.REFRIGERATOR_MINUS and args.tau == 0.0:
         doc["reason"] = "W=0 at zero tunneling"
-    _emit(_report(doc, args.format or "json"), args.output)
+    emit(_report(doc, args.format or "json"), args.output)
     return EXIT_OK
 
 
@@ -329,7 +330,7 @@ def cmd_sweep(args) -> int:
     write = {"csv": write_csv, "json": write_json}[args.format or "csv"]
     buf = io.StringIO()
     write(result, buf)
-    _emit(buf.getvalue(), args.output)
+    emit(buf.getvalue(), args.output)
 
     for mode, fraction in mode_area_fractions(result).items():
         sys.stdout.write(f"{mode.value}: {fraction:.6f}\n")

@@ -33,7 +33,6 @@ DEFAULT_TOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-IDENTITY = np.eye(2, dtype=np.complex128)
 
 
 @dataclass(frozen=True)

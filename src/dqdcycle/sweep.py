@@ -47,7 +47,7 @@ import numpy as np
 
 from .qdot import DotParams
 from .regimes import Branch, Classification, Mode, branch_currents, branch_currents_grid
-from .regimes import classify, classify_grid
+from .regimes import _check_zero_tol, classify, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from .regimes import engine_branch_quantities  # noqa: F401
@@ -102,8 +102,7 @@ class GridSpec:
             raise ValueError("temperature must be positive")
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
-        if not (0.0 <= self.zero_tol < math.inf):
-            raise ValueError("zero_tol must be finite and nonnegative")
+        _check_zero_tol(self.zero_tol)
 
 
 @dataclass(frozen=True)

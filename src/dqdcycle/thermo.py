@@ -37,7 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import MeasurementChannel, Orientation, apply_channel
-from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, spectrum, von_neumann_entropy
+from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, von_neumann_entropy
+# Not called here; imported so that perfbench/spans.py can rebind it in this module.
+from .qdot import spectrum  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def stroke_energies(epsilon, gap, t, a, b):
 
 def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
     """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
-    gap = spectrum(inputs.params).gap
+    gap = math.hypot(inputs.params.epsilon, inputs.params.tau)
     t = math.tanh(gap / inputs.temperature)
     g = 0.5 * (1.0 - t)
     a, b = inputs.a, inputs.b

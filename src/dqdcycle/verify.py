@@ -13,21 +13,20 @@ stay below a fixed tolerance:
 * ``threshold_consistency`` -- the analytic regime boundaries agree with
                             sign-based classification at random branch points.
 
-The Kraus-operator source is resolved at call time (``kraus_fn=None`` means
-"whatever ``channels.kraus_operators`` currently is"), so a deliberately
-corrupted implementation is picked up and flagged -- the test suite uses that
-as a negative control on the checks themselves.
+The channel checks look up ``channels.kraus_operators`` at call time, so a
+deliberately corrupted implementation swapped in there is picked up and
+flagged -- the test suite uses that as a negative control on the checks
+themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import channels
-from .channels import KrausSet, MeasurementChannel, Orientation, apply_kraus, completeness_residual
+from .channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
 from .qdot import DotParams, is_density_matrix, max_abs
 from .regimes import Branch, branch_currents, branch_thresholds, classify_from_signs, expected_mode
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
@@ -41,8 +40,6 @@ MATRIX_TOL = 1e-12
 PATH_TOL = 1e-10
 CLOSURE_TOL = 1e-12
 THRESHOLD_MARGIN = 1e-9
-
-KrausFn = Callable[[MeasurementChannel], KrausSet]
 
 
 @dataclass(frozen=True)
@@ -84,32 +81,22 @@ def _random_channel(rng: np.random.Generator) -> MeasurementChannel:
     return MeasurementChannel(float(rng.uniform(0.0, 1.0)), orientation)
 
 
-def _resolve(kraus_fn: KrausFn | None) -> KrausFn:
-    return channels.kraus_operators if kraus_fn is None else kraus_fn
-
-
-def check_kraus_completeness(
-    rng: np.random.Generator, trials: int, kraus_fn: KrausFn | None = None
-) -> CheckResult:
-    fn = _resolve(kraus_fn)
+def check_kraus_completeness(rng: np.random.Generator, trials: int) -> CheckResult:
     worst, worst_case = 0.0, None
     for _ in range(trials):
         ch = _random_channel(rng)
-        r = completeness_residual(fn(ch))
+        r = completeness_residual(channels.kraus_operators(ch))
         if r > worst:
             worst, worst_case = r, {"strength": ch.strength, "orientation": ch.orientation.value}
     return _result("kraus_completeness", trials, worst, COMPLETENESS_TOL, worst_case)
 
 
-def check_channel_cptp(
-    rng: np.random.Generator, trials: int, kraus_fn: KrausFn | None = None
-) -> CheckResult:
-    fn = _resolve(kraus_fn)
+def check_channel_cptp(rng: np.random.Generator, trials: int) -> CheckResult:
     worst, worst_case = 0.0, None
     for _ in range(trials):
         ch = _random_channel(rng)
         rho = random_density_matrix(rng)
-        out = apply_kraus(fn(ch), rho)
+        out = apply_kraus(channels.kraus_operators(ch), rho)
         r = abs(complex(np.trace(out)) - 1.0)
         if not is_density_matrix(out, MATRIX_TOL):
             r = max(r, 1.0)  # structural failure, not a small residual
@@ -118,16 +105,13 @@ def check_channel_cptp(
     return _result("channel_cptp", trials, worst, MATRIX_TOL, worst_case)
 
 
-def check_channel_reset(
-    rng: np.random.Generator, trials: int, kraus_fn: KrausFn | None = None
-) -> CheckResult:
+def check_channel_reset(rng: np.random.Generator, trials: int) -> CheckResult:
     """Output must equal diag(1-a, a) (A) or diag(b, 1-b) (B) for any input."""
-    fn = _resolve(kraus_fn)
     worst, worst_case = 0.0, None
     for _ in range(trials):
         ch = _random_channel(rng)
         rho = random_density_matrix(rng)
-        out = apply_kraus(fn(ch), rho)
+        out = apply_kraus(channels.kraus_operators(ch), rho)
         p = ch.strength
         if ch.orientation is Orientation.A:
             target = np.diag([1.0 - p, p]).astype(np.complex128)

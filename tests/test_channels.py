@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dqdcycle import channels
 from dqdcycle.channels import (
     MeasurementChannel,
     Orientation,
@@ -29,6 +30,42 @@ def test_four_kraus_operators(orientation):
     ops = kraus_operators(MeasurementChannel(0.3, orientation))
     assert len(ops) == 4
     assert all(op.shape == (2, 2) and op.dtype == np.complex128 for op in ops)
+
+
+# The module docstring's definitions: (keep or flip, row, column) of each
+# operator, in list order. keep = sqrt(1 - strength), flip = sqrt(strength).
+DEFINITIONS = {
+    Orientation.A: [("keep", 0, 0), ("keep", 0, 1), ("flip", 1, 1), ("flip", 1, 0)],  # M1..M4
+    Orientation.B: [("keep", 1, 1), ("keep", 1, 0), ("flip", 0, 0), ("flip", 0, 1)],  # N1..N4
+}
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("strength", [0.0, 0.3, 1.0])
+def test_kraus_operators_match_docstring_definitions(orientation, strength):
+    factor = {"keep": math.sqrt(1.0 - strength), "flip": math.sqrt(strength)}
+    expected = []
+    for which, row, col in DEFINITIONS[orientation]:
+        m = np.zeros((2, 2), dtype=np.complex128)
+        m[row, col] = factor[which]
+        expected.append(m)
+    ops = kraus_operators(MeasurementChannel(strength, orientation))
+    assert len(ops) == 4
+    for op, m in zip(ops, expected):
+        assert op.dtype == np.complex128
+        assert (op == m).all()
+
+
+def test_kraus_operators_call_no_numpy(monkeypatch):
+    """The operators are scalar multiples of constant matrix units: no ket, no np.outer."""
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used")
+
+    monkeypatch.setattr(channels, "np", NoNumpy())
+    for orientation in Orientation:
+        assert len(kraus_operators(MeasurementChannel(0.3, orientation))) == 4
 
 
 @given(strength=strengths, orientation=st.sampled_from(list(Orientation)))

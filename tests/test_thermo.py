@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqdcycle import thermo
 from dqdcycle.qdot import DotParams, hamiltonian, internal_energy
 from dqdcycle.thermo import (
     CycleInputs,
@@ -132,3 +133,17 @@ def test_only_matrix_ledger_carries_states():
     np.testing.assert_allclose(np.linalg.eigvalsh(matrix.rho1), [g, 1.0 - g], atol=1e-15)
     np.testing.assert_allclose(matrix.rho2, np.diag([0.75, 0.25]), atol=1e-15)
     np.testing.assert_allclose(matrix.rho3, np.diag([0.65, 0.35]), atol=1e-15)
+
+
+def test_closed_form_builds_no_spectrum(monkeypatch):
+    """E comes from math.hypot, so no eigenvectors are built for the closed form."""
+    points = [CycleInputs(DotParams(eps, tau), temperature, 0.3, 0.8)
+              for eps, tau, temperature in [(1.0, 0.5, 2.0), (0.0, 0.0, 1.0), (-2.0, 0.3, 0.7),
+                                            (1e6, 3e5, 4e5), (1e-9, 0.0, 2e-9)]]
+    expected = [run_cycle_closed_form(inputs) for inputs in points]
+
+    def forbidden(params):
+        raise AssertionError("spectrum called")
+
+    monkeypatch.setattr(thermo, "spectrum", forbidden)
+    assert [run_cycle_closed_form(inputs) for inputs in points] == expected

@@ -45,20 +45,15 @@ def test_residual_tolerances():
     assert results["threshold_consistency"].max_residual == 0.0
 
 
-def test_corrupted_kraus_detected_via_argument():
-    rng = np.random.default_rng(0)
-    bad = verify.check_kraus_completeness(rng, trials=20, kraus_fn=corrupted_kraus)
-    assert not bad.passed
-    assert bad.max_residual > 1e-3
-    assert bad.worst_case is not None and "strength" in bad.worst_case
-
-
 def test_corrupted_kraus_detected_via_monkeypatch(monkeypatch):
     """The checks resolve the Kraus source at call time, so a swapped-in
     broken implementation must be flagged."""
     monkeypatch.setattr(channels, "kraus_operators", corrupted_kraus)
     rng = np.random.default_rng(0)
-    assert not verify.check_kraus_completeness(rng, trials=20).passed
+    bad = verify.check_kraus_completeness(rng, trials=20)
+    assert not bad.passed
+    assert bad.max_residual > 1e-3
+    assert bad.worst_case is not None and "strength" in bad.worst_case
     assert not verify.check_channel_reset(rng, trials=20).passed
 
 
