@@ -11,6 +11,9 @@ Subcommands::
 Every number printed here is produced by a library call that the test suite
 exercises directly; the CLI only parses, dispatches and serializes. Options
 may come from flags or from a JSON config file (``--config``); flags win.
+Config keys are the subcommand's flag names, with dashes or underscores; each
+value is read by that flag's own type and choices, and an axis may also be
+given as ``[min, max, steps]``.
 Outputs are composed fully in memory, written to a temporary sibling of the
 destination and renamed onto it, so a failed run leaves the old file or none.
 
@@ -32,7 +35,7 @@ import numpy as np
 from . import verify as verify_mod
 from .qdot import DotParams, spectrum
 from .regimes import BRANCHES, Branch, branch_currents, branch_thresholds, classify
-from .regimes import constrained_strength
+from .regimes import ZERO_TOL, constrained_strength
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from .regimes import engine_branch_quantities, engine_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_branch_thresholds  # noqa: F401
@@ -68,64 +71,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--epsilon", type=float)
+    point.add_argument("--tau", type=float)
+    point.add_argument("--temperature", type=float)
 
-    p = sub.add_parser("spectrum", help="eigenstructure and thermal populations")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
+    def common(p, fmt="json"):
+        p.add_argument("--format", choices=["csv", "json"], default=fmt)
+        p.add_argument("--output", help="write the report here instead of stdout")
+
+    p = sub.add_parser("spectrum", parents=[point], help="eigenstructure and thermal populations")
     common(p)
 
-    p = sub.add_parser("cycle", help="stroke energetics of one cycle, both computation paths")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--a", type=float, default=None, help="channel-A strength")
-    p.add_argument("--b", type=float, default=None, help="channel-B strength")
+    p = sub.add_parser("cycle", parents=[point],
+                       help="stroke energetics of one cycle, both computation paths")
+    p.add_argument("--a", type=float, help="channel-A strength")
+    p.add_argument("--b", type=float, help="channel-B strength")
     common(p)
 
-    p = sub.add_parser("classify", help="operating regime of one branch point")
-    p.add_argument("--branch", choices=[b.value for b in Branch], default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--a", type=float, default=None, help="strength on the engine branch")
-    p.add_argument("--b", type=float, default=None, help="strength on the refrigerator branches")
-    p.add_argument("--zero-tol", type=float, default=None)
+    p = sub.add_parser("classify", parents=[point], help="operating regime of one branch point")
+    p.add_argument("--branch", choices=[b.value for b in Branch])
+    p.add_argument("--a", type=float, help="strength on the engine branch")
+    p.add_argument("--b", type=float, help="strength on the refrigerator branches")
+    p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
     common(p)
 
     p = sub.add_parser("sweep", help="regime/performance map over a (strength, epsilon) grid")
-    p.add_argument("--branch", choices=[b.value for b in Branch], default=None)
-    p.add_argument("--grid-strength", type=_axis, default=None, metavar="MIN:MAX:STEPS")
-    p.add_argument("--grid-epsilon", type=_axis, default=None, metavar="MIN:MAX:STEPS")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--zero-tol", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--branch", choices=[b.value for b in Branch])
+    p.add_argument("--grid-strength", type=_axis, metavar="MIN:MAX:STEPS")
+    p.add_argument("--grid-epsilon", type=_axis, metavar="MIN:MAX:STEPS")
+    p.add_argument("--tau", type=float)
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
+    p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility and ignored (must be >= 1)")
-    common(p)
+    common(p, fmt="csv")
 
     p = sub.add_parser("verify", help="run the randomized self-check suites")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=int, default=1000)
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
 
 # ---------------------------------------------------------------------------
-# config-file merge
+# config file
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset (None) options from the JSON file given by --config."""
-    path = getattr(args, "config", None)
-    if path is None:
-        return
-    with open(path, encoding="utf-8") as fh:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The entries of the JSON file named by --config, as ``--flag=value`` arguments."""
+    with open(args.config, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -133,36 +129,19 @@ def _merge_config(args: argparse.Namespace) -> None:
     if not isinstance(data, dict):
         raise ValueError("config file must contain a JSON object")
     known = set(vars(args)) - {"command", "config"}
+    flags = []
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise ValueError(f"unknown config key: {key!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, _coerce(dest, value))
-
-
-def _coerce(dest: str, value):
-    if dest in ("grid_strength", "grid_epsilon"):
-        if isinstance(value, str):
-            return _axis(value)
-        if isinstance(value, (list, tuple)) and len(value) == 3:
-            return AxisSpec(float(value[0]), float(value[1]), int(value[2]))
-        raise ValueError(f"config key {dest!r} must be 'min:max:steps' or [min, max, steps]")
-    if dest in ("branch", "format", "output"):
-        if not isinstance(value, str):
-            raise ValueError(f"config key {dest!r} must be a string")
-        if dest == "branch" and value not in {b.value for b in Branch}:
-            raise ValueError(f"unknown branch: {value!r}")
-        if dest == "format" and value not in ("csv", "json"):
-            raise ValueError(f"unknown format: {value!r}")
-        return value
-    if dest in ("seed", "trials", "workers"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"config key {dest!r} must be an integer")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config key {dest!r} must be a number")
-    return float(value)
+        if isinstance(value, list) and len(value) == 3:
+            value = ":".join(map(str, value))
+        elif value is None or isinstance(value, (bool, dict, list)):
+            raise ValueError(f"config key {key!r} must be a number, a string"
+                             " or [min, max, steps]")
+        # The = form keeps a value such as -0.4 from reading as a flag.
+        flags.append(f"--{dest.replace('_', '-')}={value}")
+    return flags
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -217,7 +196,6 @@ def _flatten(doc: dict, prefix: str = ""):
             yield name, _fmt(value)
         else:
             yield name, value
-    return
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +225,7 @@ def cmd_spectrum(args) -> int:
         "populations": {"ground": 0.5 * (1.0 + t), "excited": 0.5 * (1.0 - t)},
         "degenerate": spec.degenerate,
     }
-    emit(_report(doc, args.format or "json"), args.output)
+    emit(_report(doc, args.format), args.output)
     return EXIT_OK
 
 
@@ -265,12 +243,12 @@ def cmd_cycle(args) -> int:
         "entropy_closure": closed.entropy_closure,
         "max_discrepancy": ledger_discrepancy(closed, matrix),
     }
-    if (args.format or "json") == "json":
+    if args.format == "json":
         doc["states"] = {
             name: np.real(getattr(matrix, name)).tolist()
             for name in ("rho1", "rho2", "rho3")
         }
-    emit(_report(doc, args.format or "json"), args.output)
+    emit(_report(doc, args.format), args.output)
     return EXIT_OK
 
 
@@ -278,7 +256,6 @@ def cmd_classify(args) -> int:
     _require(args, "branch", "epsilon", "tau", "temperature")
     branch = Branch(args.branch)
     params = DotParams(args.epsilon, args.tau)
-    zero_tol = 1e-12 if args.zero_tol is None else args.zero_tol
 
     rule = BRANCHES[branch]
     _require(args, rule.free)
@@ -290,7 +267,7 @@ def cmd_classify(args) -> int:
     qh, qc, w = branch_currents(branch, params, args.temperature, strength)
     thresholds = branch_thresholds(branch, params, args.temperature)._asdict()
 
-    result = classify(qh, qc, w, zero_tol)
+    result = classify(qh, qc, w, args.zero_tol)
     doc = {
         "branch": branch.value,
         "strength": strength,
@@ -310,7 +287,7 @@ def cmd_classify(args) -> int:
         doc["constrained_strength"] = constrained_strength(params, args.temperature, branch)
     if branch is Branch.REFRIGERATOR_MINUS and args.tau == 0.0:
         doc["reason"] = "W=0 at zero tunneling"
-    emit(_report(doc, args.format or "json"), args.output)
+    emit(_report(doc, args.format), args.output)
     return EXIT_OK
 
 
@@ -322,12 +299,11 @@ def cmd_sweep(args) -> int:
         epsilon_axis=args.grid_epsilon,
         tau=args.tau,
         temperature=args.temperature,
-        zero_tol=1e-12 if args.zero_tol is None else args.zero_tol,
+        zero_tol=args.zero_tol,
     )
-    workers = 1 if args.workers is None else args.workers
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(spec, workers=args.workers)
 
-    write = {"csv": write_csv, "json": write_json}[args.format or "csv"]
+    write = {"csv": write_csv, "json": write_json}[args.format]
     buf = io.StringIO()
     write(result, buf)
     emit(buf.getvalue(), args.output)
@@ -338,11 +314,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = 42 if args.seed is None else args.seed
-    trials = 1000 if args.trials is None else args.trials
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    results = verify_mod.run_all(seed, trials)
+    results = verify_mod.run_all(args.seed, args.trials)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -353,9 +325,9 @@ def cmd_verify(args) -> int:
         if not r.passed and r.worst_case is not None:
             sys.stdout.write(f"       failing case: {json.dumps(r.worst_case)}\n")
     if failed:
-        sys.stdout.write(f"{len(failed)} of {len(results)} checks failed (seed {seed})\n")
+        sys.stdout.write(f"{len(failed)} of {len(results)} checks failed (seed {args.seed})\n")
         return EXIT_VERIFY_FAILED
-    sys.stdout.write(f"all {len(results)} checks passed (seed {seed})\n")
+    sys.stdout.write(f"all {len(results)} checks passed (seed {args.seed})\n")
     return EXIT_OK
 
 
@@ -369,14 +341,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:  # file entries first, so that flags win
+            args = parser.parse_args([*argv[:1], *_config_flags(args), *argv[1:]])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
-    try:
-        _merge_config(args)
-        return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

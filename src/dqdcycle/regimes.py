@@ -114,12 +114,16 @@ SIGN_PATTERNS = {
 }
 
 
+# Currents at most this far from zero have no sign; absolute, in energy units.
+ZERO_TOL = 1e-12
+
+
 def _check_zero_tol(zero_tol: float) -> None:
     if not (0.0 <= zero_tol < math.inf):
         raise ValueError("zero_tol must be finite and nonnegative")
 
 
-def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = 1e-12) -> Mode:
+def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Mode:
     """Sign-pattern lookup; currents within ``zero_tol`` of zero are ambiguous."""
     _check_zero_tol(zero_tol)
     if min(abs(Qh), abs(Qc), abs(W)) <= zero_tol:
@@ -140,41 +144,28 @@ def kappa(cop: float) -> float:
     return cop / (1.0 + cop)
 
 
-def _merit(
-    mode: Mode, Qh: float, Qc: float, W: float, zero_tol: float
-) -> tuple[float | None, float | None]:
-    """(figure of merit, raw COP) of a defined mode; raw COP is None for engines."""
+def _merit(mode: Mode, Qh: float, Qc: float, W: float) -> tuple[float, float | None]:
+    """(figure of merit, raw COP) of a defined mode; raw COP is None for engines.
+
+    ``classify`` calls this only once every current is beyond ``zero_tol``,
+    so no denominator is zero.
+    """
     if mode is Mode.ENGINE:
-        return (None if abs(Qh) <= zero_tol else abs(W / Qh)), None
-    if abs(W) <= zero_tol:
-        return None, None
+        return abs(W / Qh), None
     raw = abs((Qc if mode is Mode.REFRIGERATOR else Qh) / W)
     return kappa(raw), raw
 
 
-def performance(
-    mode: Mode, Qh: float, Qc: float, W: float, zero_tol: float = 1e-12
-) -> float | None:
-    """Figure of merit on the common scale: eta for engines, kappa otherwise.
-
-    Returns None when the relevant denominator is below ``zero_tol`` (the
-    ratio is not meaningful there). Undefined mode has no figure of merit.
-    """
-    if mode is Mode.UNDEFINED:
-        raise ValueError("no figure of merit for undefined mode")
-    return _merit(mode, Qh, Qc, W, zero_tol)[0]
-
-
-def classify(Qh: float, Qc: float, W: float, zero_tol: float = 1e-12) -> Classification:
+def classify(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Classification:
     """Bundle sign classification with the matching figure of merit."""
     mode = classify_from_signs(Qh, Qc, W, zero_tol)
     if mode is Mode.UNDEFINED:
         return Classification(mode, Qh, Qc, W, None, None)
-    return Classification(mode, Qh, Qc, W, *_merit(mode, Qh, Qc, W, zero_tol))
+    return Classification(mode, Qh, Qc, W, *_merit(mode, Qh, Qc, W))
 
 
 def classify_grid(
-    Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray, zero_tol: float = 1e-12
+    Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray, zero_tol: float = ZERO_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array twin of ``classify``: (mode, performance, raw COP) object arrays.
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .qdot import DotParams
 from .regimes import Branch, Classification, Mode, branch_currents, branch_currents_grid
-from .regimes import _check_zero_tol, classify, classify_grid
+from .regimes import ZERO_TOL, _check_zero_tol, classify, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from .regimes import engine_branch_quantities  # noqa: F401
@@ -84,7 +84,7 @@ class GridSpec:
     epsilon_axis: AxisSpec
     tau: float
     temperature: float
-    zero_tol: float = 1e-12
+    zero_tol: float = ZERO_TOL
 
     def __post_init__(self):
         for axis, name in ((self.strength_axis, "strength"), (self.epsilon_axis, "epsilon")):

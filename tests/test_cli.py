@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shutil
@@ -7,6 +8,7 @@ import pytest
 
 from dqdcycle import channels, cli
 from dqdcycle.channels import kraus_operators
+from dqdcycle.sweep import AxisSpec
 
 
 def run_cli(*argv):
@@ -331,6 +333,121 @@ def test_sweep_config_with_list_axes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# config files and flags agree
+
+# A flag value and the equivalent config value for each option dest.
+OPTION_VALUES = {
+    "epsilon": ("1.5", 1.5),
+    "tau": ("-0.4", -0.4),
+    "temperature": ("2.5", 2.5),
+    "a": ("0.25", 0.25),
+    "b": ("0.75", 0.75),
+    "branch": ("refrigerator-minus", "refrigerator-minus"),
+    "zero_tol": ("1e-09", 1e-9),
+    "grid_strength": ("0:1:5", [0, 1, 5]),
+    "grid_epsilon": ("0.5:2:3", "0.5:2:3"),
+    "workers": ("3", 3),
+    "format": ("csv", "csv"),
+    "output": ("report.out", "report.out"),
+    "seed": ("7", 7),
+    "trials": ("50", 50),
+}
+
+
+def subcommand_options():
+    """(subcommand, dest) for every option a subcommand declares, --config aside."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                yield command, action.dest
+
+
+def write_config(tmp_path, entries) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+def parsed(monkeypatch, *argv):
+    """The options a subcommand receives for ``argv``, --config itself left out."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: seen.append(args) or 0)
+    assert run_cli(*argv) == 0
+    (args,) = seen
+    return {k: v for k, v in vars(args).items() if k != "config"}
+
+
+@pytest.mark.parametrize("command, dest", list(subcommand_options()))
+@pytest.mark.parametrize("dashes", [True, False])
+def test_config_entry_matches_flag(tmp_path, monkeypatch, command, dest, dashes):
+    text, value = OPTION_VALUES[dest]
+    flag = dest.replace("_", "-")
+    config = write_config(tmp_path, {flag if dashes else dest: value})
+    assert (parsed(monkeypatch, command, "--config", config)
+            == parsed(monkeypatch, command, f"--{flag}", text))
+
+
+def test_flags_override_config(tmp_path, monkeypatch):
+    config = write_config(tmp_path, {
+        "branch": "engine", "grid-strength": [0, 1, 3], "grid-epsilon": "0.5:2:3",
+        "tau": 0.1, "temperature": 2.0, "workers": 3,
+    })
+    args = parsed(monkeypatch, "sweep", "--tau", "0.2", "--config", config,
+                  "--branch", "refrigerator-plus", "--grid-strength", "0:1:4",
+                  "--grid-epsilon", "0.5:2:5", "--workers", "2")
+    assert args["tau"] == 0.2
+    assert args["branch"] == "refrigerator-plus"
+    assert args["grid_strength"] == AxisSpec(0.0, 1.0, 4)
+    assert args["grid_epsilon"] == AxisSpec(0.5, 2.0, 5)
+    assert args["workers"] == 2
+    assert args["temperature"] == 2.0
+
+
+def test_negative_config_value_gives_flag_output(tmp_path, capsys):
+    config = write_config(tmp_path, {"epsilon": 1.0, "tau": -0.4, "temperature": 2.0})
+    assert run_cli("spectrum", "--config", config) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli("spectrum", "--epsilon", "1", "--tau", "-0.4", "--temperature", "2") == 0
+    assert capsys.readouterr().out == from_config
+    assert json.loads(from_config)["tau"] == -0.4
+
+
+@pytest.mark.parametrize("entry", [
+    {"epsilon": None}, {"output": None}, {"epsilon": True}, {"output": False}, {"a": {}},
+    {"b": [0, 1, 2]}, {"a": [0.5]}, {"epsilon": "one"},
+    {"frequency": 2.0}, {"temp": 1.0}, {"config": "other.json"},
+])
+def test_bad_config_entry_is_input_error(tmp_path, monkeypatch, entry):
+    monkeypatch.chdir(tmp_path)
+    base = {"epsilon": 1.0, "tau": 0.0, "temperature": 1.0, "a": 0.2, "b": 0.9,
+            "output": "cycle.json"}
+    write_config(tmp_path, {**base, **entry})
+    assert run_cli("cycle", "--config", "run.json") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("steps", [4.5, 4.0])
+def test_config_axis_rejects_fractional_steps(tmp_path, steps):
+    config = write_config(tmp_path, {"branch": "engine", "grid-strength": [0, 1, steps],
+                                     "grid-epsilon": "0.5:2:3", "tau": 0, "temperature": 1})
+    out = tmp_path / "map.csv"
+    assert run_cli("sweep", "--config", config, "--output", str(out)) == 2
+    assert not out.exists()
+    assert run_cli(*sweep_args(out, **{"grid-strength": f"0:1:{steps}"})) == 2
+    assert not out.exists()
+
+
+def test_verify_reads_seed_and_trials_from_config(tmp_path, capsys):
+    config = write_config(tmp_path, {"seed": 5, "trials": 40})
+    assert run_cli("verify", "--config", config) == 0
+    out = capsys.readouterr().out
+    assert "trials 40)" in out
+    assert "(seed 5)" in out
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
@@ -361,6 +478,12 @@ def test_verify_detects_corruption(monkeypatch, capsys):
 
 def test_help_exits_zero():
     assert run_cli("--help") == 0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "cycle", "classify", "sweep", "verify"])
+def test_subcommand_help_exits_zero(capsys, command):
+    assert run_cli(command, "--help") == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_missing_subcommand_is_usage_error():

@@ -22,7 +22,6 @@ from dqdcycle.regimes import (
     engine_branch_thresholds,
     expected_mode,
     kappa,
-    performance,
     refrigerator_branch_thresholds,
     refrigerator_minus_quantities,
     refrigerator_plus_quantities,
@@ -78,14 +77,12 @@ def test_kappa_monotone(x, y):
 
 
 def test_performance_conventions():
-    assert performance(Mode.ENGINE, Qh=2.0, Qc=-1.2, W=-0.8) == pytest.approx(0.4)
-    assert performance(Mode.REFRIGERATOR, Qh=-3.0, Qc=1.0, W=2.0) == pytest.approx(kappa(0.5))
-    assert performance(Mode.ACCELERATOR, Qh=3.0, Qc=-4.0, W=1.0) == pytest.approx(kappa(3.0))
-    assert performance(Mode.HEATER, Qh=-1.0, Qc=-1.0, W=2.0) == pytest.approx(kappa(0.5))
-    with pytest.raises(ValueError, match="undefined"):
-        performance(Mode.UNDEFINED, 1.0, -1.0, -1.0)
-    assert performance(Mode.ENGINE, Qh=5e-13, Qc=-1.0, W=-1.0) is None
-    assert performance(Mode.REFRIGERATOR, Qh=-1.0, Qc=1.0, W=5e-13) is None
+    assert classify(Qh=2.0, Qc=-1.2, W=-0.8).performance == pytest.approx(0.4)
+    assert classify(Qh=-3.0, Qc=1.0, W=2.0).performance == pytest.approx(kappa(0.5))
+    assert classify(Qh=3.0, Qc=-4.0, W=1.0).performance == pytest.approx(kappa(3.0))
+    assert classify(Qh=-1.0, Qc=-1.0, W=2.0).performance == pytest.approx(kappa(0.5))
+    assert classify(Qh=5e-13, Qc=-1.0, W=-1.0).performance is None
+    assert classify(Qh=-1.0, Qc=1.0, W=5e-13).performance is None
 
 
 def test_classify_bundles_performance():
