@@ -25,12 +25,13 @@ strokes inject or extract energy regardless of the incoming state.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .qdot import dagger
+from .qdot import dagger, max_abs
 
 KrausSet = list[np.ndarray]
 
@@ -67,8 +68,27 @@ def kraus_operators(channel: MeasurementChannel) -> KrausSet:
     return [keep * _E11, keep * _E10, flip * _E00, flip * _E01]
 
 
-def apply_kraus(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """Nonselective action sum_k M_k rho M_k^dag of an arbitrary Kraus set."""
+def kraus_stack(chans: Sequence[MeasurementChannel]) -> np.ndarray:
+    """The Kraus sets of n channels as one (k, n, 2, 2) array, operator k of every set
+    in row k.
+
+    Each set comes from one ``kraus_operators`` call. A set shorter than the
+    longest is padded with zero operators, which add exactly nothing to the
+    sums of ``apply_kraus`` and ``completeness_residual``.
+    """
+    sets = [kraus_operators(ch) for ch in chans]
+    k = max(map(len, sets), default=0)
+    zero = np.zeros((2, 2), dtype=np.complex128)
+    padded = [[*ops, *[zero] * (k - len(ops))] for ops in sets]
+    return np.array(padded, dtype=np.complex128).reshape(len(sets), k, 2, 2).swapaxes(0, 1)
+
+
+def apply_kraus(kraus: KrausSet | np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Nonselective action sum_k M_k rho M_k^dag of an arbitrary Kraus set.
+
+    With a ``kraus_stack`` and an (n, 2, 2) stack of states, applies channel i
+    to state i.
+    """
     out = np.zeros_like(rho, dtype=np.complex128)
     for m in kraus:
         out += m @ rho @ dagger(m)
@@ -79,9 +99,10 @@ def apply_channel(channel: MeasurementChannel, rho: np.ndarray) -> np.ndarray:
     return apply_kraus(kraus_operators(channel), rho)
 
 
-def completeness_residual(kraus: KrausSet) -> float:
-    """Max-norm deviation of sum_k M_k^dag M_k from the identity."""
-    acc = np.zeros((2, 2), dtype=np.complex128)
+def completeness_residual(kraus: KrausSet | np.ndarray):
+    """Max-norm deviation of sum_k M_k^dag M_k from the identity; one per set of a
+    ``kraus_stack``."""
+    acc = np.zeros(np.shape(kraus)[1:], dtype=np.complex128)
     for m in kraus:
         acc += dagger(m) @ m
-    return float(np.max(np.abs(acc - np.eye(2))))
+    return max_abs(acc - np.eye(2))

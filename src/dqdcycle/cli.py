@@ -11,9 +11,10 @@ Subcommands::
 Every number printed here is produced by a library call that the test suite
 exercises directly; the CLI only parses, dispatches and serializes. Options
 may come from flags or from a JSON config file (``--config``); flags win.
-Config keys are the subcommand's flag names, with dashes or underscores; each
-value is read by that flag's own type and choices, and an axis may also be
-given as ``[min, max, steps]``.
+Flags are not abbreviated. Config keys are the subcommand's flag names, with
+dashes or underscores; each value is read by that flag's own type and
+choices, and an axis may also be given as ``[min, max, steps]``. A config
+error names the file, and the key when one entry is at fault.
 Outputs are composed fully in memory, written to a temporary sibling of the
 destination and renamed onto it, so a failed run leaves the old file or none.
 
@@ -64,14 +65,24 @@ def _axis(text: str) -> AxisSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    """The CLI's parser. Flags must be spelled out in full: no parser takes abbreviations.
+
+    With ``exit_on_error=False`` a value that a flag's type or choices reject
+    raises ``argparse.ArgumentError`` instead of exiting, so that ``main`` can
+    report a config-file entry against the file.
+    """
     parser = argparse.ArgumentParser(
         prog="dqdcycle",
         description="Three-stroke measurement-driven thermal machine on a double-dot qubit.",
+        allow_abbrev=False, exit_on_error=exit_on_error,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    point = argparse.ArgumentParser(add_help=False)
+    def add(name, **kwargs):
+        return sub.add_parser(name, allow_abbrev=False, exit_on_error=exit_on_error, **kwargs)
+
+    point = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     point.add_argument("--epsilon", type=float)
     point.add_argument("--tau", type=float)
     point.add_argument("--temperature", type=float)
@@ -80,23 +91,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default=fmt)
         p.add_argument("--output", help="write the report here instead of stdout")
 
-    p = sub.add_parser("spectrum", parents=[point], help="eigenstructure and thermal populations")
+    p = add("spectrum", parents=[point], help="eigenstructure and thermal populations")
     common(p)
 
-    p = sub.add_parser("cycle", parents=[point],
-                       help="stroke energetics of one cycle, both computation paths")
+    p = add("cycle", parents=[point], help="stroke energetics of one cycle, both computation paths")
     p.add_argument("--a", type=float, help="channel-A strength")
     p.add_argument("--b", type=float, help="channel-B strength")
     common(p)
 
-    p = sub.add_parser("classify", parents=[point], help="operating regime of one branch point")
+    p = add("classify", parents=[point], help="operating regime of one branch point")
     p.add_argument("--branch", choices=[b.value for b in Branch])
     p.add_argument("--a", type=float, help="strength on the engine branch")
     p.add_argument("--b", type=float, help="strength on the refrigerator branches")
     p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
     common(p)
 
-    p = sub.add_parser("sweep", help="regime/performance map over a (strength, epsilon) grid")
+    p = add("sweep", help="regime/performance map over a (strength, epsilon) grid")
     p.add_argument("--branch", choices=[b.value for b in Branch])
     p.add_argument("--grid-strength", type=_axis, metavar="MIN:MAX:STEPS")
     p.add_argument("--grid-epsilon", type=_axis, metavar="MIN:MAX:STEPS")
@@ -107,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and ignored (must be >= 1)")
     common(p, fmt="csv")
 
-    p = sub.add_parser("verify", help="run the randomized self-check suites")
+    p = add("verify", help="run the randomized self-check suites")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=1000)
     for p in sub.choices.values():
@@ -120,27 +130,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The entries of the JSON file named by --config, as ``--flag=value`` arguments."""
-    with open(args.config, encoding="utf-8") as fh:
-        try:
+    """The entries of the JSON file named by --config, as ``--flag=value`` arguments.
+
+    Each entry is parsed here by its flag, so that every error names the file,
+    and a value the flag rejects also names its key.
+    """
+    try:
+        with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed config file {args.config}: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError("config file must contain a JSON object")
+        raise ValueError(f"config file {args.config} must contain a JSON object")
     known = set(vars(args)) - {"command", "config"}
+    keys = {}  # flag -> the key it came from
     flags = []
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in known:
-            raise ValueError(f"unknown config key: {key!r}")
+            raise ValueError(f"unknown key {key!r} in config file {args.config}")
         if isinstance(value, list) and len(value) == 3:
             value = ":".join(map(str, value))
         elif value is None or isinstance(value, (bool, dict, list)):
-            raise ValueError(f"config key {key!r} must be a number, a string"
-                             " or [min, max, steps]")
+            raise ValueError(f"key {key!r} in config file {args.config} must be a number,"
+                             " a string or [min, max, steps]")
+        flag = "--" + dest.replace("_", "-")
+        keys[flag] = key
         # The = form keeps a value such as -0.4 from reading as a flag.
-        flags.append(f"--{dest.replace('_', '-')}={value}")
+        flags.append(f"{flag}={value}")
+    try:
+        build_parser(exit_on_error=False).parse_args([args.command, *flags])
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"key {keys[exc.argument_name]!r} in config file {args.config}:"
+                         f" {exc.message}") from None
     return flags
 
 

@@ -101,48 +101,79 @@ def gibbs_state(params: DotParams, temperature: float) -> np.ndarray:
     if not (math.isfinite(temperature) and temperature > 0.0):
         raise ValueError("temperature must be positive")
     spec = spectrum(params)
-    t = math.tanh(spec.gap / temperature)
+    return thermal_state(*spec.eigenvectors, math.tanh(spec.gap / temperature))
+
+
+def thermal_state(phi1, phi2, t):
+    """p_plus |phi1><phi1| + p_minus |phi2><phi2| with p_-+ = (1 -+ t)/2.
+
+    Takes one eigenbasis (vectors of shape (2,), float ``t``) or n of them
+    (shape (n, 2), ``t`` of shape (n,)) and returns a 2x2 state or an
+    (n, 2, 2) stack.
+    """
+    t = np.asarray(t)[..., None, None]
     p_plus, p_minus = 0.5 * (1.0 - t), 0.5 * (1.0 + t)
-    phi1, phi2 = spec.eigenvectors
-    return p_plus * np.outer(phi1, phi1.conj()) + p_minus * np.outer(phi2, phi2.conj())
+    return p_plus * _outer(phi1) + p_minus * _outer(phi2)
 
 
-def internal_energy(h: np.ndarray, rho: np.ndarray) -> float:
-    """Tr[H rho]; the (roundoff-level) imaginary part is discarded."""
-    return float(np.trace(h @ rho).real)
+def _outer(phi: np.ndarray) -> np.ndarray:
+    """|phi><phi|, as np.outer(phi, phi.conj()) computes it, per vector of a stack."""
+    return phi[..., :, None] * phi.conj()[..., None, :]
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def internal_energy(h: np.ndarray, rho: np.ndarray):
+    """Tr[H rho]; the (roundoff-level) imaginary part is discarded. Per matrix of a stack."""
+    return _per_matrix(np.trace(h @ rho, axis1=-2, axis2=-1).real)
+
+
+def von_neumann_entropy(rho: np.ndarray):
     """-sum_i lam_i ln lam_i over the eigenvalues of rho, with 0 ln 0 = 0.
 
     Eigenvalues are clamped to [0, 1] first so that roundoff-negative values
-    from nearly pure states do not feed the log.
+    from nearly pure states do not feed the log. An (n, 2, 2) stack gives an
+    (n,) array; the logs come from ``math`` either way.
     """
     lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    return float(-sum(x * math.log(x) for x in lam if x > 0.0))
+    s = [-sum(x * math.log(x) for x in row if x > 0.0) for row in lam.reshape(-1, 2).tolist()]
+    return _per_matrix(np.array(s, dtype=float).reshape(lam.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------
 # dense 2x2 helpers
+#
+# Each takes one 2x2 matrix or an (n, 2, 2) stack, and gives a Python float or
+# bool for one matrix and an (n,) array for a stack. A stack runs the same
+# numpy operations on every matrix, so entry i equals the one-matrix result.
+
+
+def _per_matrix(x):
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    return m.conj().swapaxes(-1, -2)
 
 
-def max_abs(m: np.ndarray) -> float:
-    """Max-norm (largest entrywise modulus); the default matrix metric here."""
-    return float(np.max(np.abs(m)))
+def max_abs(m: np.ndarray):
+    """Max-norm (largest entrywise modulus); the default matrix metric here.
+
+    A vector or a single matrix gives one float; a stack gives one per matrix.
+    """
+    return _per_matrix(np.max(np.abs(m), axis=(-2, -1) if m.ndim > 2 else None))
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def trace_deviation(rho: np.ndarray):
+    """|Tr rho - 1|, from Python's complex abs (numpy's can differ in the last bit)."""
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    return _per_matrix(np.array([abs(t - 1.0) for t in tr.reshape(-1).tolist()]).reshape(tr.shape))
+
+
+def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL):
     return max_abs(m - dagger(m)) <= tol
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL):
     """Hermitian, unit trace, and positive semidefinite up to ``tol``."""
-    if not is_hermitian(rho, tol):
-        return False
-    if abs(complex(np.trace(rho)) - 1.0) > tol:
-        return False
-    return float(np.min(np.linalg.eigvalsh(rho))) >= -tol
+    psd = np.min(np.linalg.eigvalsh(rho), axis=-1) >= -tol
+    return _per_matrix(is_hermitian(rho, tol) & (trace_deviation(rho) <= tol) & psd)

@@ -32,14 +32,14 @@ Sign convention: dU_i > 0 means energy flows *into* the dot during stroke i.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MeasurementChannel, Orientation, apply_channel
-from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, von_neumann_entropy
-# Not called here; imported so that perfbench/spans.py can rebind it in this module.
-from .qdot import spectrum  # noqa: F401
+from .channels import MeasurementChannel, Orientation, apply_channel, apply_kraus, kraus_stack
+from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, spectrum, thermal_state
+from .qdot import von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,10 @@ class CycleInputs:
 
 @dataclass(frozen=True)
 class StrokeLedger:
-    """Per-stroke energy and entropy changes; the matrix route adds the three states."""
+    """Per-stroke energy and entropy changes; the matrix route adds the three states.
+
+    A ledger from ``run_cycle_matrix_batch`` holds (n,) arrays and state stacks.
+    """
 
     dU1: float
     dU2: float
@@ -110,6 +113,31 @@ def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
     )
 
 
+def run_cycle_matrix_batch(batch: Sequence[CycleInputs]) -> StrokeLedger:
+    """``run_cycle_matrix`` over many inputs in one pass over (n, 2, 2) stacks.
+
+    Every ledger field is an (n,) array and rho1..rho3 are (n, 2, 2) stacks.
+    The per-input scalars (spectrum, tanh(E/T), each channel's Kraus set) come
+    from the same calls as in ``run_cycle_matrix``, and every other step is
+    the same numpy operation applied to each matrix of a stack, so entry i
+    equals ``run_cycle_matrix(batch[i])`` with ==.
+    """
+    h = np.array([hamiltonian(x.params) for x in batch])
+    specs = [spectrum(x.params) for x in batch]
+    phi = np.array([s.eigenvectors for s in specs])  # (n, 2, 2): phi1, phi2 per input
+    t = np.array([math.tanh(s.gap / x.temperature) for s, x in zip(specs, batch)])
+    rho1 = thermal_state(phi[:, 0], phi[:, 1], t)
+    rho2 = apply_kraus(kraus_stack([MeasurementChannel(x.a, Orientation.A) for x in batch]), rho1)
+    rho3 = apply_kraus(kraus_stack([MeasurementChannel(x.b, Orientation.B) for x in batch]), rho2)
+    u1, u2, u3 = (internal_energy(h, r) for r in (rho1, rho2, rho3))
+    s1, s2, s3 = (von_neumann_entropy(r) for r in (rho1, rho2, rho3))
+    return StrokeLedger(
+        dU1=u1 - u3, dU2=u2 - u1, dU3=u3 - u2,
+        dS1=s1 - s3, dS2=s2 - s1, dS3=s3 - s2,
+        rho1=rho1, rho2=rho2, rho3=rho3,
+    )
+
+
 def stroke_energies(epsilon, gap, t, a, b):
     """(dU1, dU2, dU3) from epsilon, E, t = tanh(E/T) and the two strengths.
 
@@ -139,9 +167,11 @@ def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
     )
 
 
-def ledger_discrepancy(x: StrokeLedger, y: StrokeLedger) -> float:
-    """Largest absolute difference over the six dU/dS entries of two ledgers."""
-    return max(
-        abs(getattr(x, f) - getattr(y, f))
-        for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")
-    )
+def ledger_discrepancy(x: StrokeLedger, y: StrokeLedger):
+    """Largest absolute difference over the six dU/dS entries of two ledgers.
+
+    NaN if any difference is NaN; an (n,) array for two ledgers of (n,) arrays.
+    """
+    d = np.max([np.abs(np.subtract(getattr(x, f), getattr(y, f)))
+                for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")], axis=0)
+    return d.item() if d.ndim == 0 else d

@@ -13,33 +13,52 @@ stay below a fixed tolerance:
 * ``threshold_consistency`` -- the analytic regime boundaries agree with
                             sign-based classification at random branch points.
 
-The channel checks look up ``channels.kraus_operators`` at call time, so a
-deliberately corrupted implementation swapped in there is picked up and
-flagged -- the test suite uses that as a negative control on the checks
-themselves.
+The first five checks run as array passes. Each draws its trials one after
+another from the generator, exactly as a trial-by-trial loop would, then
+computes every residual in one numpy pass over (n, 2, 2) stacks; the matrix
+ledger comes from ``thermo.run_cycle_matrix_batch``. The draws and the
+results for a seed are the same as with the loop: the worst case is still the
+first trial with the largest residual. A NaN residual fails its check, and
+the first one is reported as the worst case. Trials go through at most
+``BLOCK`` at a time, so memory stays bounded whatever the trial count.
+
+The Kraus operators are looked up through ``channels.kraus_operators`` at call
+time, once per channel, so a deliberately corrupted implementation swapped in
+there is picked up and flagged -- the test suite uses that as a negative
+control on the checks themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels
 from .channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
-from .qdot import DotParams, is_density_matrix, max_abs
+from .channels import kraus_stack
+from .qdot import DotParams, dagger, is_density_matrix, max_abs, trace_deviation
 from .regimes import Branch, branch_currents, branch_thresholds, classify_from_signs, expected_mode
+from .thermo import CycleInputs, StrokeLedger, ledger_discrepancy, run_cycle_closed_form
+from .thermo import run_cycle_matrix_batch
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from .regimes import engine_branch_quantities, engine_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
-from .thermo import CycleInputs, ledger_discrepancy, run_cycle_closed_form, run_cycle_matrix
+from .thermo import run_cycle_matrix  # noqa: F401
 
 COMPLETENESS_TOL = 1e-14
 MATRIX_TOL = 1e-12
 PATH_TOL = 1e-10
 CLOSURE_TOL = 1e-12
 THRESHOLD_MARGIN = 1e-9
+
+# Trials per array pass, so that a check's stacks stay small whatever the trial count.
+BLOCK = 256
+
+# The bounds of random_cycle_inputs' five draws: epsilon, tau, T, a, b.
+_CYCLE_LOW = (1e-3, 0.0, 0.5, 0.0, 0.0)
+_CYCLE_HIGH = (3.0, 1.0, 6.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -56,24 +75,44 @@ def _result(name, trials, residual, tol, worst) -> CheckResult:
     return CheckResult(name, trials, residual, tol, residual <= tol, worst)
 
 
+def _scan(name, trials, tol, block, describe) -> CheckResult:
+    """Run ``block(n) -> (residuals, draws)`` over the trials, at most BLOCK at a time.
+
+    The worst case is the first trial with the largest residual, and only a
+    residual above 0 counts, as in a trial-by-trial loop with ``r > worst``.
+    A NaN residual beats every number, and the first one stays the worst
+    case, so a NaN fails the check.
+    """
+    worst, worst_case = 0.0, None
+    for start in range(0, trials, BLOCK):
+        r, draws = block(min(BLOCK, trials - start))
+        i = int(np.argmax(r))  # the first maximum, or the first NaN
+        if r[i] > worst or (math.isnan(r[i]) and not math.isnan(worst)):
+            worst, worst_case = float(r[i]), describe(draws[i])
+    return _result(name, trials, worst, tol, worst_case)
+
+
+def _gram_state(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A A^dag normalized to unit trace, with A = x + iy; one matrix or an (n, 2, 2) stack."""
+    a = x + 1j * y
+    rho = a @ dagger(a)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random mixed state: A A^dag normalized to unit trace."""
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+    x = rng.normal(size=(2, 2))
+    return _gram_state(x, rng.normal(size=(2, 2)))
+
+
+def _random_cycle_batch(rng: np.random.Generator, n: int) -> list[CycleInputs]:
+    """n draws of random_cycle_inputs; one (n, 5) draw reads the stream in the same order."""
+    rows = rng.uniform(_CYCLE_LOW, _CYCLE_HIGH, size=(n, 5)).tolist()
+    return [CycleInputs(DotParams(e, tau), temp, a, b) for e, tau, temp, a, b in rows]
 
 
 def random_cycle_inputs(rng: np.random.Generator) -> CycleInputs:
-    params = DotParams(
-        epsilon=float(rng.uniform(1e-3, 3.0)),
-        tau=float(rng.uniform(0.0, 1.0)),
-    )
-    return CycleInputs(
-        params=params,
-        temperature=float(rng.uniform(0.5, 6.0)),
-        a=float(rng.uniform(0.0, 1.0)),
-        b=float(rng.uniform(0.0, 1.0)),
-    )
+    return _random_cycle_batch(rng, 1)[0]
 
 
 def _random_channel(rng: np.random.Generator) -> MeasurementChannel:
@@ -81,67 +120,76 @@ def _random_channel(rng: np.random.Generator) -> MeasurementChannel:
     return MeasurementChannel(float(rng.uniform(0.0, 1.0)), orientation)
 
 
+def _random_channels_and_states(rng: np.random.Generator, n: int):
+    """n trials of a random channel followed by a random state, drawn in that order."""
+    chans, x, y = [], [], []
+    for _ in range(n):
+        chans.append(_random_channel(rng))
+        x.append(rng.normal(size=(2, 2)))
+        y.append(rng.normal(size=(2, 2)))
+    return chans, _gram_state(np.array(x), np.array(y))
+
+
+def _channel_dict(ch: MeasurementChannel) -> dict:
+    return {"strength": ch.strength, "orientation": ch.orientation.value}
+
+
+def _both_ledgers(batch: list[CycleInputs]) -> tuple[StrokeLedger, StrokeLedger]:
+    """The closed-form and the matrix ledger of every input, each as one ledger of (n,) arrays."""
+    closed = [run_cycle_closed_form(x) for x in batch]
+    fields = np.array([(x.dU1, x.dU2, x.dU3, x.dS1, x.dS2, x.dS3) for x in closed]).T
+    return StrokeLedger(*fields), run_cycle_matrix_batch(batch)
+
+
 def check_kraus_completeness(rng: np.random.Generator, trials: int) -> CheckResult:
-    worst, worst_case = 0.0, None
-    for _ in range(trials):
-        ch = _random_channel(rng)
-        r = completeness_residual(channels.kraus_operators(ch))
-        if r > worst:
-            worst, worst_case = r, {"strength": ch.strength, "orientation": ch.orientation.value}
-    return _result("kraus_completeness", trials, worst, COMPLETENESS_TOL, worst_case)
+    def block(n):
+        chans = [_random_channel(rng) for _ in range(n)]
+        return completeness_residual(kraus_stack(chans)), chans
+
+    return _scan("kraus_completeness", trials, COMPLETENESS_TOL, block, _channel_dict)
 
 
 def check_channel_cptp(rng: np.random.Generator, trials: int) -> CheckResult:
-    worst, worst_case = 0.0, None
-    for _ in range(trials):
-        ch = _random_channel(rng)
-        rho = random_density_matrix(rng)
-        out = apply_kraus(channels.kraus_operators(ch), rho)
-        r = abs(complex(np.trace(out)) - 1.0)
-        if not is_density_matrix(out, MATRIX_TOL):
-            r = max(r, 1.0)  # structural failure, not a small residual
-        if r > worst:
-            worst, worst_case = r, {"strength": ch.strength, "orientation": ch.orientation.value}
-    return _result("channel_cptp", trials, worst, MATRIX_TOL, worst_case)
+    def block(n):
+        chans, rho = _random_channels_and_states(rng, n)
+        out = apply_kraus(kraus_stack(chans), rho)
+        r = trace_deviation(out)
+        # a structural failure counts as at least 1, not as a small residual
+        return np.where(is_density_matrix(out, MATRIX_TOL), r, np.maximum(r, 1.0)), chans
+
+    return _scan("channel_cptp", trials, MATRIX_TOL, block, _channel_dict)
 
 
 def check_channel_reset(rng: np.random.Generator, trials: int) -> CheckResult:
     """Output must equal diag(1-a, a) (A) or diag(b, 1-b) (B) for any input."""
-    worst, worst_case = 0.0, None
-    for _ in range(trials):
-        ch = _random_channel(rng)
-        rho = random_density_matrix(rng)
-        out = apply_kraus(channels.kraus_operators(ch), rho)
-        p = ch.strength
-        if ch.orientation is Orientation.A:
-            target = np.diag([1.0 - p, p]).astype(np.complex128)
-        else:
-            target = np.diag([p, 1.0 - p]).astype(np.complex128)
-        r = max_abs(out - target)
-        if r > worst:
-            worst, worst_case = r, {"strength": p, "orientation": ch.orientation.value}
-    return _result("channel_reset", trials, worst, MATRIX_TOL, worst_case)
+    def block(n):
+        chans, rho = _random_channels_and_states(rng, n)
+        out = apply_kraus(kraus_stack(chans), rho)
+        p = np.array([ch.strength for ch in chans])
+        is_a = np.array([ch.orientation is Orientation.A for ch in chans])
+        target = np.zeros_like(out)
+        target[:, 0, 0] = np.where(is_a, 1.0 - p, p)
+        target[:, 1, 1] = np.where(is_a, p, 1.0 - p)
+        return max_abs(out - target), chans
+
+    return _scan("channel_reset", trials, MATRIX_TOL, block, _channel_dict)
 
 
 def check_path_agreement(rng: np.random.Generator, trials: int) -> CheckResult:
-    worst, worst_case = 0.0, None
-    for _ in range(trials):
-        inputs = random_cycle_inputs(rng)
-        r = ledger_discrepancy(run_cycle_closed_form(inputs), run_cycle_matrix(inputs))
-        if r > worst:
-            worst, worst_case = r, _inputs_dict(inputs)
-    return _result("path_agreement", trials, worst, PATH_TOL, worst_case)
+    def block(n):
+        batch = _random_cycle_batch(rng, n)
+        return ledger_discrepancy(*_both_ledgers(batch)), batch
+
+    return _scan("path_agreement", trials, PATH_TOL, block, _inputs_dict)
 
 
 def check_cycle_closure(rng: np.random.Generator, trials: int) -> CheckResult:
-    worst, worst_case = 0.0, None
-    for _ in range(trials):
-        inputs = random_cycle_inputs(rng)
-        for ledger in (run_cycle_closed_form(inputs), run_cycle_matrix(inputs)):
-            r = max(abs(ledger.energy_closure), abs(ledger.entropy_closure))
-            if r > worst:
-                worst, worst_case = r, _inputs_dict(inputs)
-    return _result("cycle_closure", trials, worst, CLOSURE_TOL, worst_case)
+    def block(n):
+        batch = _random_cycle_batch(rng, n)
+        sums = [s for x in _both_ledgers(batch) for s in (x.energy_closure, x.entropy_closure)]
+        return np.max(np.abs(sums), axis=0), batch
+
+    return _scan("cycle_closure", trials, CLOSURE_TOL, block, _inputs_dict)
 
 
 def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckResult:

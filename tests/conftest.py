@@ -11,8 +11,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dqdcycle import channels, verify
+from dqdcycle.channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
+from dqdcycle.qdot import DotParams, is_density_matrix, max_abs
 from dqdcycle.regimes import Mode
 from dqdcycle.sweep import SweepResult, evaluate_cell
+from dqdcycle.thermo import CycleInputs, run_cycle_closed_form, run_cycle_matrix
 
 CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
@@ -50,6 +54,113 @@ def oracle_sweep():
         return SweepResult(spec, cells, {m: counts.get(m, 0) for m in Mode})
 
     return sweep
+
+
+@pytest.fixture
+def oracle_verify():
+    """The scalar reference for ``verify.run_all``: each check's trial-by-trial loop.
+
+    The draws, the Kraus lookup at call time and the strict ``r > worst``
+    update are those of the loops that ``verify`` ran before its checks became
+    array passes; ``threshold_consistency`` is shared, as it was never batched.
+    """
+
+    def random_density_matrix(rng):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ a.conj().T
+        return rho / np.trace(rho).real
+
+    def random_cycle_inputs(rng):
+        params = DotParams(
+            epsilon=float(rng.uniform(1e-3, 3.0)),
+            tau=float(rng.uniform(0.0, 1.0)),
+        )
+        return CycleInputs(
+            params=params,
+            temperature=float(rng.uniform(0.5, 6.0)),
+            a=float(rng.uniform(0.0, 1.0)),
+            b=float(rng.uniform(0.0, 1.0)),
+        )
+
+    def random_channel(rng):
+        orientation = Orientation.A if rng.random() < 0.5 else Orientation.B
+        return MeasurementChannel(float(rng.uniform(0.0, 1.0)), orientation)
+
+    def ledger_discrepancy(x, y):
+        return max(abs(getattr(x, f) - getattr(y, f))
+                   for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"))
+
+    def inputs_dict(inputs):
+        return {"epsilon": inputs.params.epsilon, "tau": inputs.params.tau,
+                "temperature": inputs.temperature, "a": inputs.a, "b": inputs.b}
+
+    def result(name, trials, residual, tol, worst):
+        return verify.CheckResult(name, trials, residual, tol, residual <= tol, worst)
+
+    def kraus_completeness(rng, trials):
+        worst, worst_case = 0.0, None
+        for _ in range(trials):
+            ch = random_channel(rng)
+            r = completeness_residual(channels.kraus_operators(ch))
+            if r > worst:
+                worst, worst_case = r, {"strength": ch.strength, "orientation": ch.orientation.value}
+        return result("kraus_completeness", trials, worst, verify.COMPLETENESS_TOL, worst_case)
+
+    def channel_cptp(rng, trials):
+        worst, worst_case = 0.0, None
+        for _ in range(trials):
+            ch = random_channel(rng)
+            rho = random_density_matrix(rng)
+            out = apply_kraus(channels.kraus_operators(ch), rho)
+            r = abs(complex(np.trace(out)) - 1.0)
+            if not is_density_matrix(out, verify.MATRIX_TOL):
+                r = max(r, 1.0)  # structural failure, not a small residual
+            if r > worst:
+                worst, worst_case = r, {"strength": ch.strength, "orientation": ch.orientation.value}
+        return result("channel_cptp", trials, worst, verify.MATRIX_TOL, worst_case)
+
+    def channel_reset(rng, trials):
+        worst, worst_case = 0.0, None
+        for _ in range(trials):
+            ch = random_channel(rng)
+            rho = random_density_matrix(rng)
+            out = apply_kraus(channels.kraus_operators(ch), rho)
+            p = ch.strength
+            if ch.orientation is Orientation.A:
+                target = np.diag([1.0 - p, p]).astype(np.complex128)
+            else:
+                target = np.diag([p, 1.0 - p]).astype(np.complex128)
+            r = max_abs(out - target)
+            if r > worst:
+                worst, worst_case = r, {"strength": p, "orientation": ch.orientation.value}
+        return result("channel_reset", trials, worst, verify.MATRIX_TOL, worst_case)
+
+    def path_agreement(rng, trials):
+        worst, worst_case = 0.0, None
+        for _ in range(trials):
+            inputs = random_cycle_inputs(rng)
+            r = ledger_discrepancy(run_cycle_closed_form(inputs), run_cycle_matrix(inputs))
+            if r > worst:
+                worst, worst_case = r, inputs_dict(inputs)
+        return result("path_agreement", trials, worst, verify.PATH_TOL, worst_case)
+
+    def cycle_closure(rng, trials):
+        worst, worst_case = 0.0, None
+        for _ in range(trials):
+            inputs = random_cycle_inputs(rng)
+            for ledger in (run_cycle_closed_form(inputs), run_cycle_matrix(inputs)):
+                r = max(abs(ledger.energy_closure), abs(ledger.entropy_closure))
+                if r > worst:
+                    worst, worst_case = r, inputs_dict(inputs)
+        return result("cycle_closure", trials, worst, verify.CLOSURE_TOL, worst_case)
+
+    def run_all(seed, trials):
+        rng = np.random.default_rng(seed)
+        checks = (kraus_completeness, channel_cptp, channel_reset, path_agreement,
+                  cycle_closure, verify.check_threshold_consistency)
+        return [check(rng, trials) for check in checks]
+
+    return run_all
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

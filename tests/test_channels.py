@@ -13,6 +13,7 @@ from dqdcycle.channels import (
     apply_kraus,
     completeness_residual,
     kraus_operators,
+    kraus_stack,
 )
 from dqdcycle.qdot import DotParams, gibbs_state, is_density_matrix, max_abs
 
@@ -138,3 +139,26 @@ def test_apply_kraus_with_partial_set_loses_trace():
     ops = kraus_operators(MeasurementChannel(0.4, Orientation.A))[:3]
     out = apply_kraus(ops, 0.5 * np.eye(2, dtype=complex))
     assert np.trace(out).real < 1.0 - 0.1
+
+
+def test_kraus_stack_applies_each_channel_to_its_state(rng, monkeypatch):
+    """Stacked Kraus sets act like the sets one at a time; shorter sets are zero-padded."""
+    chans = [MeasurementChannel(float(rng.uniform()), o) for o in list(Orientation) * 6]
+    states = np.array([random_state(rng) for _ in chans])
+    honest = kraus_operators
+
+    def uneven(ch):
+        ops = honest(ch)
+        return ops[: 2 + int(4 * ch.strength)]
+
+    for source in (honest, uneven):
+        monkeypatch.setattr(channels, "kraus_operators", source)
+        stack = kraus_stack(chans)
+        assert stack.shape == (max(len(source(ch)) for ch in chans), len(chans), 2, 2)
+        out = apply_kraus(stack, states)
+        residuals = completeness_residual(stack)
+        for i, ch in enumerate(chans):
+            np.testing.assert_array_equal(out[i], apply_kraus(source(ch), states[i]))
+            assert residuals[i] == completeness_residual(source(ch))
+    monkeypatch.setattr(channels, "kraus_operators", lambda ch: [])
+    assert completeness_residual(kraus_stack(chans[:3])).tolist() == [1.0] * 3

@@ -419,13 +419,31 @@ def test_negative_config_value_gives_flag_output(tmp_path, capsys):
     {"b": [0, 1, 2]}, {"a": [0.5]}, {"epsilon": "one"},
     {"frequency": 2.0}, {"temp": 1.0}, {"config": "other.json"},
 ])
-def test_bad_config_entry_is_input_error(tmp_path, monkeypatch, entry):
+def test_bad_config_entry_is_input_error(tmp_path, monkeypatch, capsys, entry):
     monkeypatch.chdir(tmp_path)
     base = {"epsilon": 1.0, "tau": 0.0, "temperature": 1.0, "a": 0.2, "b": 0.9,
             "output": "cycle.json"}
     write_config(tmp_path, {**base, **entry})
     assert run_cli("cycle", "--config", "run.json") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    out, err = capsys.readouterr()
+    (key,) = entry
+    assert out == ""
+    assert f"key {key!r} in config file run.json" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--epsilon", "1", "--tau", "0", "--temp", "1"],
+    ["cycle", "--eps", "1", "--tau", "0", "--temperature", "1", "--a", "0.2", "--b", "0.9"],
+    ["verify", "--tri", "5"],
+    ["--he"],
+])
+def test_flag_abbreviations_are_refused(tmp_path, monkeypatch, capsys, argv):
+    """A flag must be spelled out, as a config key must."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--output", "report.out") == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("steps", [4.5, 4.0])
@@ -457,6 +475,39 @@ def test_verify_passes(capsys):
     assert "[PASS] kraus_completeness" in out
     assert "[PASS] threshold_consistency" in out
     assert "all 6 checks passed" in out
+
+
+# Captured before the checks became array passes. A changed draw, pass/fail
+# or printed digit shows here; test_verify.py compares every bit.
+VERIFY_STDOUT_42 = """\
+[PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
+[PASS] channel_cptp: max residual 4.444e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 4.452e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
+[PASS] cycle_closure: max residual 9.992e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 1000)
+all 6 checks passed (seed 42)
+"""
+
+VERIFY_STDOUT_32 = """\
+[PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
+[PASS] channel_cptp: max residual 4.445e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.331e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] path_agreement: max residual 1.332e-15 (tolerance 1.0e-10, trials 1000)
+[PASS] cycle_closure: max residual 8.882e-16 (tolerance 1.0e-12, trials 1000)
+[FAIL] threshold_consistency: max residual 1.000e+00 (tolerance 0.0e+00, trials 1000)
+       failing case: {"branch": "refrigerator-minus", "epsilon": 1.626048089325509, "tau": 2.1093739255295674e-06, "temperature": 1.9347005760920484, "strength": 0.5216361462600286, "expected": "accelerator", "got": "undefined"}
+1 of 6 checks failed (seed 32)
+"""
+
+
+@pytest.mark.parametrize("seed, code, expected", [
+    (42, 0, VERIFY_STDOUT_42),
+    (32, 1, VERIFY_STDOUT_32),
+])
+def test_verify_stdout_is_pinned(capsys, seed, code, expected):
+    assert run_cli("verify", "--seed", str(seed), "--trials", "1000") == code
+    assert capsys.readouterr().out == expected
 
 
 def test_verify_zero_trials_is_usage_error(capsys):

@@ -18,6 +18,7 @@ from dqdcycle.qdot import (
     is_hermitian,
     max_abs,
     spectrum,
+    trace_deviation,
     von_neumann_entropy,
 )
 
@@ -162,3 +163,26 @@ def test_matrix_predicates():
     assert not is_density_matrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
     d = dagger(np.array([[1j, 0], [2, 0]]))
     assert d[0, 1] == 2 and d[0, 0] == -1j
+
+
+def test_helpers_take_stacks_matrix_by_matrix(rng):
+    """On an (n, 2, 2) stack each helper gives, entry by entry, its one-matrix result."""
+    a = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    states = a @ dagger(a)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    stack = np.concatenate([
+        states,
+        1.25 * states[:5],                                  # trace 1.25
+        states[5:10] + 0.3 * np.array([[0, 1], [0, 0]]),    # not Hermitian
+        np.array([np.diag([1.5, -0.5]), np.diag([1.0 + 1e-18, -1e-18])], dtype=complex),
+    ])
+    h = hamiltonian(DotParams(0.7, 0.3))
+    helpers = [dagger, max_abs, trace_deviation, is_hermitian, is_density_matrix,
+               von_neumann_entropy, lambda m: internal_energy(h, m)]
+    for helper in helpers:
+        got = helper(stack)
+        for i, m in enumerate(stack):
+            one = helper(m)
+            assert type(one) in (np.ndarray, float, bool)
+            np.testing.assert_array_equal(got[i], one)
+    assert is_density_matrix(stack).tolist() == [True] * 40 + [False] * 11 + [True]

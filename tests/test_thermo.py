@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dqdcycle.thermo import (
     ledger_discrepancy,
     run_cycle_closed_form,
     run_cycle_matrix,
+    run_cycle_matrix_batch,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -147,3 +150,39 @@ def test_closed_form_builds_no_spectrum(monkeypatch):
 
     monkeypatch.setattr(thermo, "spectrum", forbidden)
     assert [run_cycle_closed_form(inputs) for inputs in points] == expected
+
+
+def test_matrix_batch_equals_scalar_ledger(rng):
+    """Every field and state of the batch ledger equals run_cycle_matrix's with ==,
+    including epsilon = tau = 0 (the theta = 0 convention), negative detuning,
+    strengths at 0 and 1, and temperatures far from the energy scale."""
+    grid = itertools.product((0.0, -1.3, 0.7, 2e6), (0.0, 0.4, 1e-9), (1e-3, 1.0, 1e3),
+                             (0.0, 1.0, 0.35), (0.0, 1.0, 0.8))
+    batch = [CycleInputs(DotParams(eps, tau), temperature, a, b)
+             for eps, tau, temperature, a, b in grid]
+    batch += [CycleInputs(DotParams(float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1))),
+                          float(rng.uniform(0.05, 6)), float(rng.uniform()), float(rng.uniform()))
+              for _ in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ledger = run_cycle_matrix_batch(batch)
+        expected = [run_cycle_matrix(inputs) for inputs in batch]
+    for i, ref in enumerate(expected):
+        for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"):
+            assert getattr(ledger, f)[i] == getattr(ref, f), (i, f)
+        for f in ("rho1", "rho2", "rho3"):
+            np.testing.assert_array_equal(getattr(ledger, f)[i], getattr(ref, f))
+
+
+def test_ledger_discrepancy_of_batches_is_per_entry():
+    batch = [CycleInputs(DotParams(1.0, 0.2), 1.5, a, 0.4) for a in (0.1, 0.5, 0.9)]
+    matrix = run_cycle_matrix_batch(batch)
+    closed = [run_cycle_closed_form(inputs) for inputs in batch]
+    per_entry = [ledger_discrepancy(c, run_cycle_matrix(x)) for c, x in zip(closed, batch)]
+    stacked = dataclasses.replace(
+        matrix, **{f: np.array([getattr(c, f) for c in closed])
+                   for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")})
+    assert ledger_discrepancy(stacked, matrix).tolist() == per_entry
+    nan = dataclasses.replace(closed[0], dS2=math.nan)
+    assert math.isnan(ledger_discrepancy(nan, closed[0]))
+    assert math.isnan(ledger_discrepancy(closed[0], nan))

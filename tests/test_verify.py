@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,81 @@ from dqdcycle import channels, verify
 from dqdcycle.channels import MeasurementChannel, kraus_operators
 from dqdcycle.qdot import is_density_matrix
 
+NUMERICAL_CHECKS = [
+    verify.check_kraus_completeness,
+    verify.check_channel_cptp,
+    verify.check_channel_reset,
+    verify.check_path_agreement,
+    verify.check_cycle_closure,
+]
+
 
 def corrupted_kraus(channel: MeasurementChannel):
     """Drop one operator: the set no longer resolves the identity."""
     return kraus_operators(channel)[:3]
+
+
+def scaled_kraus(channel: MeasurementChannel):
+    """Scale one operator by 1.01, as the benchmark's negative control does."""
+    ops = kraus_operators(channel)
+    return [1.01 * ops[0]] + ops[1:]
+
+
+def uneven_kraus(channel: MeasurementChannel):
+    """Three operators for weak channels, five (one of them zero) for strong ones."""
+    ops = kraus_operators(channel)
+    if channel.strength < 0.3:
+        return ops[:3]
+    if channel.strength > 0.7:
+        return ops + [0.0 * ops[0]]
+    return ops
+
+
+def nan_kraus(channel: MeasurementChannel):
+    return [math.nan * m for m in kraus_operators(channel)]
+
+
+def first_draw_case(check, seed):
+    """The worst_case a check reports for the first trial drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    if check in (verify.check_path_agreement, verify.check_cycle_closure):
+        return verify._inputs_dict(verify.random_cycle_inputs(rng))
+    return verify._channel_dict(verify._random_channel(rng))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 37, 1000])
+def test_run_all_equals_trial_loops(oracle_verify, trials):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(60):
+            assert verify.run_all(seed, trials) == oracle_verify(seed, trials), seed
+
+
+@pytest.mark.parametrize("block", [1, 7, 16])
+def test_worst_case_carries_across_blocks(oracle_verify, monkeypatch, block):
+    monkeypatch.setattr(verify, "BLOCK", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(60):
+            assert verify.run_all(seed, 37) == oracle_verify(seed, 37), seed
+
+
+def test_default_block_size_spans_blocks(oracle_verify):
+    trials = 2 * verify.BLOCK + 5
+    for seed in (0, 1):
+        assert verify.run_all(seed, trials) == oracle_verify(seed, trials), seed
+
+
+@pytest.mark.parametrize("source", [corrupted_kraus, scaled_kraus, uneven_kraus])
+def test_corrupted_sources_give_trial_loop_results(oracle_verify, monkeypatch, source):
+    """A broken Kraus source fails the same checks, with the same residuals and
+    worst cases, as in the trial-by-trial loops; uneven set sizes do not raise."""
+    monkeypatch.setattr(channels, "kraus_operators", source)
+    for seed in range(4):
+        got = verify.run_all(seed, 60)
+        assert got == oracle_verify(seed, 60), seed
+        failed = {r.name for r in got if not r.passed}
+        assert {"kraus_completeness", "channel_cptp", "channel_reset"} <= failed
 
 
 def test_run_all_passes():
@@ -55,6 +129,34 @@ def test_corrupted_kraus_detected_via_monkeypatch(monkeypatch):
     assert bad.max_residual > 1e-3
     assert bad.worst_case is not None and "strength" in bad.worst_case
     assert not verify.check_channel_reset(rng, trials=20).passed
+
+
+@pytest.mark.parametrize("check", NUMERICAL_CHECKS)
+def test_nan_kraus_fails_closed(monkeypatch, check):
+    """A NaN residual fails the check and names the first trial that gave it."""
+    monkeypatch.setattr(channels, "kraus_operators", nan_kraus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = check(np.random.default_rng(0), trials=20)
+    assert not result.passed
+    assert math.isnan(result.max_residual)
+    assert result.worst_case == first_draw_case(check, 0)
+
+
+def test_first_nan_beats_earlier_blocks(monkeypatch):
+    """NaN in a later block outranks every finite residual of earlier blocks."""
+    def late_nan(ch):
+        return nan_kraus(ch) if ch.strength > 0.9 else scaled_kraus(ch)
+
+    monkeypatch.setattr(channels, "kraus_operators", late_nan)
+    monkeypatch.setattr(verify, "BLOCK", 8)
+    rng = np.random.default_rng(4)
+    drawn = [verify._random_channel(rng) for _ in range(100)]
+    first_nan = next(i for i, ch in enumerate(drawn) if ch.strength > 0.9)
+    assert first_nan >= verify.BLOCK
+    result = verify.check_kraus_completeness(np.random.default_rng(4), trials=100)
+    assert math.isnan(result.max_residual) and not result.passed
+    assert result.worst_case == verify._channel_dict(drawn[first_nan])
 
 
 def test_corruption_hits_cptp_check(monkeypatch):
