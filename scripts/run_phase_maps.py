@@ -35,6 +35,7 @@ FAMILIES = [
     (Branch.REFRIGERATOR_MINUS, 0.2, (2.0, 4.0)),
     (Branch.REFRIGERATOR_MINUS, 0.5, (2.0, 4.0)),
 ]
+EPSILON_MIN = 0.1
 
 
 def main(argv=None) -> int:
@@ -44,29 +45,35 @@ def main(argv=None) -> int:
     parser.add_argument("--epsilon-max", type=float, default=3.0)
     args = parser.parse_args(argv)
 
+    try:  # every grid is checked before anything is made on disk
+        maps = [(branch, tau, temperature, GridSpec(
+                    branch=branch,
+                    strength_axis=AxisSpec(0.0, 1.0, args.steps),
+                    epsilon_axis=AxisSpec(EPSILON_MIN, args.epsilon_max, args.steps),
+                    tau=tau,
+                    temperature=temperature,
+                ))
+                for branch, tau, temperatures in FAMILIES for temperature in temperatures]
+    except ValueError as exc:
+        print(f"error: {exc} (--steps {args.steps}; epsilon runs from {EPSILON_MIN} to "
+              f"--epsilon-max {args.epsilon_max})", file=sys.stderr)
+        return 2
+
     args.outdir.mkdir(parents=True, exist_ok=True)
     summary = []
-    for branch, tau, temperatures in FAMILIES:
-        for temperature in temperatures:
-            spec = GridSpec(
-                branch=branch,
-                strength_axis=AxisSpec(0.0, 1.0, args.steps),
-                epsilon_axis=AxisSpec(0.1, args.epsilon_max, args.steps),
-                tau=tau,
-                temperature=temperature,
-            )
-            result = run_sweep(spec)
-            name = f"{branch.value}_tau{tau:g}_T{temperature:g}.csv"
-            buf = io.StringIO()
-            write_csv(result, buf)
-            emit(buf.getvalue(), str(args.outdir / name))
-            fractions = {m.value: f for m, f in mode_area_fractions(result).items()}
-            summary.append(
-                {"file": name, "branch": branch.value, "tau": tau,
-                 "temperature": temperature, "area_fractions": fractions}
-            )
-            shares = "  ".join(f"{k}={v:.3f}" for k, v in fractions.items() if v > 0)
-            print(f"{name:<40s} {shares}")
+    for branch, tau, temperature, spec in maps:
+        result = run_sweep(spec)
+        name = f"{branch.value}_tau{tau:g}_T{temperature:g}.csv"
+        buf = io.StringIO()
+        write_csv(result, buf)
+        emit(buf.getvalue(), str(args.outdir / name))
+        fractions = {m.value: f for m, f in mode_area_fractions(result).items()}
+        summary.append(
+            {"file": name, "branch": branch.value, "tau": tau,
+             "temperature": temperature, "area_fractions": fractions}
+        )
+        shares = "  ".join(f"{k}={v:.3f}" for k, v in fractions.items() if v > 0)
+        print(f"{name:<40s} {shares}")
 
     emit(json.dumps({"schema": 1, "maps": summary}, indent=2), str(args.outdir / "summary.json"))
     print(f"\n{len(summary)} maps -> {args.outdir}/ (+ summary.json)")

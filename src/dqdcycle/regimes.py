@@ -27,7 +27,8 @@ ordered intervals. ``branch_currents``, ``branch_thresholds`` and
 wrappers over it that keep their historical return orders.
 ``branch_currents_grid`` and ``classify_grid`` are the array twins of
 ``branch_currents`` and ``classify`` that sweeps use; they read the same
-table and sign patterns and give the same floats bit for bit.
+table and sign patterns and give the same floats bit for bit, and
+``classify_grid`` gives each mode as its index in ``MODES``.
 
 * ``engine`` branch, b = a: work stroke W = dU3 = 2 epsilon (1 - 2a), hot
   stroke Qh = dU2, cold stroke Qc = dU1. Interval structure over a in [0, 1]:
@@ -70,6 +71,10 @@ class Mode(Enum):
     ACCELERATOR = "accelerator"
     HEATER = "heater"
     UNDEFINED = "undefined"
+
+
+# The modes in a fixed order; ``classify_grid``'s mode codes index this tuple.
+MODES = tuple(Mode)
 
 
 class Branch(Enum):
@@ -167,18 +172,22 @@ def classify(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Clas
 def classify_grid(
     Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray, zero_tol: float = ZERO_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array twin of ``classify``: (mode, performance, raw COP) object arrays.
+    """Array twin of ``classify``: (mode code, performance, raw COP) arrays.
 
-    Every element equals the matching ``classify`` field for the same three
-    floats, None included, and the same warning or error is raised.
+    A mode code is a small int that indexes ``MODES``, so sweeps count modes
+    with ``np.bincount`` and look up their text by index instead of hashing
+    a ``Mode`` per cell. ``MODES[code]`` is the ``classify`` mode for the
+    same three floats; performance and raw COP are object arrays whose
+    elements equal the matching ``classify`` fields, None included. The same
+    warning or error is raised.
     """
     _check_zero_tol(zero_tol)
     defined = (np.abs(Qh) > zero_tol) & (np.abs(Qc) > zero_tol) & (np.abs(W) > zero_tol)
-    modes = np.full(Qh.shape, Mode.UNDEFINED, dtype=object)
+    codes = np.full(Qh.shape, MODES.index(Mode.UNDEFINED))
     hits = {}
     for mode, (sh, sc, sw) in SIGN_PATTERNS.items():
         hits[mode] = defined & (sh * Qh > 0) & (sc * Qc > 0) & (sw * W > 0)
-        modes[hits[mode]] = mode
+        codes[hits[mode]] = MODES.index(mode)
     engine = hits[Mode.ENGINE]
     cop = hits[Mode.REFRIGERATOR] | hits[Mode.ACCELERATOR] | hits[Mode.HEATER]
     numerator = np.where(engine, W, np.where(hits[Mode.REFRIGERATOR], Qc, Qh))
@@ -191,7 +200,7 @@ def classify_grid(
     if odd.any():  # kappa's own warning (infinite COP) or error (NaN or zero COP)
         compressed[odd] = [kappa(r) for r in ratio[odd].tolist()]
     performance = np.where(engine, ratio, np.where(cop, compressed, None))
-    return modes, performance, np.where(cop, ratio, None)
+    return codes, performance, np.where(cop, ratio, None)
 
 
 def _tanh_gap(epsilon: float, tau: float, temperature: float) -> tuple[float, float]:

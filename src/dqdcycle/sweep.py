@@ -19,9 +19,10 @@ argument is validated and otherwise ignored.
 
 Serialization: ``run_sweep`` keeps the cells as flat row-major ``Columns``
 (strength, epsilon, mode, performance, raw COP, Qh, Qc, W) behind
-``SweepCells``, which builds a ``SweepCell`` only when one is read. Both
-writers format straight from those columns; a plain list of cells is first
-transposed into the same columns. ``write_csv`` emits the exact column set
+``SweepCells``, which builds a ``SweepCell`` only when one is read. The mode
+column holds ``classify_grid``'s codes, indices into ``regimes.MODES``;
+``SweepCells`` turns a code back into a ``Mode`` when a cell is read, and the
+writers look its text up by index. ``write_csv`` emits the exact column set
 
     strength,epsilon,mode,performance,Qh,Qc,W
 
@@ -32,12 +33,26 @@ which figure-of-merit convention each mode uses, then the same rows.
 ``to_json_document`` builds that document as a dict, cell by cell; its
 ``json.dumps(..., indent=2)`` text is the reference ``write_json`` matches
 byte for byte.
+
+Both writers work row by row, so that no value is formatted twice (a plain
+list of cells is first transposed into the same columns). The strength axis
+is formatted once per grid. Each epsilon row gets one ``%`` template that has
+the row's epsilon text built in, and also the text of every current whose
+float64 bit pattern is the same in all of the row's cells. Bit patterns, not
+``==``, decide, so 0.0 and -0.0 stay apart and only NaNs with the same bits
+merge. (On the refrigerator branches W depends on epsilon alone, so it is
+one value per row.) The template then runs once over the row's remaining
+fields: the mode text looked up by code, the performance and the currents
+that vary. Row text is right only for cells that sit on the grid, so the
+writers read its shape ``(ne, ns)`` from ``result.spec`` and, before anything
+is written, raise ``ValueError`` naming the first cell whose strength or
+epsilon is not bit for bit its row-major grid point, or that is missing.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -46,7 +61,7 @@ from typing import IO, NamedTuple
 import numpy as np
 
 from .qdot import DotParams
-from .regimes import Branch, Classification, Mode, branch_currents, branch_currents_grid
+from .regimes import MODES, Branch, Classification, Mode, branch_currents, branch_currents_grid
 from .regimes import ZERO_TOL, _check_zero_tol, classify, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -113,16 +128,21 @@ class SweepCell:
 
 
 class Columns(NamedTuple):
-    """One list per cell field, row-major: the form both writers format from."""
+    """One sequence per cell field, row-major: the form both writers format from.
 
-    strength: list
-    epsilon: list
+    The coordinates and currents are float64 ``array("d")``s, which numpy
+    reads without a copy; ``mode`` holds mode codes, indices into ``MODES``;
+    performance and raw COP are lists of floats and None.
+    """
+
+    strength: array
+    epsilon: array
     mode: list
     performance: list
     raw_cop: list
-    Qh: list
-    Qc: list
-    W: list
+    Qh: array
+    Qc: array
+    W: array
 
 
 class SweepCells(Sequence):
@@ -157,16 +177,19 @@ class SweepCells(Sequence):
 
 
 def _cell(strength, epsilon, mode, performance, raw_cop, qh, qc, w) -> SweepCell:
-    return SweepCell(strength, epsilon, Classification(mode, qh, qc, w, performance, raw_cop))
+    return SweepCell(strength, epsilon,
+                     Classification(MODES[mode], qh, qc, w, performance, raw_cop))
 
 
 def _columns(cells) -> Columns:
     """The columns of ``cells``: read from ``SweepCells``, transposed from any other list."""
     if isinstance(cells, SweepCells):
         return cells.columns
-    rows = [(c.strength, c.epsilon, c.result.mode, c.result.performance, c.result.raw_cop,
-             c.result.Qh, c.result.Qc, c.result.W) for c in cells]
-    return Columns(*map(list, zip(*rows))) if rows else Columns(*([] for _ in Columns._fields))
+    rows = [(c.strength, c.epsilon, MODES.index(c.result.mode), c.result.performance,
+             c.result.raw_cop, c.result.Qh, c.result.Qc, c.result.W) for c in cells]
+    s, e, mode, performance, raw_cop, qh, qc, w = zip(*rows) if rows else [()] * 8
+    return Columns(array("d", s), array("d", e), list(mode), list(performance), list(raw_cop),
+                   array("d", qh), array("d", qc), array("d", w))
 
 
 @dataclass(frozen=True)
@@ -191,24 +214,32 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    strengths = spec.strength_axis.points().tolist()
-    epsilons = spec.epsilon_axis.points().tolist()
-    qh, qc, w = branch_currents_grid(spec.branch, epsilons, spec.tau, spec.temperature,
-                                     strengths)
-    modes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
-    mode_column = modes.ravel().tolist()
+    qh, qc, w = branch_currents_grid(spec.branch, spec.epsilon_axis.points().tolist(),
+                                     spec.tau, spec.temperature,
+                                     spec.strength_axis.points().tolist())
+    codes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
     cells = SweepCells(Columns(
-        strengths * len(epsilons),
-        [e for e in epsilons for _ in strengths],
-        mode_column,
+        *map(_doubles, _grid_points(spec)),
+        codes.ravel().tolist(),
         perf.ravel().tolist(),
         raw.ravel().tolist(),
-        qh.ravel().tolist(),
-        qc.ravel().tolist(),
-        w.ravel().tolist(),
+        _doubles(qh),
+        _doubles(qc),
+        _doubles(w),
     ))
-    counts = Counter(mode_column)
-    return SweepResult(spec, cells, {m: counts.get(m, 0) for m in Mode})
+    counts = np.bincount(codes.ravel(), minlength=len(MODES)).tolist()
+    return SweepResult(spec, cells, dict(zip(MODES, counts)))
+
+
+def _grid_points(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The strength and the epsilon of every cell of ``spec``'s grid, row-major."""
+    strengths, epsilons = spec.strength_axis.points(), spec.epsilon_axis.points()
+    return np.tile(strengths, len(epsilons)), np.repeat(epsilons, len(strengths))
+
+
+def _doubles(values: np.ndarray) -> array:
+    """The float64 elements of ``values`` in row-major order, as an ``array("d")``."""
+    return array("d", values.tobytes())
 
 
 def mode_area_fractions(result: SweepResult) -> dict[Mode, float]:
@@ -221,14 +252,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-_MODE_TEXT = {m: m.value for m in Mode}
-
-# One CSV row. No field can hold a comma, quote or newline, so these lines are
-# exactly what csv.writer would write: no field is ever quoted. "%.12e" % x is
-# the same text as _fmt(x).
-_CSV_ROW = "%.12e,%.12e,%s,%s,%.12e,%.12e,%.12e\n"
-
-# One element of the "cells" array as json.dumps(..., indent=2) lays it out.
+# One CSV row and one element of the JSON "cells" array as
+# json.dumps(..., indent=2) lays it out, with a %s slot per field of
+# CSV_COLUMNS. No CSV field can hold a comma, quote or newline, so the rows
+# are exactly what csv.writer would write: no field is ever quoted.
+_CSV_CELL = "%s,%s,%s,%s,%s,%s,%s\n"
 _JSON_CELL = ("    {\n"
               '      "strength": %s,\n'
               '      "epsilon": %s,\n'
@@ -240,36 +268,100 @@ _JSON_CELL = ("    {\n"
               "    }")
 
 
-def write_csv(result: SweepResult, stream: IO[str]) -> None:
+def _bits(values) -> np.ndarray:
+    """float64 bit patterns: equal only for the same float, so 0.0 != -0.0."""
+    return np.asarray(values).view(np.int64)
+
+
+def _grid_columns(result: SweepResult) -> tuple[int, Columns]:
+    """(cells per row, columns) of ``result.cells``, checked against ``result.spec``.
+
+    Raises ``ValueError`` naming the first cell that is not bit for bit at
+    its row-major point of the spec's grid, or that is missing or extra.
+    """
+    ne, ns = result.spec.epsilon_axis.steps, result.spec.strength_axis.steps
     c = _columns(result.cells)
-    performance = ["" if p is None else "%.12e" % p for p in c.performance]
-    fields = zip(c.strength, c.epsilon, map(_MODE_TEXT.__getitem__, c.mode), performance,
-                 c.Qh, c.Qc, c.W)
-    stream.write(",".join(CSV_COLUMNS) + "\n"
-                 + (_CSV_ROW * len(performance)) % tuple(chain.from_iterable(fields)))
+    n = min(len(c.mode), ne * ns)
+    strengths, epsilons = _grid_points(result.spec)
+    off = ((_bits(c.strength)[:n] != _bits(strengths)[:n])
+           | (_bits(c.epsilon)[:n] != _bits(epsilons)[:n]))
+    if off.any() or len(c.mode) != ne * ns:
+        index = int(np.argmax(off)) if off.any() else n
+        where = "missing from" if index == len(c.mode) else "off"
+        raise ValueError(f"cell {index} is {where} the {ne} x {ns} (epsilon x strength) "
+                         "grid of result.spec")
+    return ns, c
+
+
+def _format_cells(result: SweepResult, cell: str, sep: str, text, slot: str, feed,
+                  mode_text: tuple, performance) -> list[str]:
+    """The text of ``result``'s cells laid out by ``cell``, one string per grid row.
+
+    Cells are joined by ``sep``, so every row after the first starts with it.
+    The rows are left unjoined: writers pass them to ``writelines`` rather
+    than hold a second copy of the whole text. ``text`` formats one value. Every strength is formatted once, each row's
+    epsilon once, and so is each current whose bits are the same across a
+    row; those texts are built into one ``%`` template per row. The other
+    currents take ``slot``, which formats the items of ``feed(row)``; the
+    mode is its code's ``mode_text`` and the performance is
+    ``performance(row)``.
+    """
+    ns, c = _grid_columns(result)
+    pre, post = cell.split("%s", 1)  # pre leads up to the strength
+    strengths = [text(s) for s in c.strength[:ns]]
+    currents = (c.Qh, c.Qc, c.W)
+    constant = [(b == b[:, :1]).all(axis=1).tolist()
+                for b in (_bits(column).reshape(-1, ns) for column in currents)]
+    rows = []
+    for row, start in enumerate(range(0, len(c.mode), ns)):
+        end = start + ns
+        slots = []
+        fields = [map(mode_text.__getitem__, c.mode[start:end]),
+                  performance(c.performance[start:end])]
+        for column, same in zip(currents, constant):
+            if same[row]:
+                slots.append(text(column[start]))
+            else:
+                slots.append(slot)
+                fields.append(feed(column[start:end]))
+        tail = post % (text(c.epsilon[start]), "%s", "%s", *slots)
+        template = (sep if row else "") + pre + (tail + sep + pre).join(strengths) + tail
+        rows.append(template % tuple(chain.from_iterable(zip(*fields))))
+    return rows
+
+
+def write_csv(result: SweepResult, stream: IO[str]) -> None:
+    """Write the header and one ``CSV_COLUMNS`` row per cell.
+
+    Every row is formatted before the first is written. Raises
+    ``ValueError``, writing nothing, if a cell is off the spec's grid.
+    """
+    rows = _format_cells(  # a current that varies is formatted by its slot as it is
+        result, _CSV_CELL, "", _fmt, "%.12e", iter, tuple(m.value for m in MODES),
+        lambda row: ["" if p is None else "%.12e" % p for p in row])
+    stream.writelines([",".join(CSV_COLUMNS) + "\n", *rows])
 
 
 def write_json(result: SweepResult, stream: IO[str]) -> None:
     """Write exactly ``json.dumps(to_json_document(result), indent=2) + "\n"``.
 
-    Each column is encoded by one call of the C encoder, which writes floats
-    as ``repr`` does and non-finite floats as ``Infinity``, ``-Infinity`` and
-    ``NaN``; no token it writes for a float or None contains ``", "``, so
-    splitting on it gives one token per cell.
+    Each row of a field is encoded by one call of the C encoder, which writes
+    floats as ``repr`` does and non-finite floats as ``Infinity``,
+    ``-Infinity`` and ``NaN``; no token it writes for a float or None
+    contains ``", "``, so splitting on it gives one token per cell. Every
+    row is formatted before the first is written. Raises ``ValueError``,
+    writing nothing, if a cell is off the spec's grid.
     """
     import json  # here, not at the top, so that importing the package loads no json
 
-    def tokens(values: list) -> list[str]:
-        return json.dumps(values)[1:-1].split(", ")
+    def tokens(values) -> list[str]:
+        return json.dumps(list(values))[1:-1].split(", ")
 
+    rows = _format_cells(result, _JSON_CELL, ",\n", json.dumps, "%s", tokens,
+                         tuple(json.dumps(m.value) for m in MODES), tokens)
     head = json.dumps(_document(result, []), indent=2)
-    c = _columns(result.cells)
-    mode_tokens = {m: json.dumps(m.value) for m in Mode}
-    fields = zip(tokens(c.strength), tokens(c.epsilon), map(mode_tokens.__getitem__, c.mode),
-                 tokens(c.performance), tokens(c.Qh), tokens(c.Qc), tokens(c.W))
-    body = ",\n".join([_JSON_CELL % row for row in fields])
     # head ends with '"cells": []\n}'; the rows go between the brackets.
-    stream.write(head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n")
+    stream.writelines([head[:-len("[]\n}")] + "[\n", *rows, "\n  ]\n}\n"])
 
 
 def _document(result: SweepResult, cells: list) -> dict:

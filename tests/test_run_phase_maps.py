@@ -3,12 +3,17 @@
 import importlib.util
 import io
 import json
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dqdcycle import cli
-from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, write_csv
+from dqdcycle.regimes import MODES, Mode, branch_currents_grid, classify, classify_grid
+from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_maps.py"
 
@@ -76,3 +81,66 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypat
         load_script().main(["--steps", "3", "--outdir", str(tmp_path)])
     assert old.read_text() == "old contents\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "1"], "strength axis needs at least 2 steps"),
+    (["--steps", "0"], "strength axis needs at least 2 steps"),
+    (["--epsilon-max", "0.1"], "epsilon axis must have start < stop"),
+    (["--epsilon-max", "0.05"], "epsilon axis must have start < stop"),
+    (["--epsilon-max", "nan"], "epsilon axis bounds must be finite"),
+])
+def test_bad_grid_flags_exit_2_before_making_anything(tmp_path, capsys, flags, message):
+    outdir = tmp_path / "maps"
+    assert load_script().main([*flags, "--outdir", str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message} (") and err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_bad_steps_exit_2_as_a_process(tmp_path):
+    outdir = tmp_path / "maps"
+    run = subprocess.run([sys.executable, str(SCRIPT), "--steps", "1", "--outdir", str(outdir)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: strength axis needs at least 2 steps")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert not outdir.exists()
+
+
+STANDARD_MAPS = [(branch, tau, temperature)
+                 for branch, tau, temperatures in load_script().FAMILIES
+                 for temperature in temperatures]
+
+
+@pytest.mark.parametrize("branch, tau, temperature", STANDARD_MAPS)
+def test_mode_codes_index_the_scalar_modes(branch, tau, temperature, oracle_sweep):
+    """``MODES[code]`` is ``classify``'s mode, also for currents exactly at +-zero_tol."""
+    epsilons = np.linspace(0.1, 3.0, 9).tolist()
+    strengths = np.linspace(0.0, 1.0, 11).tolist()
+    qh, qc, w = (np.array(x) for x in branch_currents_grid(branch, epsilons, tau, temperature,
+                                                           strengths))
+    zero_tol = abs(float(qc[4, 5]))  # that cell's Qc sits exactly on the tolerance
+    above = np.nextafter(zero_tol, np.inf)
+    cases = [(qh, qc, w)]
+    for k in range(3):
+        for value in (zero_tol, -zero_tol, above, -above):
+            currents = [qh, qc, w]
+            currents[k] = np.full(qh.shape, value)
+            cases.append(tuple(currents))
+    for case in cases:
+        codes = classify_grid(*case, zero_tol)[0]
+        assert codes.shape == qh.shape
+        assert [MODES[code] for code in codes.ravel().tolist()] == [
+            classify(h, c, x, zero_tol).mode
+            for h, c, x in zip(*(a.ravel().tolist() for a in case))]
+
+    spec = GridSpec(branch, AxisSpec(0.0, 1.0, 11), AxisSpec(0.1, 3.0, 9), tau, temperature,
+                    zero_tol)
+    result, oracle = run_sweep(spec), oracle_sweep(spec)
+    assert list(result.counts) == list(Mode)
+    oracle_counts = Counter(c.result.mode for c in oracle.cells)
+    assert result.counts == {m: oracle_counts[m] for m in Mode} == oracle.counts
+    assert result.cells == oracle.cells

@@ -44,6 +44,30 @@ def json_reference(result):
     return json.dumps(to_json_document(result), indent=2) + "\n"
 
 
+def csv_reference(result):
+    """The bytes ``write_csv`` must write, formatted one cell and one field at a time."""
+
+    def text(x):
+        return "%.12e" % x
+
+    lines = [",".join(CSV_COLUMNS)]
+    for cell in result.cells:
+        r = cell.result
+        performance = "" if r.performance is None else text(r.performance)
+        lines.append(",".join([text(cell.strength), text(cell.epsilon), r.mode.value,
+                               performance, text(r.Qh), text(r.Qc), text(r.W)]))
+    return "\n".join(lines) + "\n"
+
+
+def with_cells(result, cells):
+    """``result`` with ``cells`` as a plain list; its counts are left as they were."""
+    return dataclasses.replace(result, cells=list(cells))
+
+
+def edited(cell, **changes):
+    return dataclasses.replace(cell, result=dataclasses.replace(cell.result, **changes))
+
+
 def small_spec(branch=Branch.ENGINE, tau=0.0, temperature=1.0, steps=5):
     return GridSpec(
         branch=branch,
@@ -311,3 +335,78 @@ def test_replaced_cells_reach_both_writers():
     assert json.loads(text)["cells"][5] == {
         "strength": cell.strength, "epsilon": cell.epsilon, "mode": "heater",
         "performance": None, "Qh": 123.5, "Qc": cell.result.Qc, "W": cell.result.W}
+
+
+# 7 strengths x 5 epsilons: a writer that swaps (ne, ns) cannot pass on it.
+def non_square_spec(branch, tau, temperature=2.0):
+    return GridSpec(branch, AxisSpec(0.0, 1.0, 7), AxisSpec(0.5, 2.0, 5), tau, temperature)
+
+
+def stress_results():
+    """Plain-list results whose rows defeat any merge of values that are not bit-identical."""
+    plus = run_sweep(non_square_spec(Branch.REFRIGERATOR_PLUS, 0.1))
+    cells = list(plus.cells)
+    assert len({c.result.W for c in cells[7:14]}) == 1  # W is one value per row here
+    for i in range(7, 14):  # row 1: W of 0.0 and -0.0, equal under == but not in bits
+        cells[i] = edited(cells[i], W=0.0 if i % 2 else -0.0)
+    for i in range(14, 21):  # row 2: non-finite currents, W one NaN all along
+        cells[i] = edited(cells[i], Qh=(math.inf, -math.inf, math.nan)[i % 3],
+                          Qc=math.nan, W=math.nan)
+    cells[24] = edited(cells[24], W=cells[24].result.W * 2)  # row 3 is no longer constant
+    cells[30] = edited(cells[30], W=-0.0)
+    engine = run_sweep(non_square_spec(Branch.ENGINE, 0.2, 1.0))
+    minus = run_sweep(non_square_spec(Branch.REFRIGERATOR_MINUS, 0.0))
+    return {"edited plus": with_cells(plus, cells), "engine": with_cells(engine, engine.cells),
+            "minus at tau 0": with_cells(minus, minus.cells)}
+
+
+@pytest.mark.parametrize("name", ["edited plus", "engine", "minus at tau 0"])
+def test_writers_equal_per_cell_references_under_stress(name):
+    result = stress_results()[name]
+    assert len(result.cells) == 35
+    csv_out = csv_text(result)
+    assert csv_out == csv_reference(result)
+    assert json_text(result) == json_reference(result)
+    rows = csv_out.splitlines()[1:]
+    if name == "edited plus":
+        assert [r.split(",")[6] for r in rows[7:14]] == [
+            "0.000000000000e+00", "-0.000000000000e+00"] * 3 + ["0.000000000000e+00"]
+        assert {r.split(",")[4] for r in rows[14:21]} == {"inf", "-inf", "nan"}
+    if name == "minus at tau 0":
+        assert all(c.result.mode is Mode.UNDEFINED for c in result.cells)
+
+
+def off_grid_cases():
+    spec = non_square_spec(Branch.ENGINE, 0.2, 1.0)
+    result = run_sweep(spec)
+    cells = list(result.cells)
+    swapped = cells[:8] + [cells[9], cells[8]] + cells[10:]
+    moved = cells[:20] + [dataclasses.replace(cells[20], epsilon=math.nextafter(
+        cells[20].epsilon, math.inf))] + cells[21:]
+    signed = cells[:14] + [dataclasses.replace(cells[14], strength=-0.0)] + cells[15:]
+    epsilon_inner = [cells[7 * e + s] for s in range(7) for e in range(5)]
+    transposed = GridSpec(spec.branch, AxisSpec(0.0, 1.0, 5), AxisSpec(0.5, 2.0, 7),
+                          spec.tau, spec.temperature)
+    return {  # name -> (result, index of the first cell off the grid)
+        "missing": (with_cells(result, cells[:-1]), 34),
+        "extra": (with_cells(result, cells + cells[:1]), 35),
+        "swapped": (with_cells(result, swapped), 8),
+        "epsilon": (with_cells(result, moved), 20),
+        "minus zero": (with_cells(result, signed), 14),
+        "epsilon inner": (with_cells(result, epsilon_inner), 1),
+        "transposed spec": (dataclasses.replace(result, spec=transposed), 1),
+        "empty": (with_cells(result, []), 0),
+    }
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_json])
+@pytest.mark.parametrize("name", ["missing", "extra", "swapped", "epsilon", "minus zero",
+                                  "epsilon inner", "transposed spec", "empty"])
+def test_writers_refuse_cells_off_the_grid(writer, name):
+    """A cell that is not at its row-major point of ``result.spec``'s grid writes nothing."""
+    result, index = off_grid_cases()[name]
+    buf = io.StringIO()
+    where = "missing from" if name in ("missing", "empty") else "off"
+    with pytest.raises(ValueError, match=rf"^cell {index} is {where} the \d+ x \d+ "):
+        writer(result, buf)
+    assert buf.getvalue() == ""
