@@ -16,9 +16,9 @@ rendering is left to whatever plotting stack sits downstream.
 """
 
 import argparse
-import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -64,9 +64,7 @@ def main(argv=None) -> int:
     for branch, tau, temperature, spec in maps:
         result = run_sweep(spec)
         name = f"{branch.value}_tau{tau:g}_T{temperature:g}.csv"
-        buf = io.StringIO()
-        write_csv(result, buf)
-        emit(buf.getvalue(), str(args.outdir / name))
+        emit(partial(write_csv, result), str(args.outdir / name))
         fractions = {m.value: f for m, f in mode_area_fractions(result).items()}
         summary.append(
             {"file": name, "branch": branch.value, "tau": tau,

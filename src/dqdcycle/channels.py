@@ -20,12 +20,15 @@ their input completely: for any state,
 i.e. the output populations are set by the measurement strength alone and all
 coherences are destroyed. That reset property is what lets the measurement
 strokes inject or extract energy regardless of the incoming state.
+
+A channel's strength may also be a 1-D array: it then stands for one channel
+per element, all of the same orientation, and its Kraus operators are (n, 2, 2)
+stacks. Batch code reaches ``kraus_operators`` once per orientation that way,
+not once per channel.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,43 +54,56 @@ class Orientation(Enum):
 
 @dataclass(frozen=True)
 class MeasurementChannel:
-    strength: float
+    """One channel, or with a 1-D array ``strength`` one channel per element."""
+
+    strength: float | np.ndarray
     orientation: Orientation
 
     def __post_init__(self):
-        if not (math.isfinite(self.strength) and 0.0 <= self.strength <= 1.0):
+        # NaN fails both comparisons, and +-inf one of them
+        if not np.all((0.0 <= self.strength) & (self.strength <= 1.0)):
             raise ValueError("strength must be in [0, 1]")
 
 
 def kraus_operators(channel: MeasurementChannel) -> KrausSet:
-    """The four Kraus operators of the channel, in a fixed order."""
-    p = channel.strength
-    keep, flip = math.sqrt(1.0 - p), math.sqrt(p)
+    """The four Kraus operators of the channel, in a fixed order.
+
+    2x2 matrices for a float strength, (n, 2, 2) stacks for a 1-D one. The
+    weights come from ``np.sqrt``, which rounds as ``math.sqrt`` does, so
+    element i of a stack equals the operator of strength[i] bit for bit.
+    """
+    p = np.asarray(channel.strength, dtype=float)[..., None, None]
+    keep, flip = np.sqrt(1.0 - p), np.sqrt(p)
     if channel.orientation is Orientation.A:
         return [keep * _E00, keep * _E01, flip * _E11, flip * _E10]
     return [keep * _E11, keep * _E10, flip * _E00, flip * _E01]
 
 
-def kraus_stack(chans: Sequence[MeasurementChannel]) -> np.ndarray:
+def kraus_stack(strength: np.ndarray, is_a: np.ndarray) -> np.ndarray:
     """The Kraus sets of n channels as one (k, n, 2, 2) array, operator k of every set
-    in row k.
+    in row k; channel i has ``strength[i]`` and orientation A where ``is_a[i]``, else B.
 
-    Each set comes from one ``kraus_operators`` call. A set shorter than the
-    longest is padded with zero operators, which add exactly nothing to the
-    sums of ``apply_kraus`` and ``completeness_residual``.
+    Each orientation present takes one ``kraus_operators`` call on its
+    strengths. If the two calls return sets of different sizes, the shorter
+    is padded with zero operators, which add exactly nothing to the sums of
+    ``apply_kraus`` and ``completeness_residual``.
     """
-    sets = [kraus_operators(ch) for ch in chans]
-    k = max(map(len, sets), default=0)
-    zero = np.zeros((2, 2), dtype=np.complex128)
-    padded = [[*ops, *[zero] * (k - len(ops))] for ops in sets]
-    return np.array(padded, dtype=np.complex128).reshape(len(sets), k, 2, 2).swapaxes(0, 1)
+    parts = [(mask, kraus_operators(MeasurementChannel(strength[mask], orientation)))
+             for orientation, mask in ((Orientation.A, is_a), (Orientation.B, ~is_a))
+             if mask.any()]
+    out = np.zeros((max((len(ops) for _, ops in parts), default=0), len(strength), 2, 2),
+                   dtype=np.complex128)
+    for mask, ops in parts:
+        if ops:
+            out[:len(ops), mask] = ops
+    return out
 
 
 def apply_kraus(kraus: KrausSet | np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Nonselective action sum_k M_k rho M_k^dag of an arbitrary Kraus set.
 
-    With a ``kraus_stack`` and an (n, 2, 2) stack of states, applies channel i
-    to state i.
+    With stacked operators (a ``kraus_stack``, or the set of an array channel)
+    and an (n, 2, 2) stack of states, applies channel i to state i.
     """
     out = np.zeros_like(rho, dtype=np.complex128)
     for m in kraus:

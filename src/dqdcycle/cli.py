@@ -15,8 +15,9 @@ Flags are not abbreviated. Config keys are the subcommand's flag names, with
 dashes or underscores; each value is read by that flag's own type and
 choices, and an axis may also be given as ``[min, max, steps]``. A config
 error names the file, and the key when one entry is at fault.
-Outputs are composed fully in memory, written to a temporary sibling of the
-destination and renamed onto it, so a failed run leaves the old file or none.
+Outputs are formatted in full before the first byte is written, written to a
+temporary sibling of the destination and renamed onto it, so a failed run
+leaves the old file or none.
 
 Exit codes: 0 success, 1 verification failure, 2 input/domain error,
 3 I/O error.
@@ -30,6 +31,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from functools import partial
+from typing import IO
 
 import numpy as np
 
@@ -173,24 +177,39 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ValueError(f"missing required option(s): {flags}")
 
 
-def emit(text: str, output: str | None) -> None:
-    """Print ``text``, or write it to ``output`` whole or not at all (temp file, then rename)."""
+def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None:
+    """Print ``content``, or write it to ``output`` whole or not at all.
+
+    ``content`` is a text, or a writer that writes to the stream it is given,
+    so that a large document goes straight into the file with no second copy
+    in memory. A file is written to a temporary sibling of ``output`` and
+    renamed onto it once complete; if anything fails, the temporary file is
+    removed, ``output`` keeps its old contents, and an ``OSError`` about the
+    temporary file names ``output`` instead.
+    """
+    write = content
+    if isinstance(content, str):
+        text = content if output is not None or content.endswith("\n") else content + "\n"
+
+        def write(stream):
+            stream.write(text)
+
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        tmp = f"{output}.{os.getpid()}.tmp"
+        write(sys.stdout)
+        return
+    tmp = f"{output}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, output)
+    except BaseException as exc:
         try:
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            os.replace(tmp, output)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+            os.remove(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename, exc.filename2 = output, None
+        raise
 
 
 def _report(doc: dict, fmt: str) -> str:
@@ -326,9 +345,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(spec, workers=args.workers)
 
     write = {"csv": write_csv, "json": write_json}[args.format]
-    buf = io.StringIO()
-    write(result, buf)
-    emit(buf.getvalue(), args.output)
+    emit(partial(write, result), args.output)
 
     for mode, fraction in mode_area_fractions(result).items():
         sys.stdout.write(f"{mode.value}: {fraction:.6f}\n")

@@ -72,14 +72,20 @@ def hamiltonian(params: DotParams) -> np.ndarray:
     )
 
 
+def spectral_scalars(epsilon: float, tau: float) -> tuple[float, float, float, float]:
+    """(E, theta, cos(theta), sin(theta)) of the half-angle construction, from ``math``.
+
+    theta = 0 at the degenerate point E = 0. Batch code takes its eigenbases
+    from here, one input at a time, so they equal ``spectrum``'s bit for bit.
+    """
+    gap = math.hypot(epsilon, tau)
+    theta = 0.0 if gap == 0.0 else 0.5 * math.atan2(tau, -epsilon)
+    return gap, theta, math.cos(theta), math.sin(theta)
+
+
 def spectrum(params: DotParams) -> Spectrum:
     """Exact eigenvalues and eigenvectors via the half-angle construction."""
-    gap = math.hypot(params.epsilon, params.tau)
-    if gap == 0.0:
-        theta = 0.0
-    else:
-        theta = 0.5 * math.atan2(params.tau, -params.epsilon)
-    c, s = math.cos(theta), math.sin(theta)
+    gap, theta, c, s = spectral_scalars(params.epsilon, params.tau)
     phi1 = np.array([c, s], dtype=np.complex128)
     phi2 = np.array([s, -c], dtype=np.complex128)
     return Spectrum(

@@ -298,7 +298,7 @@ def _format_cells(result: SweepResult, cell: str, sep: str, text, slot: str, fee
     """The text of ``result``'s cells laid out by ``cell``, one string per grid row.
 
     Cells are joined by ``sep``, so every row after the first starts with it.
-    The rows are left unjoined: writers pass them to ``writelines`` rather
+    The rows are left unjoined: writers write them one at a time rather
     than hold a second copy of the whole text. ``text`` formats one value. Every strength is formatted once, each row's
     epsilon once, and so is each current whose bits are the same across a
     row; those texts are built into one ``%`` template per row. The other
@@ -339,7 +339,7 @@ def write_csv(result: SweepResult, stream: IO[str]) -> None:
     rows = _format_cells(  # a current that varies is formatted by its slot as it is
         result, _CSV_CELL, "", _fmt, "%.12e", iter, tuple(m.value for m in MODES),
         lambda row: ["" if p is None else "%.12e" % p for p in row])
-    stream.writelines([",".join(CSV_COLUMNS) + "\n", *rows])
+    _write(stream, [",".join(CSV_COLUMNS) + "\n", *rows])
 
 
 def write_json(result: SweepResult, stream: IO[str]) -> None:
@@ -361,7 +361,13 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
                          tuple(json.dumps(m.value) for m in MODES), tokens)
     head = json.dumps(_document(result, []), indent=2)
     # head ends with '"cells": []\n}'; the rows go between the brackets.
-    stream.writelines([head[:-len("[]\n}")] + "[\n", *rows, "\n  ]\n}\n"])
+    _write(stream, [head[:-len("[]\n}")] + "[\n", *rows, "\n  ]\n}\n"])
+
+
+def _write(stream: IO[str], texts: list[str]) -> None:
+    """Write each text in turn; a stream only has to have ``write``."""
+    for text in texts:
+        stream.write(text)
 
 
 def _document(result: SweepResult, cells: list) -> dict:

@@ -37,9 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MeasurementChannel, Orientation, apply_channel, apply_kraus, kraus_stack
-from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, spectrum, thermal_state
-from .qdot import von_neumann_entropy
+from .channels import MeasurementChannel, Orientation, apply_channel
+from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, spectral_scalars
+from .qdot import thermal_state, von_neumann_entropy
+# Not called here; imported so that perfbench/spans.py can rebind it in this module.
+from .qdot import spectrum  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -116,19 +118,26 @@ def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
 def run_cycle_matrix_batch(batch: Sequence[CycleInputs]) -> StrokeLedger:
     """``run_cycle_matrix`` over many inputs in one pass over (n, 2, 2) stacks.
 
-    Every ledger field is an (n,) array and rho1..rho3 are (n, 2, 2) stacks.
-    The per-input scalars (spectrum, tanh(E/T), each channel's Kraus set) come
-    from the same calls as in ``run_cycle_matrix``, and every other step is
-    the same numpy operation applied to each matrix of a stack, so entry i
-    equals ``run_cycle_matrix(batch[i])`` with ==.
+    Every ledger field is an (n,) array and rho1..rho3 are (n, 2, 2) stacks;
+    an empty batch gives (0,) arrays. The per-input scalars (E, cos and sin
+    of theta from ``spectral_scalars``, and tanh(E/T)) come from ``math`` as
+    in ``run_cycle_matrix``. Each channel family is one array channel, so the
+    Kraus source is called twice per batch. Every other step is the same
+    numpy operation applied to each matrix of a stack, so entry i equals
+    ``run_cycle_matrix(batch[i])`` with ==.
     """
-    h = np.array([hamiltonian(x.params) for x in batch])
-    specs = [spectrum(x.params) for x in batch]
-    phi = np.array([s.eigenvectors for s in specs])  # (n, 2, 2): phi1, phi2 per input
-    t = np.array([math.tanh(s.gap / x.temperature) for s, x in zip(specs, batch)])
-    rho1 = thermal_state(phi[:, 0], phi[:, 1], t)
-    rho2 = apply_kraus(kraus_stack([MeasurementChannel(x.a, Orientation.A) for x in batch]), rho1)
-    rho3 = apply_kraus(kraus_stack([MeasurementChannel(x.b, Orientation.B) for x in batch]), rho2)
+    rows = []
+    for x in batch:
+        gap, _, c, s = spectral_scalars(x.params.epsilon, x.params.tau)
+        rows.append((x.params.epsilon, x.params.tau, c, s, math.tanh(gap / x.temperature),
+                     x.a, x.b))
+    eps, tau, c, s, t, a, b = np.array(rows, dtype=float).reshape(-1, 7).T
+    h = np.stack((-eps, tau, tau, eps), axis=1).reshape(-1, 2, 2).astype(np.complex128)
+    phi1 = np.stack((c, s), axis=1).astype(np.complex128)
+    phi2 = np.stack((s, -c), axis=1).astype(np.complex128)
+    rho1 = thermal_state(phi1, phi2, t)
+    rho2 = apply_channel(MeasurementChannel(a, Orientation.A), rho1)
+    rho3 = apply_channel(MeasurementChannel(b, Orientation.B), rho2)
     u1, u2, u3 = (internal_energy(h, r) for r in (rho1, rho2, rho3))
     s1, s2, s3 = (von_neumann_entropy(r) for r in (rho1, rho2, rho3))
     return StrokeLedger(
@@ -152,19 +161,37 @@ def stroke_energies(epsilon, gap, t, a, b):
     )
 
 
-def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
-    """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
+def _closed_form_terms(inputs: CycleInputs) -> tuple[float, ...]:
+    """(epsilon, E, t, a, b, h(g), h(a), h(b)): every transcendental of the closed form."""
     gap = math.hypot(inputs.params.epsilon, inputs.params.tau)
     t = math.tanh(gap / inputs.temperature)
-    g = 0.5 * (1.0 - t)
     a, b = inputs.a, inputs.b
-    du1, du2, du3 = stroke_energies(inputs.params.epsilon, gap, t, a, b)
-    return StrokeLedger(
-        dU1=du1, dU2=du2, dU3=du3,
-        dS1=binary_entropy(g) - binary_entropy(b),
-        dS2=binary_entropy(a) - binary_entropy(g),
-        dS3=binary_entropy(b) - binary_entropy(a),
-    )
+    return (inputs.params.epsilon, gap, t, a, b,
+            binary_entropy(0.5 * (1.0 - t)), binary_entropy(a), binary_entropy(b))
+
+
+def _closed_form_ledger(epsilon, gap, t, a, b, h_g, h_a, h_b) -> StrokeLedger:
+    """The closed-form ledger from its terms; + - * only, on floats or (n,) arrays alike."""
+    du1, du2, du3 = stroke_energies(epsilon, gap, t, a, b)
+    return StrokeLedger(dU1=du1, dU2=du2, dU3=du3,
+                        dS1=h_g - h_b, dS2=h_a - h_g, dS3=h_b - h_a)
+
+
+def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
+    """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
+    return _closed_form_ledger(*_closed_form_terms(inputs))
+
+
+def run_cycle_closed_form_batch(batch: Sequence[CycleInputs]) -> StrokeLedger:
+    """``run_cycle_closed_form`` over many inputs, as one ledger of (n,) arrays.
+
+    The transcendentals come from ``math`` one input at a time, and the rest
+    is ``stroke_energies`` and differences on arrays, so entry i equals
+    ``run_cycle_closed_form(batch[i])`` with ==. An empty batch gives (0,)
+    arrays.
+    """
+    terms = np.array([_closed_form_terms(x) for x in batch], dtype=float).reshape(-1, 8)
+    return _closed_form_ledger(*terms.T)
 
 
 def ledger_discrepancy(x: StrokeLedger, y: StrokeLedger):

@@ -14,18 +14,23 @@ stay below a fixed tolerance:
                             sign-based classification at random branch points.
 
 The first five checks run as array passes. Each draws its trials one after
-another from the generator, exactly as a trial-by-trial loop would, then
-computes every residual in one numpy pass over (n, 2, 2) stacks; the matrix
-ledger comes from ``thermo.run_cycle_matrix_batch``. The draws and the
-results for a seed are the same as with the loop: the worst case is still the
-first trial with the largest residual. A NaN residual fails its check, and
-the first one is reported as the worst case. Trials go through at most
-``BLOCK`` at a time, so memory stays bounded whatever the trial count.
+another from the generator, reading the stream exactly as a trial-by-trial
+loop would, then computes every residual in one numpy pass over (n, 2, 2)
+stacks; the ledgers come from ``thermo.run_cycle_closed_form_batch`` and
+``thermo.run_cycle_matrix_batch``, and no channel object is built per trial.
+The draws and the results for a seed are the same as with the loop: the
+worst case is still the first trial with the largest residual. A NaN residual
+fails its check, and the first one is reported as the worst case. Trials go
+through at most ``BLOCK`` at a time, so memory stays bounded whatever the
+trial count. ``threshold_consistency`` stays a loop over scalar
+``branch_thresholds`` and ``branch_currents`` calls, because those are what
+it checks.
 
 The Kraus operators are looked up through ``channels.kraus_operators`` at call
-time, once per channel, so a deliberately corrupted implementation swapped in
-there is picked up and flagged -- the test suite uses that as a negative
-control on the checks themselves.
+time, once per orientation per block (each call takes an array of strengths),
+so a deliberately corrupted implementation swapped in there is picked up and
+flagged -- the test suite uses that as a negative control on the checks
+themselves.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ from .channels import MeasurementChannel, Orientation, apply_kraus, completeness
 from .channels import kraus_stack
 from .qdot import DotParams, dagger, is_density_matrix, max_abs, trace_deviation
 from .regimes import Branch, branch_currents, branch_thresholds, classify_from_signs, expected_mode
-from .thermo import CycleInputs, StrokeLedger, ledger_discrepancy, run_cycle_closed_form
+from .thermo import CycleInputs, StrokeLedger, ledger_discrepancy, run_cycle_closed_form_batch
 from .thermo import run_cycle_matrix_batch
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
+from .thermo import run_cycle_closed_form  # noqa: F401
 from .regimes import engine_branch_quantities, engine_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
@@ -59,6 +65,13 @@ BLOCK = 256
 # The bounds of random_cycle_inputs' five draws: epsilon, tau, T, a, b.
 _CYCLE_LOW = (1e-3, 0.0, 0.5, 0.0, 0.0)
 _CYCLE_HIGH = (3.0, 1.0, 6.0, 1.0, 1.0)
+
+# threshold_consistency's draws: epsilon, tau and T are low + (high - low) * u, as
+# Generator.uniform computes them, and the branch is BRANCHES[integers(3)], as
+# Generator.choice picks it.
+_THRESHOLD_LOW = (0.05, 0.0, 0.5)
+_THRESHOLD_HIGH = (3.0, 1.0, 6.0)
+_BRANCHES = tuple(Branch)
 
 
 @dataclass(frozen=True)
@@ -115,64 +128,74 @@ def random_cycle_inputs(rng: np.random.Generator) -> CycleInputs:
     return _random_cycle_batch(rng, 1)[0]
 
 
+def _channel_of(draw) -> MeasurementChannel:
+    """The channel of one trial's ``random(2)`` draw (r, p): orientation A if r < 0.5, strength p."""
+    r, p = draw
+    return MeasurementChannel(float(p), Orientation.A if r < 0.5 else Orientation.B)
+
+
 def _random_channel(rng: np.random.Generator) -> MeasurementChannel:
-    orientation = Orientation.A if rng.random() < 0.5 else Orientation.B
-    return MeasurementChannel(float(rng.uniform(0.0, 1.0)), orientation)
+    return _channel_of(rng.random(2))
+
+
+def _kraus_of(draws: np.ndarray) -> np.ndarray:
+    """The ``kraus_stack`` of the channels of an (n, 2) array of draws."""
+    return kraus_stack(draws[:, 1], draws[:, 0] < 0.5)
 
 
 def _random_channels_and_states(rng: np.random.Generator, n: int):
-    """n trials of a random channel followed by a random state, drawn in that order."""
-    chans, x, y = [], [], []
-    for _ in range(n):
-        chans.append(_random_channel(rng))
-        x.append(rng.normal(size=(2, 2)))
-        y.append(rng.normal(size=(2, 2)))
-    return chans, _gram_state(np.array(x), np.array(y))
+    """n trials of a random channel's (r, p) draw followed by a random state, drawn in that order."""
+    draws, z = np.empty((n, 2)), np.empty((n, 2, 2, 2))
+    for i in range(n):
+        rng.random(out=draws[i])
+        z[i] = rng.normal(size=(2, 2, 2))
+    return draws, _gram_state(z[:, 0], z[:, 1])
 
 
 def _channel_dict(ch: MeasurementChannel) -> dict:
     return {"strength": ch.strength, "orientation": ch.orientation.value}
 
 
+def _draw_dict(draw) -> dict:
+    return _channel_dict(_channel_of(draw))
+
+
 def _both_ledgers(batch: list[CycleInputs]) -> tuple[StrokeLedger, StrokeLedger]:
     """The closed-form and the matrix ledger of every input, each as one ledger of (n,) arrays."""
-    closed = [run_cycle_closed_form(x) for x in batch]
-    fields = np.array([(x.dU1, x.dU2, x.dU3, x.dS1, x.dS2, x.dS3) for x in closed]).T
-    return StrokeLedger(*fields), run_cycle_matrix_batch(batch)
+    return run_cycle_closed_form_batch(batch), run_cycle_matrix_batch(batch)
 
 
 def check_kraus_completeness(rng: np.random.Generator, trials: int) -> CheckResult:
     def block(n):
-        chans = [_random_channel(rng) for _ in range(n)]
-        return completeness_residual(kraus_stack(chans)), chans
+        draws = rng.random((n, 2))  # no normals between trials, so one call reads n of them
+        return completeness_residual(_kraus_of(draws)), draws
 
-    return _scan("kraus_completeness", trials, COMPLETENESS_TOL, block, _channel_dict)
+    return _scan("kraus_completeness", trials, COMPLETENESS_TOL, block, _draw_dict)
 
 
 def check_channel_cptp(rng: np.random.Generator, trials: int) -> CheckResult:
     def block(n):
-        chans, rho = _random_channels_and_states(rng, n)
-        out = apply_kraus(kraus_stack(chans), rho)
+        draws, rho = _random_channels_and_states(rng, n)
+        out = apply_kraus(_kraus_of(draws), rho)
         r = trace_deviation(out)
         # a structural failure counts as at least 1, not as a small residual
-        return np.where(is_density_matrix(out, MATRIX_TOL), r, np.maximum(r, 1.0)), chans
+        return np.where(is_density_matrix(out, MATRIX_TOL), r, np.maximum(r, 1.0)), draws
 
-    return _scan("channel_cptp", trials, MATRIX_TOL, block, _channel_dict)
+    return _scan("channel_cptp", trials, MATRIX_TOL, block, _draw_dict)
 
 
 def check_channel_reset(rng: np.random.Generator, trials: int) -> CheckResult:
     """Output must equal diag(1-a, a) (A) or diag(b, 1-b) (B) for any input."""
     def block(n):
-        chans, rho = _random_channels_and_states(rng, n)
-        out = apply_kraus(kraus_stack(chans), rho)
-        p = np.array([ch.strength for ch in chans])
-        is_a = np.array([ch.orientation is Orientation.A for ch in chans])
+        draws, rho = _random_channels_and_states(rng, n)
+        out = apply_kraus(_kraus_of(draws), rho)
+        p, is_a = draws[:, 1], draws[:, 0] < 0.5
         target = np.zeros_like(out)
         target[:, 0, 0] = np.where(is_a, 1.0 - p, p)
         target[:, 1, 1] = np.where(is_a, p, 1.0 - p)
-        return max_abs(out - target), chans
+        return max_abs(out - target), draws
 
-    return _scan("channel_reset", trials, MATRIX_TOL, block, _channel_dict)
+    return _scan("channel_reset", trials, MATRIX_TOL, block, _draw_dict)
 
 
 def check_path_agreement(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -201,12 +224,12 @@ def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckR
     mismatches = 0
     worst_case = None
     for _ in range(trials):
-        epsilon = float(rng.uniform(0.05, 3.0))
-        tau = float(rng.uniform(0.0, 1.0))
-        temperature = float(rng.uniform(0.5, 6.0))
+        epsilon, tau, temperature = (
+            low + (high - low) * u
+            for low, high, u in zip(_THRESHOLD_LOW, _THRESHOLD_HIGH, rng.random(3).tolist()))
         params = DotParams(epsilon, tau)
-        branch = rng.choice(list(Branch))
-        strength = float(rng.uniform(0.0, 1.0))
+        branch = _BRANCHES[rng.integers(3)]
+        strength = rng.random()
 
         th = branch_thresholds(branch, params, temperature)
         if min(abs(strength - x) for x in th) < THRESHOLD_MARGIN:

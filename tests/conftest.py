@@ -11,10 +11,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dqdcycle import channels, verify
+from dqdcycle import channels, regimes, verify
 from dqdcycle.channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
 from dqdcycle.qdot import DotParams, is_density_matrix, max_abs
-from dqdcycle.regimes import Mode
+from dqdcycle.regimes import Branch, Mode, branch_currents, branch_thresholds, expected_mode
 from dqdcycle.sweep import SweepResult, evaluate_cell
 from dqdcycle.thermo import CycleInputs, run_cycle_closed_form, run_cycle_matrix
 
@@ -62,7 +62,9 @@ def oracle_verify():
 
     The draws, the Kraus lookup at call time and the strict ``r > worst``
     update are those of the loops that ``verify`` ran before its checks became
-    array passes; ``threshold_consistency`` is shared, as it was never batched.
+    array passes, and ``threshold_consistency`` draws its points with the
+    scalar ``uniform`` and ``choice`` calls it used before its draws were
+    combined. That loop is also reachable as ``.threshold_consistency``.
     """
 
     def random_density_matrix(rng):
@@ -154,12 +156,42 @@ def oracle_verify():
                     worst, worst_case = r, inputs_dict(inputs)
         return result("cycle_closure", trials, worst, verify.CLOSURE_TOL, worst_case)
 
+    def threshold_consistency(rng, trials):
+        mismatches = 0
+        worst_case = None
+        for _ in range(trials):
+            epsilon = float(rng.uniform(0.05, 3.0))
+            tau = float(rng.uniform(0.0, 1.0))
+            temperature = float(rng.uniform(0.5, 6.0))
+            params = DotParams(epsilon, tau)
+            branch = rng.choice(list(Branch))
+            strength = float(rng.uniform(0.0, 1.0))
+
+            th = branch_thresholds(branch, params, temperature)
+            if min(abs(strength - x) for x in th) < verify.THRESHOLD_MARGIN:
+                continue
+            expected = expected_mode(branch, strength, th)
+            if expected is None:
+                continue
+            qh, qc, w = branch_currents(branch, params, temperature, strength)
+            got = regimes.classify_from_signs(qh, qc, w)  # at call time, so a test can watch it
+            if got is not expected:
+                mismatches += 1
+                if worst_case is None:
+                    worst_case = {
+                        "branch": branch.value, "epsilon": epsilon, "tau": tau,
+                        "temperature": temperature, "strength": strength,
+                        "expected": expected.value, "got": got.value,
+                    }
+        return result("threshold_consistency", trials, float(mismatches), 0.0, worst_case)
+
     def run_all(seed, trials):
         rng = np.random.default_rng(seed)
         checks = (kraus_completeness, channel_cptp, channel_reset, path_agreement,
-                  cycle_closure, verify.check_threshold_consistency)
+                  cycle_closure, threshold_consistency)
         return [check(rng, trials) for check in checks]
 
+    run_all.threshold_consistency = threshold_consistency
     return run_all
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,14 +60,16 @@ def test_kraus_operators_match_docstring_definitions(orientation, strength):
 
 def test_kraus_operators_call_no_numpy(monkeypatch):
     """The operators are scalar multiples of constant matrix units: no ket, no np.outer."""
+    chans = [MeasurementChannel(p, o) for o in Orientation for p in (0.3, np.array([0.3, 0.7]))]
 
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"np.{name} used")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a ket, an outer product or a matrix built from a list")
 
-    monkeypatch.setattr(channels, "np", NoNumpy())
-    for orientation in Orientation:
-        assert len(kraus_operators(MeasurementChannel(0.3, orientation))) == 4
+    for name in ("outer", "array"):
+        monkeypatch.setattr(np, name, forbidden)
+    for ch in chans:
+        assert len(kraus_operators(ch)) == 4
+    assert not [name for name in vars(channels) if "KET" in name.upper()]
 
 
 @given(strength=strengths, orientation=st.sampled_from(list(Orientation)))
@@ -143,17 +146,21 @@ def test_apply_kraus_with_partial_set_loses_trace():
 
 def test_kraus_stack_applies_each_channel_to_its_state(rng, monkeypatch):
     """Stacked Kraus sets act like the sets one at a time; shorter sets are zero-padded."""
-    chans = [MeasurementChannel(float(rng.uniform()), o) for o in list(Orientation) * 6]
+    strength = rng.uniform(size=12)
+    is_a = np.array([True, True, False] * 4)
+    chans = [MeasurementChannel(float(p), Orientation.A if a else Orientation.B)
+             for p, a in zip(strength, is_a)]
     states = np.array([random_state(rng) for _ in chans])
     honest = kraus_operators
 
     def uneven(ch):
+        """A set's size may depend on the orientation, never on one element's strength."""
         ops = honest(ch)
-        return ops[: 2 + int(4 * ch.strength)]
+        return ops[:2] if ch.orientation is Orientation.A else ops + [0.0 * ops[0]] * 2
 
     for source in (honest, uneven):
         monkeypatch.setattr(channels, "kraus_operators", source)
-        stack = kraus_stack(chans)
+        stack = kraus_stack(strength, is_a)
         assert stack.shape == (max(len(source(ch)) for ch in chans), len(chans), 2, 2)
         out = apply_kraus(stack, states)
         residuals = completeness_residual(stack)
@@ -161,4 +168,64 @@ def test_kraus_stack_applies_each_channel_to_its_state(rng, monkeypatch):
             np.testing.assert_array_equal(out[i], apply_kraus(source(ch), states[i]))
             assert residuals[i] == completeness_residual(source(ch))
     monkeypatch.setattr(channels, "kraus_operators", lambda ch: [])
-    assert completeness_residual(kraus_stack(chans[:3])).tolist() == [1.0] * 3
+    assert completeness_residual(kraus_stack(strength[:3], is_a[:3])).tolist() == [1.0] * 3
+
+
+@pytest.mark.parametrize("is_a", [[True, False, True, False], [True] * 4, [False] * 4, []])
+def test_kraus_stack_calls_the_source_once_per_orientation(monkeypatch, is_a):
+    is_a = np.array(is_a, dtype=bool)
+    strength = np.linspace(0.1, 0.9, len(is_a))
+    calls = []
+
+    def counted(ch):
+        calls.append((ch.orientation, ch.strength.tolist()))
+        return kraus_operators(ch)
+
+    monkeypatch.setattr(channels, "kraus_operators", counted)
+    stack = kraus_stack(strength, is_a)
+    assert calls == [(o, strength[mask].tolist())
+                     for o, mask in ((Orientation.A, is_a), (Orientation.B, ~is_a)) if mask.any()]
+    assert stack.shape == ((4 if len(is_a) else 0), len(is_a), 2, 2)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_array_strengths_give_the_scalar_operators(orientation):
+    """0-d and 1-d strengths give, element by element, the operators of scalar calls with ==."""
+    strengths = [0.0, 1.0, 0.3, 0.5, 1e-300, 5e-324, 1.0 - 2.0 ** -53, 0.7071067811865476]
+    strengths += np.random.default_rng(9).uniform(size=50).tolist()
+    stacked = kraus_operators(MeasurementChannel(np.array(strengths), orientation))
+    assert len(stacked) == 4
+    for i, p in enumerate(strengths):
+        scalar = kraus_operators(MeasurementChannel(p, orientation))
+        zero_d = kraus_operators(MeasurementChannel(np.float64(p), orientation))
+        zero_d_array = kraus_operators(MeasurementChannel(np.array(p), orientation))
+        for k, op in enumerate(scalar):
+            assert op.shape == (2, 2) and op.dtype == np.complex128
+            assert stacked[k].shape == (len(strengths), 2, 2)
+            assert stacked[k].dtype == np.complex128
+            for other in (stacked[k][i], zero_d[k], zero_d_array[k]):
+                assert other.shape == (2, 2)
+                assert (other == op).all() and (np.signbit(other.real) == np.signbit(op.real)).all()
+    empty = kraus_operators(MeasurementChannel(np.array([]), orientation))
+    assert [op.shape for op in empty] == [(0, 2, 2)] * 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.1, -5e-324])
+def test_array_strength_domain_checked(bad):
+    for strength in (np.array([0.2, bad, 0.5]), np.array([bad]), np.array(bad)):
+        with pytest.raises(ValueError, match=r"^strength must be in \[0, 1\]$"):
+            MeasurementChannel(strength, Orientation.B)
+    MeasurementChannel(np.array([0.0, 0.5, 1.0]), Orientation.A)
+    MeasurementChannel(np.array([]), Orientation.A)
+
+
+def test_scalar_channel_equality_and_hash():
+    a = MeasurementChannel(0.3, Orientation.A)
+    assert a == MeasurementChannel(0.3, Orientation.A)
+    assert hash(a) == hash(MeasurementChannel(0.3, Orientation.A)) == hash((0.3, Orientation.A))
+    assert a != MeasurementChannel(0.3, Orientation.B)
+    assert a != MeasurementChannel(0.30000000000000004, Orientation.A)
+    assert len({a, MeasurementChannel(0.3, Orientation.A), MeasurementChannel(0.3, Orientation.B)}) == 2
+    assert MeasurementChannel(0, Orientation.A) == MeasurementChannel(0.0, Orientation.A)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.strength = 0.5

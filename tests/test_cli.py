@@ -304,6 +304,53 @@ def test_failed_write_keeps_old_output_and_leaves_no_temp_file(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_missing_directory_exits_3_naming_the_destination(tmp_path, capsys, fmt):
+    out = tmp_path / "no" / "such" / "dir" / f"map.{fmt}"
+    assert run_cli(*sweep_args(out, format=fmt)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1
+    assert repr(str(out)) in err and ".tmp" not in err
+    assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("error", [RuntimeError("writer gave up"), OSError(5, "Input/output error"),
+                                   KeyboardInterrupt()])
+def test_writer_raising_midway_keeps_old_file_and_leaves_no_temp_file(tmp_path, error):
+    out = tmp_path / "map.csv"
+    out.write_text("old contents\n")
+
+    def writer(stream):
+        stream.write("strength,epsilon\n")
+        stream.write("0.0,1.0\n")
+        stream.flush()
+        assert len(list(tmp_path.glob("*.tmp"))) == 1  # the rows really went to the file
+        raise error
+
+    with pytest.raises(type(error)):
+        cli.emit(writer, str(out))
+    assert out.read_text() == "old contents\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_emit_streams_a_writer_to_the_file_or_stdout(tmp_path, capsys):
+    out = tmp_path / "doc.txt"
+
+    def writer(stream):
+        for row in ("a\n", "b\r\n", "\u00e9"):
+            stream.write(row)
+
+    cli.emit(writer, str(out))
+    assert out.read_bytes() == "a\nb\r\n\u00e9".encode()
+    cli.emit(writer, None)
+    assert capsys.readouterr().out == "a\nb\r\n\u00e9"
+    cli.emit("text", str(out))
+    assert out.read_bytes() == b"text"
+    cli.emit("text", None)
+    assert capsys.readouterr().out == "text\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_sweep_replaces_existing_output(tmp_path):
     out = tmp_path / "map.csv"
     out.write_text("old contents\n")

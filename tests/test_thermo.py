@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqdcycle import thermo
+from dqdcycle import channels, thermo
 from dqdcycle.qdot import DotParams, hamiltonian, internal_energy
 from dqdcycle.thermo import (
     CycleInputs,
     binary_entropy,
     ledger_discrepancy,
     run_cycle_closed_form,
+    run_cycle_closed_form_batch,
     run_cycle_matrix,
     run_cycle_matrix_batch,
 )
@@ -172,6 +173,57 @@ def test_matrix_batch_equals_scalar_ledger(rng):
             assert getattr(ledger, f)[i] == getattr(ref, f), (i, f)
         for f in ("rho1", "rho2", "rho3"):
             np.testing.assert_array_equal(getattr(ledger, f)[i], getattr(ref, f))
+
+
+def test_closed_form_batch_equals_scalar_ledger(rng):
+    """Every field of the closed-form batch ledger equals run_cycle_closed_form's with ==,
+    on the same edge grid as the matrix batch, plus near-pure and huge-E/T points."""
+    grid = itertools.product((0.0, -1.3, 0.7, 2e6), (0.0, 0.4, 1e-9), (1e-3, 1.0, 1e3),
+                             (0.0, 1.0, 0.35, 1e-300), (0.0, 1.0, 0.8, 1.0 - 2.0 ** -53))
+    batch = [CycleInputs(DotParams(eps, tau), temperature, a, b)
+             for eps, tau, temperature, a, b in grid]
+    batch += [CycleInputs(DotParams(float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1))),
+                          float(rng.uniform(0.05, 6)), float(rng.uniform()), float(rng.uniform()))
+              for _ in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ledger = run_cycle_closed_form_batch(batch)
+    expected = [run_cycle_closed_form(inputs) for inputs in batch]
+    for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"):
+        got = getattr(ledger, f)
+        assert got.shape == (len(batch),) and got.dtype == np.float64
+        assert got.tolist() == [getattr(ref, f) for ref in expected], f
+        assert np.signbit(got).tolist() == [math.copysign(1.0, getattr(ref, f)) < 0
+                                            for ref in expected], f
+    assert ledger.rho1 is ledger.rho2 is ledger.rho3 is None
+
+
+@pytest.mark.parametrize("batch_ledger", [run_cycle_closed_form_batch, run_cycle_matrix_batch])
+def test_empty_batch_gives_empty_ledger(batch_ledger):
+    ledger = batch_ledger([])
+    for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"):
+        assert getattr(ledger, f).shape == (0,)
+    assert ledger.energy_closure.shape == ledger.entropy_closure.shape == (0,)
+    if batch_ledger is run_cycle_matrix_batch:
+        assert [getattr(ledger, f).shape for f in ("rho1", "rho2", "rho3")] == [(0, 2, 2)] * 3
+    assert ledger_discrepancy(ledger, ledger).shape == (0,)
+
+
+def test_batches_call_the_kraus_source_once_per_channel_family(monkeypatch):
+    """The matrix batch reaches channels.kraus_operators at call time, once for channel
+    A (with every a) and once for channel B (with every b)."""
+    batch = [CycleInputs(DotParams(1.0, 0.2), 1.5, a, b) for a, b in ((0.1, 0.6), (0.5, 0.2))]
+    calls = []
+
+    def counted(ch):
+        calls.append((ch.orientation.value, np.asarray(ch.strength).tolist()))
+        return honest(ch)
+
+    honest = channels.kraus_operators
+    monkeypatch.setattr(channels, "kraus_operators", counted)
+    run_cycle_matrix_batch(batch)
+    run_cycle_closed_form_batch(batch)
+    assert calls == [("A", [0.1, 0.5]), ("B", [0.6, 0.2])]
 
 
 def test_ledger_discrepancy_of_batches_is_per_entry():

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from dqdcycle import channels, verify
-from dqdcycle.channels import MeasurementChannel, kraus_operators
+from dqdcycle import channels, regimes, verify
+from dqdcycle.channels import MeasurementChannel, Orientation, kraus_operators
 from dqdcycle.qdot import is_density_matrix
+from dqdcycle.regimes import classify_from_signs
 
 NUMERICAL_CHECKS = [
     verify.check_kraus_completeness,
@@ -29,13 +30,12 @@ def scaled_kraus(channel: MeasurementChannel):
 
 
 def uneven_kraus(channel: MeasurementChannel):
-    """Three operators for weak channels, five (one of them zero) for strong ones."""
+    """Three operators for channel A, five (one of them zero) for channel B, so a
+    block holding both orientations must pad."""
     ops = kraus_operators(channel)
-    if channel.strength < 0.3:
+    if channel.orientation is Orientation.A:
         return ops[:3]
-    if channel.strength > 0.7:
-        return ops + [0.0 * ops[0]]
-    return ops
+    return ops + [0.0 * ops[0]]
 
 
 def nan_kraus(channel: MeasurementChannel):
@@ -56,6 +56,29 @@ def test_run_all_equals_trial_loops(oracle_verify, trials):
         warnings.simplefilter("error")
         for seed in range(60):
             assert verify.run_all(seed, trials) == oracle_verify(seed, trials), seed
+
+
+def test_threshold_consistency_reads_the_trial_loop_draws(oracle_verify, monkeypatch):
+    """Every point that reaches classification has the loop's currents bit for bit, and
+    the generator ends in the loop's state, so the draw stream is pinned even for seeds
+    where no point fails."""
+    seen = []
+
+    def recording(*currents):
+        seen.append(currents)
+        return classify_from_signs(*currents)
+
+    monkeypatch.setattr(verify, "classify_from_signs", recording)
+    monkeypatch.setattr(regimes, "classify_from_signs", recording)
+    for seed in range(40):
+        runs = []
+        for check in (verify.check_threshold_consistency, oracle_verify.threshold_consistency):
+            seen.clear()
+            rng = np.random.default_rng(seed)
+            result = check(rng, 300)
+            runs.append((result, list(seen), rng.bit_generator.state))
+        assert runs[0] == runs[1], seed
+        assert len(runs[0][1]) > 200
 
 
 @pytest.mark.parametrize("block", [1, 7, 16])
@@ -146,7 +169,8 @@ def test_nan_kraus_fails_closed(monkeypatch, check):
 def test_first_nan_beats_earlier_blocks(monkeypatch):
     """NaN in a later block outranks every finite residual of earlier blocks."""
     def late_nan(ch):
-        return nan_kraus(ch) if ch.strength > 0.9 else scaled_kraus(ch)
+        strong = np.asarray(ch.strength)[..., None, None] > 0.9
+        return [np.where(strong, nan, ok) for nan, ok in zip(nan_kraus(ch), scaled_kraus(ch))]
 
     monkeypatch.setattr(channels, "kraus_operators", late_nan)
     monkeypatch.setattr(verify, "BLOCK", 8)
