@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qdot import dagger, max_abs
+from .qdot import dagger, matmul2, max_abs
 
 KrausSet = list[np.ndarray]
 
@@ -104,10 +104,17 @@ def apply_kraus(kraus: KrausSet | np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     With stacked operators (a ``kraus_stack``, or the set of an array channel)
     and an (n, 2, 2) stack of states, applies channel i to state i.
+
+    The products are ``qdot.matmul2``, not ``@``. Every operator of an honest
+    family is a real weight times one matrix unit, so each entry of M rho and
+    of (M rho) M^dag has at most one nonzero term, and the sum equals
+    ``m @ rho @ dagger(m)`` accumulated in the same order bit for bit. The
+    states themselves are dense; products between dense operands (the energy
+    trace, the random states of ``verify``) keep ``@``.
     """
     out = np.zeros_like(rho, dtype=np.complex128)
     for m in kraus:
-        out += m @ rho @ dagger(m)
+        out += matmul2(matmul2(m, rho), dagger(m))
     return out
 
 
@@ -117,8 +124,8 @@ def apply_channel(channel: MeasurementChannel, rho: np.ndarray) -> np.ndarray:
 
 def completeness_residual(kraus: KrausSet | np.ndarray):
     """Max-norm deviation of sum_k M_k^dag M_k from the identity; one per set of a
-    ``kraus_stack``."""
+    ``kraus_stack``. The products are ``qdot.matmul2``, as in ``apply_kraus``."""
     acc = np.zeros(np.shape(kraus)[1:], dtype=np.complex128)
     for m in kraus:
-        acc += dagger(m) @ m
+        acc += matmul2(dagger(m), m)
     return max_abs(acc - np.eye(2))

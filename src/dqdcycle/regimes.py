@@ -3,7 +3,11 @@
 The machine exchanges three energy currents per cycle. Identifying the
 thermalization stroke with the cold flow, one measurement stroke with the hot
 flow and the remaining stroke with work, the sign pattern (Qh, Qc, W) sorts
-every operating point into one of four useful regimes:
+every operating point into one of four useful regimes. Letting a measurement
+stroke play a heat or work reservoir next to a single thermal bath, and
+reading the regime from the signs of the three currents, follows the
+single-bath measurement machines of Buffoni et al., "Quantum measurement
+cooling", Phys. Rev. Lett. 122, 070603 (2019):
 
     ============  ====  ====  ====  ==============================
     mode          Qh    Qc    W     figure of merit

@@ -32,14 +32,13 @@ Sign convention: dU_i > 0 means energy flows *into* the dot during stroke i.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import MeasurementChannel, Orientation, apply_channel
-from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, spectral_scalars
-from .qdot import thermal_state, von_neumann_entropy
+from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, map_math
+from .qdot import spectral_scalars, thermal_state, von_neumann_entropy
 # Not called here; imported so that perfbench/spans.py can rebind it in this module.
 from .qdot import spectrum  # noqa: F401
 
@@ -115,23 +114,39 @@ def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
     )
 
 
-def run_cycle_matrix_batch(batch: Sequence[CycleInputs]) -> StrokeLedger:
-    """``run_cycle_matrix`` over many inputs in one pass over (n, 2, 2) stacks.
+def _columns(batch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The five (n,) columns epsilon, tau, T, a, b of an (n, 5) batch, validated at once
+    with the messages of ``DotParams`` and ``CycleInputs``."""
+    batch = np.asarray(batch, dtype=float)
+    if batch.ndim != 2 or batch.shape[1] != 5:
+        raise ValueError("a batch is an (n, 5) array of epsilon, tau, T, a, b")
+    eps, tau, temperature, a, b = batch.T
+    if not np.isfinite(batch[:, :2]).all():
+        raise ValueError("epsilon and tau must be finite")
+    if not (np.isfinite(temperature) & (temperature > 0.0)).all():
+        raise ValueError("temperature must be positive")
+    for name, v in (("a", a), ("b", b)):
+        if not ((0.0 <= v) & (v <= 1.0)).all():  # NaN fails both, +-inf one
+            raise ValueError(f"{name} must be in [0, 1]")
+    return eps, tau, temperature, a, b
+
+
+def run_cycle_matrix_batch(batch: np.ndarray) -> StrokeLedger:
+    """``run_cycle_matrix`` over the n rows of an (n, 5) array of epsilon, tau, T, a, b.
 
     Every ledger field is an (n,) array and rho1..rho3 are (n, 2, 2) stacks;
-    an empty batch gives (0,) arrays. The per-input scalars (E, cos and sin
-    of theta from ``spectral_scalars``, and tanh(E/T)) come from ``math`` as
-    in ``run_cycle_matrix``. Each channel family is one array channel, so the
-    Kraus source is called twice per batch. Every other step is the same
-    numpy operation applied to each matrix of a stack, so entry i equals
-    ``run_cycle_matrix(batch[i])`` with ==.
+    a (0, 5) batch gives (0,) arrays. The per-row scalars (E, cos and sin of
+    theta from ``spectral_scalars``, and tanh(E/T)) come from ``math``,
+    mapped over the columns, as in ``run_cycle_matrix``. Each channel family
+    is one array channel, so the Kraus source is called twice per batch.
+    Every other step is the same numpy operation applied to each matrix of a
+    stack, so entry i equals ``run_cycle_matrix`` of row i with ==.
     """
-    rows = []
-    for x in batch:
-        gap, _, c, s = spectral_scalars(x.params.epsilon, x.params.tau)
-        rows.append((x.params.epsilon, x.params.tau, c, s, math.tanh(gap / x.temperature),
-                     x.a, x.b))
-    eps, tau, c, s, t, a, b = np.array(rows, dtype=float).reshape(-1, 7).T
+    eps, tau, temperature, a, b = _columns(batch)
+    scalars = np.array(list(map(spectral_scalars, eps.tolist(), tau.tolist())),
+                       dtype=float).reshape(-1, 4)
+    gap, c, s = scalars[:, 0], scalars[:, 2], scalars[:, 3]
+    t = map_math(math.tanh, gap / temperature)
     h = np.stack((-eps, tau, tau, eps), axis=1).reshape(-1, 2, 2).astype(np.complex128)
     phi1 = np.stack((c, s), axis=1).astype(np.complex128)
     phi2 = np.stack((s, -c), axis=1).astype(np.complex128)
@@ -182,16 +197,31 @@ def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
     return _closed_form_ledger(*_closed_form_terms(inputs))
 
 
-def run_cycle_closed_form_batch(batch: Sequence[CycleInputs]) -> StrokeLedger:
-    """``run_cycle_closed_form`` over many inputs, as one ledger of (n,) arrays.
+def _binary_entropy_columns(p: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` of every element of p in [0, 1], step for step, signed zeros
+    included: out = 0.0, then out -= p ln p where p > 0 and out -= q ln q (q = 1 - p)
+    where p < 1."""
+    q = 1.0 - p
+    ln_p = map_math(math.log, np.where(p > 0.0, p, 1.0))
+    ln_q = map_math(math.log, np.where(p < 1.0, q, 1.0))
+    out = np.where(p > 0.0, 0.0 - p * ln_p, 0.0)
+    return np.where(p < 1.0, out - q * ln_q, out)
 
-    The transcendentals come from ``math`` one input at a time, and the rest
-    is ``stroke_energies`` and differences on arrays, so entry i equals
-    ``run_cycle_closed_form(batch[i])`` with ==. An empty batch gives (0,)
-    arrays.
+
+def run_cycle_closed_form_batch(batch: np.ndarray) -> StrokeLedger:
+    """``run_cycle_closed_form`` over the n rows of an (n, 5) array of epsilon, tau, T,
+    a, b, as one ledger of (n,) arrays.
+
+    The transcendentals (hypot, tanh, log) come from ``math``, mapped over the
+    columns, and the rest is + - * on arrays in the scalar order, so entry i
+    equals ``run_cycle_closed_form`` of row i with ==, signed zeros included.
+    A (0, 5) batch gives (0,) arrays.
     """
-    terms = np.array([_closed_form_terms(x) for x in batch], dtype=float).reshape(-1, 8)
-    return _closed_form_ledger(*terms.T)
+    eps, tau, temperature, a, b = _columns(batch)
+    gap = map_math(math.hypot, eps, tau)
+    t = map_math(math.tanh, gap / temperature)
+    h_g, h_a, h_b = (_binary_entropy_columns(p) for p in (0.5 * (1.0 - t), a, b))
+    return _closed_form_ledger(eps, gap, t, a, b, h_g, h_a, h_b)
 
 
 def ledger_discrepancy(x: StrokeLedger, y: StrokeLedger):

@@ -16,15 +16,19 @@ stay below a fixed tolerance:
 The first five checks run as array passes. Each draws its trials one after
 another from the generator, reading the stream exactly as a trial-by-trial
 loop would, then computes every residual in one numpy pass over (n, 2, 2)
-stacks; the ledgers come from ``thermo.run_cycle_closed_form_batch`` and
-``thermo.run_cycle_matrix_batch``, and no channel object is built per trial.
-The draws and the results for a seed are the same as with the loop: the
-worst case is still the first trial with the largest residual. A NaN residual
-fails its check, and the first one is reported as the worst case. Trials go
-through at most ``BLOCK`` at a time, so memory stays bounded whatever the
-trial count. ``threshold_consistency`` stays a loop over scalar
-``branch_thresholds`` and ``branch_currents`` calls, because those are what
-it checks.
+stacks. ``path_agreement`` and ``cycle_closure`` pass each block's single
+(n, 5) draw of epsilon, tau, T, a, b straight to
+``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``;
+no ``CycleInputs`` is built per trial, only one for a reported worst case, and
+no channel object is built per trial either. The Kraus products are the
+elementwise ``qdot.matmul2``, which gives the bits of ``@`` on the
+one-matrix-unit operators of an honest family. The draws and the results for
+a seed are the same as with the loop: the worst case is still the first trial
+with the largest residual. A NaN residual fails its check, and the first one
+is reported as the worst case. Trials go through at most ``BLOCK`` at a time,
+so memory stays bounded whatever the trial count. ``threshold_consistency``
+stays a loop over scalar ``branch_thresholds`` and ``branch_currents`` calls,
+because those are what it checks.
 
 The Kraus operators are looked up through ``channels.kraus_operators`` at call
 time, once per orientation per block (each call takes an array of strengths),
@@ -118,14 +122,19 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return _gram_state(x, rng.normal(size=(2, 2)))
 
 
-def _random_cycle_batch(rng: np.random.Generator, n: int) -> list[CycleInputs]:
-    """n draws of random_cycle_inputs; one (n, 5) draw reads the stream in the same order."""
-    rows = rng.uniform(_CYCLE_LOW, _CYCLE_HIGH, size=(n, 5)).tolist()
-    return [CycleInputs(DotParams(e, tau), temp, a, b) for e, tau, temp, a, b in rows]
+def _random_cycle_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of random_cycle_inputs as the rows of an (n, 5) array of epsilon, tau, T,
+    a, b; one (n, 5) draw reads the stream in the same order as n single draws."""
+    return rng.uniform(_CYCLE_LOW, _CYCLE_HIGH, size=(n, 5))
+
+
+def _inputs_of(row: np.ndarray) -> CycleInputs:
+    e, tau, temperature, a, b = row.tolist()
+    return CycleInputs(DotParams(e, tau), temperature, a, b)
 
 
 def random_cycle_inputs(rng: np.random.Generator) -> CycleInputs:
-    return _random_cycle_batch(rng, 1)[0]
+    return _inputs_of(_random_cycle_rows(rng, 1)[0])
 
 
 def _channel_of(draw) -> MeasurementChannel:
@@ -160,9 +169,9 @@ def _draw_dict(draw) -> dict:
     return _channel_dict(_channel_of(draw))
 
 
-def _both_ledgers(batch: list[CycleInputs]) -> tuple[StrokeLedger, StrokeLedger]:
-    """The closed-form and the matrix ledger of every input, each as one ledger of (n,) arrays."""
-    return run_cycle_closed_form_batch(batch), run_cycle_matrix_batch(batch)
+def _both_ledgers(rows: np.ndarray) -> tuple[StrokeLedger, StrokeLedger]:
+    """The closed-form and the matrix ledger of every row, each as one ledger of (n,) arrays."""
+    return run_cycle_closed_form_batch(rows), run_cycle_matrix_batch(rows)
 
 
 def check_kraus_completeness(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -200,19 +209,19 @@ def check_channel_reset(rng: np.random.Generator, trials: int) -> CheckResult:
 
 def check_path_agreement(rng: np.random.Generator, trials: int) -> CheckResult:
     def block(n):
-        batch = _random_cycle_batch(rng, n)
-        return ledger_discrepancy(*_both_ledgers(batch)), batch
+        rows = _random_cycle_rows(rng, n)
+        return ledger_discrepancy(*_both_ledgers(rows)), rows
 
-    return _scan("path_agreement", trials, PATH_TOL, block, _inputs_dict)
+    return _scan("path_agreement", trials, PATH_TOL, block, _row_dict)
 
 
 def check_cycle_closure(rng: np.random.Generator, trials: int) -> CheckResult:
     def block(n):
-        batch = _random_cycle_batch(rng, n)
-        sums = [s for x in _both_ledgers(batch) for s in (x.energy_closure, x.entropy_closure)]
-        return np.max(np.abs(sums), axis=0), batch
+        rows = _random_cycle_rows(rng, n)
+        sums = [s for x in _both_ledgers(rows) for s in (x.energy_closure, x.entropy_closure)]
+        return np.max(np.abs(sums), axis=0), rows
 
-    return _scan("cycle_closure", trials, CLOSURE_TOL, block, _inputs_dict)
+    return _scan("cycle_closure", trials, CLOSURE_TOL, block, _row_dict)
 
 
 def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -251,9 +260,15 @@ def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckR
 
 
 def run_all(seed: int, trials: int) -> list[CheckResult]:
-    """Run every suite on a fresh seeded generator; deterministic per seed."""
+    """Run every suite on a fresh seeded generator; deterministic per seed.
+
+    A trial count below 1, or a seed that is not a non-negative integer, raises
+    ValueError before anything is drawn.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     return [
         check_kraus_completeness(rng, trials),
@@ -273,3 +288,7 @@ def _inputs_dict(inputs: CycleInputs) -> dict:
         "a": inputs.a,
         "b": inputs.b,
     }
+
+
+def _row_dict(row: np.ndarray) -> dict:
+    return _inputs_dict(_inputs_of(row))

@@ -16,7 +16,7 @@ from dqdcycle.channels import (
     kraus_operators,
     kraus_stack,
 )
-from dqdcycle.qdot import DotParams, gibbs_state, is_density_matrix, max_abs
+from dqdcycle.qdot import DotParams, dagger, gibbs_state, is_density_matrix, max_abs
 
 strengths = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -229,3 +229,40 @@ def test_scalar_channel_equality_and_hash():
     assert MeasurementChannel(0, Orientation.A) == MeasurementChannel(0.0, Orientation.A)
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.strength = 0.5
+
+
+KERNEL_STRENGTHS = np.array([0.0, 1.0, 0.35, 1e-300, 1.0 - 2.0 ** -53])
+
+
+def bits(x):
+    """The raw IEEE bits of a float or an array, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float).view(np.int64)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_kernel_equals_matmul_bit_for_bit(rng, orientation):
+    """apply_kraus and completeness_residual skip @; on honest Kraus sets they still give
+    the bits of m @ rho @ dagger(m) and dagger(m) @ m, summed in the same order, on one
+    matrix and on stacks of dense random states."""
+    states = np.array([random_state(rng) for _ in range(64)])
+    for p in KERNEL_STRENGTHS.tolist():
+        ops = kraus_operators(MeasurementChannel(p, orientation))
+        for rho in states:
+            ref = np.zeros_like(rho)
+            for m in ops:
+                ref += m @ rho @ dagger(m)
+            np.testing.assert_array_equal(bits(apply_kraus(ops, rho)), bits(ref))
+        acc = np.zeros((2, 2), dtype=complex)
+        for m in ops:
+            acc += dagger(m) @ m
+        assert bits(completeness_residual(ops)) == bits(max_abs(acc - np.eye(2)))
+
+    strength = np.resize(KERNEL_STRENGTHS, len(states))
+    ops = kraus_operators(MeasurementChannel(strength, orientation))
+    ref, acc = np.zeros_like(states), np.zeros_like(states)
+    for m in ops:
+        ref += m @ states @ dagger(m)
+        acc += dagger(m) @ m
+    np.testing.assert_array_equal(bits(apply_kraus(ops, states)), bits(ref))
+    np.testing.assert_array_equal(bits(completeness_residual(ops)),
+                                  bits(max_abs(acc - np.eye(2))))

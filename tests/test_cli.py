@@ -562,6 +562,18 @@ def test_verify_zero_trials_is_usage_error(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_negative_seed_is_usage_error(tmp_path, capsys, source):
+    if source == "flag":
+        argv = ("verify", "--seed", "-1", "--trials", "5")
+    else:
+        argv = ("verify", "--config", write_config(tmp_path, {"seed": -1, "trials": 5}))
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer\n"
+
+
 def test_verify_detects_corruption(monkeypatch, capsys):
     monkeypatch.setattr(channels, "kraus_operators", lambda ch: kraus_operators(ch)[:3])
     assert run_cli("verify", "--seed", "5", "--trials", "40") == 1

@@ -16,6 +16,7 @@ from dqdcycle.qdot import (
     internal_energy,
     is_density_matrix,
     is_hermitian,
+    matmul2,
     max_abs,
     spectrum,
     trace_deviation,
@@ -186,3 +187,37 @@ def test_helpers_take_stacks_matrix_by_matrix(rng):
             assert type(one) in (np.ndarray, float, bool)
             np.testing.assert_array_equal(got[i], one)
     assert is_density_matrix(stack).tolist() == [True] * 40 + [False] * 11 + [True]
+
+
+def entropy_by_generator(rho):
+    """-sum over the positive clamped eigenvalues of x ln x, as a Python sum."""
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0).tolist()
+    return float(-sum(x * math.log(x) for x in lam if x > 0.0))
+
+
+def test_entropy_equals_generator_sum_bit_for_bit(rng):
+    """Array products and sum give the Python sum's bits, signed zeros included: a pure
+    state, a near-pure one, the zero matrix (no positive eigenvalue) and NaN."""
+    a = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    states = list(a @ a.conj().swapaxes(-1, -2) / 3.0)
+    states += [np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.diag([1e-300, 1.0 - 1e-300]),
+               np.diag([0.5, 0.5]), np.zeros((2, 2)), np.full((2, 2), math.nan)]
+    stack = np.array(states, dtype=complex)
+    expected = np.array([entropy_by_generator(rho) for rho in stack])
+    np.testing.assert_array_equal(von_neumann_entropy(stack).view(np.int64),
+                                  expected.view(np.int64))
+    for rho, want in zip(stack, expected.tolist()):
+        got = von_neumann_entropy(rho)
+        assert isinstance(got, float)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_matmul2_is_the_matrix_product(rng):
+    a = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+    b = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+    stacked = matmul2(a, b)
+    assert stacked.shape == (50, 2, 2)
+    np.testing.assert_allclose(stacked, a @ b, rtol=0, atol=1e-14)
+    for i in range(50):
+        np.testing.assert_array_equal(matmul2(a[i], b[i]), stacked[i])

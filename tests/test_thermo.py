@@ -34,6 +34,12 @@ cycle_inputs = st.builds(
 )
 
 
+def as_columns(batch):
+    """The (n, 5) array of epsilon, tau, T, a, b that the batch ledgers take."""
+    return np.array([(x.params.epsilon, x.params.tau, x.temperature, x.a, x.b) for x in batch],
+                    dtype=float).reshape(-1, 5)
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
@@ -166,7 +172,7 @@ def test_matrix_batch_equals_scalar_ledger(rng):
               for _ in range(200)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ledger = run_cycle_matrix_batch(batch)
+        ledger = run_cycle_matrix_batch(as_columns(batch))
         expected = [run_cycle_matrix(inputs) for inputs in batch]
     for i, ref in enumerate(expected):
         for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"):
@@ -187,7 +193,7 @@ def test_closed_form_batch_equals_scalar_ledger(rng):
               for _ in range(200)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ledger = run_cycle_closed_form_batch(batch)
+        ledger = run_cycle_closed_form_batch(as_columns(batch))
     expected = [run_cycle_closed_form(inputs) for inputs in batch]
     for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"):
         got = getattr(ledger, f)
@@ -200,7 +206,7 @@ def test_closed_form_batch_equals_scalar_ledger(rng):
 
 @pytest.mark.parametrize("batch_ledger", [run_cycle_closed_form_batch, run_cycle_matrix_batch])
 def test_empty_batch_gives_empty_ledger(batch_ledger):
-    ledger = batch_ledger([])
+    ledger = batch_ledger(np.empty((0, 5)))
     for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"):
         assert getattr(ledger, f).shape == (0,)
     assert ledger.energy_closure.shape == ledger.entropy_closure.shape == (0,)
@@ -221,14 +227,14 @@ def test_batches_call_the_kraus_source_once_per_channel_family(monkeypatch):
 
     honest = channels.kraus_operators
     monkeypatch.setattr(channels, "kraus_operators", counted)
-    run_cycle_matrix_batch(batch)
-    run_cycle_closed_form_batch(batch)
+    run_cycle_matrix_batch(as_columns(batch))
+    run_cycle_closed_form_batch(as_columns(batch))
     assert calls == [("A", [0.1, 0.5]), ("B", [0.6, 0.2])]
 
 
 def test_ledger_discrepancy_of_batches_is_per_entry():
     batch = [CycleInputs(DotParams(1.0, 0.2), 1.5, a, 0.4) for a in (0.1, 0.5, 0.9)]
-    matrix = run_cycle_matrix_batch(batch)
+    matrix = run_cycle_matrix_batch(as_columns(batch))
     closed = [run_cycle_closed_form(inputs) for inputs in batch]
     per_entry = [ledger_discrepancy(c, run_cycle_matrix(x)) for c, x in zip(closed, batch)]
     stacked = dataclasses.replace(
@@ -238,3 +244,30 @@ def test_ledger_discrepancy_of_batches_is_per_entry():
     nan = dataclasses.replace(closed[0], dS2=math.nan)
     assert math.isnan(ledger_discrepancy(nan, closed[0]))
     assert math.isnan(ledger_discrepancy(closed[0], nan))
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, math.inf, "epsilon and tau must be finite"),
+    (1, math.nan, "epsilon and tau must be finite"),
+    (2, 0.0, "temperature must be positive"),
+    (2, math.inf, "temperature must be positive"),
+    (3, -0.1, "a must be in"),
+    (3, math.nan, "a must be in"),
+    (4, 1.5, "b must be in"),
+])
+@pytest.mark.parametrize("batch_ledger", [run_cycle_closed_form_batch, run_cycle_matrix_batch])
+def test_batches_validate_columns_like_cycle_inputs(batch_ledger, column, value, message):
+    """A bad entry in any row is refused with the scalar constructors' message."""
+    rows = as_columns([CycleInputs(DotParams(1.0, 0.2), 1.5, 0.3, 0.6)] * 3)
+    rows[1, column] = value
+    with pytest.raises(ValueError, match=message):
+        CycleInputs(DotParams(rows[1, 0], rows[1, 1]), *rows[1, 2:].tolist())
+    with pytest.raises(ValueError, match=message):
+        batch_ledger(rows)
+
+
+@pytest.mark.parametrize("batch_ledger", [run_cycle_closed_form_batch, run_cycle_matrix_batch])
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 5, 1)])
+def test_batches_take_n_by_5_arrays_only(batch_ledger, shape):
+    with pytest.raises(ValueError, match=r"\(n, 5\)"):
+        batch_ledger(np.full(shape, 0.5))

@@ -134,6 +134,16 @@ def test_run_all_rejects_bad_trials():
         verify.run_all(seed=1, trials=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_run_all_rejects_bad_seed_before_drawing(monkeypatch, seed):
+    def no_generator(*args):
+        raise AssertionError("generator built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        verify.run_all(seed=seed, trials=10)
+
+
 def test_residual_tolerances():
     results = {r.name: r for r in verify.run_all(seed=3, trials=100)}
     assert results["kraus_completeness"].max_residual < 1e-14
