@@ -29,10 +29,16 @@ b = a), the stroke of each of Qh, Qc and W, the analytic thresholds and their
 ordered intervals. ``branch_currents``, ``branch_thresholds`` and
 ``expected_mode`` read that table; the per-branch functions below are thin
 wrappers over it that keep their historical return orders.
-``branch_currents_grid`` and ``classify_grid`` are the array twins of
-``branch_currents`` and ``classify`` that sweeps use; they read the same
-table and sign patterns and give the same floats bit for bit, and
-``classify_grid`` gives each mode as its index in ``MODES``.
+
+The array forms read the same table and sign patterns and give the same
+floats bit for bit. ``branch_points`` is the pointwise kernel: the
+thresholds and ``(Qh, Qc, W)`` of a branch at n points, with E and
+tanh(E/T) taken from ``math`` through ``qdot.map_math``.
+``branch_currents_grid`` runs it over a sweep's grid. ``mode_codes`` and
+``expected_mode_codes`` are the array twins of ``classify_from_signs`` and
+``expected_mode``; they give each mode as its index in ``MODES`` (-1 where
+``expected_mode`` gives None). ``classify_grid`` adds the figures of merit
+to ``mode_codes``, as ``classify`` does to ``classify_from_signs``.
 
 * ``engine`` branch, b = a: work stroke W = dU3 = 2 epsilon (1 - 2a), hot
   stroke Qh = dU2, cold stroke Qc = dU1. Interval structure over a in [0, 1]:
@@ -62,7 +68,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qdot import DotParams
+from .qdot import DotParams, map_math
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from .qdot import spectrum  # noqa: F401
 from .thermo import run_cycle_closed_form  # noqa: F401
@@ -173,25 +179,31 @@ def classify(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Clas
     return Classification(mode, Qh, Qc, W, *_merit(mode, Qh, Qc, W))
 
 
+def mode_codes(Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray,
+               zero_tol: float = ZERO_TOL) -> np.ndarray:
+    """Array twin of ``classify_from_signs``: each point's mode as its index in ``MODES``."""
+    _check_zero_tol(zero_tol)
+    defined = (np.abs(Qh) > zero_tol) & (np.abs(Qc) > zero_tol) & (np.abs(W) > zero_tol)
+    codes = np.full(np.shape(Qh), MODES.index(Mode.UNDEFINED))
+    for mode, (sh, sc, sw) in SIGN_PATTERNS.items():
+        codes[defined & (sh * Qh > 0) & (sc * Qc > 0) & (sw * W > 0)] = MODES.index(mode)
+    return codes
+
+
 def classify_grid(
     Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray, zero_tol: float = ZERO_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array twin of ``classify``: (mode code, performance, raw COP) arrays.
 
-    A mode code is a small int that indexes ``MODES``, so sweeps count modes
-    with ``np.bincount`` and look up their text by index instead of hashing
-    a ``Mode`` per cell. ``MODES[code]`` is the ``classify`` mode for the
-    same three floats; performance and raw COP are object arrays whose
-    elements equal the matching ``classify`` fields, None included. The same
-    warning or error is raised.
+    The mode codes are ``mode_codes``': small ints that index ``MODES``, so
+    sweeps count modes with ``np.bincount`` and look up their text by index
+    instead of hashing a ``Mode`` per cell. ``MODES[code]`` is the
+    ``classify`` mode for the same three floats; performance and raw COP are
+    object arrays whose elements equal the matching ``classify`` fields, None
+    included. The same warning or error is raised.
     """
-    _check_zero_tol(zero_tol)
-    defined = (np.abs(Qh) > zero_tol) & (np.abs(Qc) > zero_tol) & (np.abs(W) > zero_tol)
-    codes = np.full(Qh.shape, MODES.index(Mode.UNDEFINED))
-    hits = {}
-    for mode, (sh, sc, sw) in SIGN_PATTERNS.items():
-        hits[mode] = defined & (sh * Qh > 0) & (sc * Qc > 0) & (sw * W > 0)
-        codes[hits[mode]] = MODES.index(mode)
+    codes = mode_codes(Qh, Qc, W, zero_tol)
+    hits = {mode: codes == MODES.index(mode) for mode in SIGN_PATTERNS}
     engine = hits[Mode.ENGINE]
     cop = hits[Mode.REFRIGERATOR] | hits[Mode.ACCELERATOR] | hits[Mode.HEATER]
     numerator = np.where(engine, W, np.where(hits[Mode.REFRIGERATOR], Qc, Qh))
@@ -217,9 +229,14 @@ def _tanh_gap(epsilon: float, tau: float, temperature: float) -> tuple[float, fl
     return gap, math.tanh(gap / temperature)
 
 
-def _mid(x: float) -> float:
-    """(1 + x)/2 clamped to [0, 1]: every pinned strength and threshold has this form."""
-    return min(1.0, max(0.0, 0.5 * (1.0 + x)))
+def _mid(x):
+    """(1 + x)/2 clamped to [0, 1]: every pinned strength and threshold has this form.
+
+    Takes a float, and gives a Python float, or an array. On non-NaN values
+    np.minimum and np.maximum give the bits of min and max.
+    """
+    m = np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + x)))
+    return m if isinstance(x, np.ndarray) else float(m)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +291,32 @@ def branch_currents(
     return tuple(du[i] for i in rule.strokes)
 
 
-def _column(values) -> np.ndarray:
-    """One value per epsilon-row, shaped to broadcast over the strength axis."""
-    return np.array(values, dtype=float)[:, None]
+def branch_points(branch: Branch, epsilon, tau, temperature, strength):
+    """(thresholds, (Qh, Qc, W)) of ``branch`` at each point of broadcastable arrays.
+
+    The pointwise twin of ``branch_thresholds`` and ``branch_currents``: E
+    and tanh(E/T) come from ``math`` through ``qdot.map_math``, once per
+    element of the broadcast (epsilon, tau, temperature), and only correctly
+    rounded + - * /, min and max run on arrays, so each element equals the
+    scalar functions' result at that point bit for bit. The thresholds are the
+    branch's named tuple of arrays (``engine_min`` stays the float 0.5).
+    """
+    rule = BRANCHES[branch]
+    s = np.asarray(strength, dtype=float)
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError(f"{rule.free} must be in [0, 1]")
+    epsilon, tau, temperature = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (epsilon, tau, temperature)))
+    if np.any(epsilon <= 0.0):
+        raise ValueError("branch operations require epsilon > 0")
+    if not np.all(np.isfinite(temperature) & (temperature > 0.0)):
+        raise ValueError("temperature must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        gap = map_math(math.hypot, epsilon, tau)
+        t = map_math(math.tanh, gap / temperature)
+        a = s if rule.pinned_a is None else rule.pinned_a(t)
+        du = stroke_energies(epsilon, gap, t, a, s)
+        return rule.thresholds(t, gap / epsilon * t), tuple(du[i] for i in rule.strokes)
 
 
 def branch_currents_grid(
@@ -285,20 +325,14 @@ def branch_currents_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Qh, Qc, W) arrays of shape (len(epsilons), len(strengths)).
 
-    E and tanh(E/T) come from ``math`` once per epsilon, as in
-    ``branch_currents``; numpy's hypot and tanh can differ in the last bit.
-    Only ``stroke_energies``' correctly rounded + - * run on arrays, so each
-    element equals ``branch_currents`` at that point bit for bit.
+    ``branch_points`` over the grid, with E and tanh(E/T) taken once per
+    epsilon, so each element equals ``branch_currents`` at that point bit
+    for bit.
     """
-    rule = BRANCHES[branch]
     s = np.array(strengths, dtype=float)
-    if not np.all((s >= 0.0) & (s <= 1.0)):
-        raise ValueError(f"{rule.free} must be in [0, 1]")
-    gaps, tanhs = zip(*(_tanh_gap(e, tau, temperature) for e in epsilons))
-    a = s if rule.pinned_a is None else _column([rule.pinned_a(t) for t in tanhs])
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-        du = stroke_energies(_column(epsilons), _column(gaps), _column(tanhs), a, s)
-    return tuple(np.broadcast_to(du[i], (len(epsilons), len(s))) for i in rule.strokes)
+    epsilon_column = np.array(epsilons, dtype=float)[:, None]
+    _, currents = branch_points(branch, epsilon_column, tau, temperature, s)
+    return tuple(np.broadcast_to(x, (len(epsilons), len(s))) for x in currents)
 
 
 def branch_thresholds(
@@ -309,13 +343,25 @@ def branch_thresholds(
     return BRANCHES[branch].thresholds(t, gap / params.epsilon * t)
 
 
+def _intervals_held(branch: Branch, strength, thresholds) -> list:
+    """(whether ``strength`` is in the interval, its mode) for each of the branch's
+    intervals, in order; on floats or arrays alike."""
+    return [((strength < bound) if side == "<" else (strength > bound), mode)
+            for name, side, mode in BRANCHES[branch].intervals
+            for bound in (getattr(thresholds, name),)]
+
+
 def expected_mode(branch: Branch, strength: float, thresholds) -> Mode | None:
     """Mode the thresholds predict at ``strength``; None outside the cataloged windows."""
-    for name, side, mode in BRANCHES[branch].intervals:
-        bound = getattr(thresholds, name)
-        if (strength < bound) if side == "<" else (strength > bound):
-            return mode
-    return None
+    return next((mode for held, mode in _intervals_held(branch, strength, thresholds) if held),
+                None)
+
+
+def expected_mode_codes(branch: Branch, strength: np.ndarray, thresholds) -> np.ndarray:
+    """Array twin of ``expected_mode``: the index in ``MODES`` of the first interval's
+    mode that holds at each strength, and -1 where none holds."""
+    held = _intervals_held(branch, strength, thresholds)
+    return np.select([h for h, _ in held], [MODES.index(mode) for _, mode in held], -1)
 
 
 # ---------------------------------------------------------------------------

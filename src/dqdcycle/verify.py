@@ -26,9 +26,17 @@ one-matrix-unit operators of an honest family. The draws and the results for
 a seed are the same as with the loop: the worst case is still the first trial
 with the largest residual. A NaN residual fails its check, and the first one
 is reported as the worst case. Trials go through at most ``BLOCK`` at a time,
-so memory stays bounded whatever the trial count. ``threshold_consistency``
-stays a loop over scalar ``branch_thresholds`` and ``branch_currents`` calls,
-because those are what it checks.
+so memory stays bounded whatever the trial count.
+
+``threshold_consistency`` also runs in blocks, on the array forms of the
+branch table: ``regimes.branch_points`` for each branch present in a block,
+then ``regimes.expected_mode_codes`` and ``regimes.mode_codes``. Its trials
+interleave ``random(3)``, ``integers(3)`` and ``random()``. On the default
+PCG64 bit generator a block's draws are read from one ``random_raw`` call and
+the generator's 32-bit buffer is written back afterwards, so the results and
+the generator's final state are those of the per-trial calls. On any other
+bit generator, or in a block where ``integers(3)`` would reject a draw, the
+block is drawn with the per-trial calls instead.
 
 The Kraus operators are looked up through ``channels.kraus_operators`` at call
 time, once per orientation per block (each call takes an array of strengths),
@@ -47,7 +55,7 @@ import numpy as np
 from .channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
 from .channels import kraus_stack
 from .qdot import DotParams, dagger, is_density_matrix, max_abs, trace_deviation
-from .regimes import Branch, branch_currents, branch_thresholds, classify_from_signs, expected_mode
+from .regimes import MODES, Branch, branch_points, expected_mode_codes, mode_codes
 from .thermo import CycleInputs, StrokeLedger, ledger_discrepancy, run_cycle_closed_form_batch
 from .thermo import run_cycle_matrix_batch
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
@@ -73,8 +81,8 @@ _CYCLE_HIGH = (3.0, 1.0, 6.0, 1.0, 1.0)
 # threshold_consistency's draws: epsilon, tau and T are low + (high - low) * u, as
 # Generator.uniform computes them, and the branch is BRANCHES[integers(3)], as
 # Generator.choice picks it.
-_THRESHOLD_LOW = (0.05, 0.0, 0.5)
-_THRESHOLD_HIGH = (3.0, 1.0, 6.0)
+_THRESHOLD_LOW = np.array((0.05, 0.0, 0.5))
+_THRESHOLD_SPAN = np.array((3.0, 1.0, 6.0)) - _THRESHOLD_LOW
 _BRANCHES = tuple(Branch)
 
 
@@ -155,9 +163,10 @@ def _kraus_of(draws: np.ndarray) -> np.ndarray:
 def _random_channels_and_states(rng: np.random.Generator, n: int):
     """n trials of a random channel's (r, p) draw followed by a random state, drawn in that order."""
     draws, z = np.empty((n, 2)), np.empty((n, 2, 2, 2))
+    random, normal = rng.random, rng.standard_normal
     for i in range(n):
-        rng.random(out=draws[i])
-        z[i] = rng.normal(size=(2, 2, 2))
+        random(out=draws[i])
+        normal(out=z[i])  # normal(0, 1) gives 0 + 1 z: these bits, but for a zero's sign
     return draws, _gram_state(z[:, 0], z[:, 1])
 
 
@@ -224,38 +233,99 @@ def check_cycle_closure(rng: np.random.Generator, trials: int) -> CheckResult:
     return _scan("cycle_closure", trials, CLOSURE_TOL, block, _row_dict)
 
 
+def _pcg64_threshold_draws(bitgen: np.random.PCG64, state: dict, n: int):
+    """The draws of ``_threshold_draws`` read from one ``random_raw`` call, or None if
+    ``integers(3)`` would reject one of its 32-bit draws. ``state`` is the bit
+    generator's state before the read.
+
+    ``random()`` is (w >> 11) 2^-53 of one raw 64-bit word w. ``integers(3)``
+    is (u 3) >> 32 of a 32-bit u (Lemire's method, which rejects only u = 0
+    for a range of 3). u is the buffered ``uinteger`` if the state's
+    ``has_uint32`` flag is set, which clears it; otherwise it is the low half
+    of a fresh word whose high half is buffered. So a trial takes 4 words when
+    it starts with the buffer full and 5 when it starts with it empty, and the
+    two alternate. The buffer is written back to the state after the read.
+    """
+    full = state["has_uint32"]
+    i = np.arange(n)
+    fresh = (i + 1 - full) % 2 == 1  # trial i starts with an empty buffer
+    first = 4 * i + (i + 1 - full) // 2  # trial i's first word
+    words = bitgen.random_raw(4 * n + (n + 1 - full) // 2)
+    branch_word = words[first + 3]
+    high = branch_word >> np.uint64(32)
+    buffered = np.concatenate((np.array([state["uinteger"]], np.uint64), high[:-1]))
+    u = np.where(fresh, branch_word & np.uint64(0xFFFFFFFF), buffered)
+    if not u.all():
+        return None
+    doubles = (words >> np.uint64(11)) * 2.0**-53
+    state = bitgen.state
+    state["has_uint32"] = int(fresh[-1])
+    state["uinteger"] = int(high[-1] if fresh[-1] else u[-1])
+    bitgen.state = state
+    return (doubles[first[:, None] + np.arange(3)], (u * np.uint64(3)) >> np.uint64(32),
+            doubles[first + 3 + fresh])
+
+
+def _threshold_draws(rng: np.random.Generator, n: int):
+    """n trials of ``rng.random(3)``, ``rng.integers(3)`` and ``rng.random()``, drawn in
+    that order: (uniforms (n, 3), branch indices (n,), strengths (n,)).
+
+    On a PCG64 bit generator the n trials are one raw read. Otherwise, or if
+    that read meets a 32-bit draw that ``integers(3)`` rejects (probability
+    2^-32 per trial), the generator goes back to its state before the read and
+    the trials are drawn one by one with the calls themselves.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is np.random.PCG64:
+        start = bitgen.state
+        drawn = _pcg64_threshold_draws(bitgen, start, n)
+        if drawn is not None:
+            return drawn
+        bitgen.state = start
+    uniforms, branches, strengths = np.empty((n, 3)), np.empty(n, np.int64), np.empty(n)
+    random, integers = rng.random, rng.integers
+    for i in range(n):
+        random(out=uniforms[i])
+        branches[i] = integers(3)
+        strengths[i] = random()
+    return uniforms, branches, strengths
+
+
 def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckResult:
     """Interval prediction from the analytic thresholds vs. sign classification.
 
     Points within ``THRESHOLD_MARGIN`` of a boundary are skipped: there the
-    currents legitimately straddle zero. A disagreement counts as residual 1.
+    currents legitimately straddle zero. A disagreement counts as residual 1,
+    and the first one is the worst case.
     """
     mismatches = 0
     worst_case = None
-    for _ in range(trials):
-        epsilon, tau, temperature = (
-            low + (high - low) * u
-            for low, high, u in zip(_THRESHOLD_LOW, _THRESHOLD_HIGH, rng.random(3).tolist()))
-        params = DotParams(epsilon, tau)
-        branch = _BRANCHES[rng.integers(3)]
-        strength = rng.random()
-
-        th = branch_thresholds(branch, params, temperature)
-        if min(abs(strength - x) for x in th) < THRESHOLD_MARGIN:
-            continue
-        expected = expected_mode(branch, strength, th)
-        if expected is None:
-            continue  # outside the cataloged windows
-        qh, qc, w = branch_currents(branch, params, temperature, strength)
-        got = classify_from_signs(qh, qc, w)
-        if got is not expected:
-            mismatches += 1
-            if worst_case is None:
-                worst_case = {
-                    "branch": branch.value, "epsilon": epsilon, "tau": tau,
-                    "temperature": temperature, "strength": strength,
-                    "expected": expected.value, "got": got.value,
-                }
+    for start in range(0, trials, BLOCK):
+        uniforms, branches, strength = _threshold_draws(rng, min(BLOCK, trials - start))
+        epsilon, tau, temperature = (_THRESHOLD_LOW + _THRESHOLD_SPAN * uniforms).T
+        currents = np.empty((3, len(strength)))
+        expected = np.empty(len(strength), np.int64)  # a MODES index, or -1: skipped
+        for k, branch in enumerate(_BRANCHES):
+            at = np.flatnonzero(branches == k)
+            if len(at) == 0:
+                continue
+            s = strength[at]
+            th, currents[:, at] = branch_points(branch, epsilon[at], tau[at], temperature[at], s)
+            near = np.minimum.reduce([np.abs(s - x) for x in th]) < THRESHOLD_MARGIN
+            expected[at] = np.where(near, -1, expected_mode_codes(branch, s, th))
+        live = np.flatnonzero(expected >= 0)
+        got = mode_codes(*currents[:, live])
+        wrong = got != expected[live]
+        mismatches += int(np.count_nonzero(wrong))
+        if worst_case is None and wrong.any():
+            j = int(np.argmax(wrong))
+            i = live[j]
+            worst_case = {
+                "branch": _BRANCHES[branches[i]].value, "epsilon": float(epsilon[i]),
+                "tau": float(tau[i]), "temperature": float(temperature[i]),
+                "strength": float(strength[i]), "expected": MODES[expected[i]].value,
+                "got": MODES[got[j]].value,
+            }
     return _result("threshold_consistency", trials, float(mismatches), 0.0, worst_case)
 
 

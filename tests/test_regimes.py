@@ -11,9 +11,11 @@ from dqdcycle.regimes import (
     BRANCHES,
     Branch,
     EngineThresholds,
+    MODES,
     Mode,
     RefrigeratorThresholds,
     branch_currents,
+    branch_points,
     branch_thresholds,
     classify,
     classify_from_signs,
@@ -21,7 +23,9 @@ from dqdcycle.regimes import (
     engine_branch_quantities,
     engine_branch_thresholds,
     expected_mode,
+    expected_mode_codes,
     kappa,
+    mode_codes,
     refrigerator_branch_thresholds,
     refrigerator_minus_quantities,
     refrigerator_plus_quantities,
@@ -326,9 +330,39 @@ def test_expected_mode_refrigerator_boundaries(branch, strength, mode):
     assert expected_mode(branch, strength, th) is mode
 
 
+def code_of(mode):
+    return -1 if mode is None else MODES.index(mode)
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+def test_array_forms_equal_scalar_route(branch):
+    """At every point, ``branch_points``, ``expected_mode_codes`` and ``mode_codes`` give
+    the bits and modes of the scalar functions, thresholds and clamped edges included."""
+    rng = np.random.default_rng(5)
+    n = 400
+    epsilon = np.concatenate((rng.uniform(0.05, 3.0, n), [1e-9, 1.3, 2e6, 1.626048089325509]))
+    tau = np.concatenate((rng.uniform(0.0, 1.0, n), [1.0, 0.0, 0.5, 2.1093739255295674e-06]))
+    temperature = np.concatenate((rng.uniform(0.5, 6.0, n), [0.05, 1.0, 1e-3, 1.9347005760920484]))
+    strength = np.concatenate((rng.random(n), [0.0, 0.5, 1.0, 0.5216361462600286]))
+    th, currents = branch_points(branch, epsilon, tau, temperature, strength)
+    expected = expected_mode_codes(branch, strength, th)
+    got = mode_codes(*currents)
+    for i, point in enumerate(zip(epsilon.tolist(), tau.tolist(), temperature.tolist(),
+                                  strength.tolist())):
+        e, t, temp, s = point
+        scalar_th = branch_thresholds(branch, DotParams(e, t), temp)
+        assert tuple(np.broadcast_to(x, epsilon.shape)[i] for x in th) == scalar_th, point
+        assert all(isinstance(x, float) for x in scalar_th)
+        scalar_currents = branch_currents(branch, DotParams(e, t), temp, s)
+        assert np.array_equal(np.array([x[i] for x in currents]).view(np.int64),
+                              np.array(scalar_currents).view(np.int64)), point
+        assert expected[i] == code_of(expected_mode(branch, s, scalar_th)), point
+        assert got[i] == MODES.index(classify_from_signs(*scalar_currents)), point
+
+
 # The seed-32 failure of verify's threshold_consistency: just above tau = 0
 # the minus branch's W sits below the absolute zero_tol, so the signs read
-# undefined where the thresholds predict an accelerator (ROADMAP item 4).
+# undefined where the thresholds predict an accelerator (ROADMAP item 3).
 SEED32_POINT = (
     DotParams(1.626048089325509, 2.1093739255295674e-06),
     1.9347005760920484,
@@ -342,7 +376,7 @@ def test_seed32_point_is_predicted_accelerator():
     assert expected_mode(Branch.REFRIGERATOR_MINUS, strength, th) is Mode.ACCELERATOR
 
 
-@pytest.mark.xfail(strict=True, reason="absolute zero_tol; ROADMAP item 4")
+@pytest.mark.xfail(strict=True, reason="absolute zero_tol; ROADMAP item 3")
 def test_seed32_point_signs_agree_with_thresholds():
     params, temperature, strength = SEED32_POINT
     branch = Branch.REFRIGERATOR_MINUS
@@ -376,6 +410,8 @@ def test_branches_require_positive_detuning(epsilon):
         constrained_strength(p, 1.0, Branch.REFRIGERATOR_PLUS)
     with pytest.raises(ValueError, match="epsilon"):
         refrigerator_branch_thresholds(p, 1.0, Branch.REFRIGERATOR_PLUS)
+    with pytest.raises(ValueError, match="epsilon"):
+        branch_points(Branch.ENGINE, np.array([1.0, epsilon]), 0.5, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("temperature", [0.0, -2.0, math.nan])
@@ -385,3 +421,5 @@ def test_branches_require_positive_temperature(temperature):
         engine_branch_thresholds(p, temperature)
     with pytest.raises(ValueError, match="temperature"):
         refrigerator_plus_quantities(p, temperature, 0.5)
+    with pytest.raises(ValueError, match="temperature"):
+        branch_points(Branch.REFRIGERATOR_PLUS, 1.0, 0.0, np.array([1.0, temperature]), 0.5)

@@ -7,7 +7,7 @@ import pytest
 from dqdcycle import channels, regimes, verify
 from dqdcycle.channels import MeasurementChannel, Orientation, kraus_operators
 from dqdcycle.qdot import is_density_matrix
-from dqdcycle.regimes import classify_from_signs
+from dqdcycle.regimes import classify_from_signs, mode_codes
 
 NUMERICAL_CHECKS = [
     verify.check_kraus_completeness,
@@ -64,11 +64,15 @@ def test_threshold_consistency_reads_the_trial_loop_draws(oracle_verify, monkeyp
     where no point fails."""
     seen = []
 
+    def recording_codes(qh, qc, w, *args):
+        seen.extend(zip(qh.tolist(), qc.tolist(), w.tolist()))
+        return mode_codes(qh, qc, w, *args)
+
     def recording(*currents):
         seen.append(currents)
         return classify_from_signs(*currents)
 
-    monkeypatch.setattr(verify, "classify_from_signs", recording)
+    monkeypatch.setattr(verify, "mode_codes", recording_codes)
     monkeypatch.setattr(regimes, "classify_from_signs", recording)
     for seed in range(40):
         runs = []
@@ -76,9 +80,118 @@ def test_threshold_consistency_reads_the_trial_loop_draws(oracle_verify, monkeyp
             seen.clear()
             rng = np.random.default_rng(seed)
             result = check(rng, 300)
-            runs.append((result, list(seen), rng.bit_generator.state))
+            runs.append((result, np.array(seen).view(np.int64).tolist(), rng.bit_generator.state))
         assert runs[0] == runs[1], seed
         assert len(runs[0][1]) > 200
+
+
+def threshold_runs(oracle_verify, make_rng, trials):
+    """(result, final bit-generator state) of the check and of its trial loop, each on
+    a fresh ``make_rng()``."""
+    runs = []
+    for check in (verify.check_threshold_consistency, oracle_verify.threshold_consistency):
+        rng = make_rng()
+        runs.append((check(rng, trials), rng.bit_generator.state))
+    return runs
+
+
+def pcg64_with_buffer(seed, has_uint32, uinteger):
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    rng.bit_generator.state = state
+    return rng
+
+
+@pytest.mark.parametrize("buffer_full", [False, True])
+@pytest.mark.parametrize("trials", [1, 2, 300])
+def test_raw_read_equals_trial_loop_from_either_buffer_state(oracle_verify, buffer_full, trials):
+    """A start with the 32-bit buffer full (one ``integers(3)`` drawn first) or empty gives
+    the loop's results and final state."""
+    def make_rng(seed):
+        rng = np.random.default_rng(seed)
+        if buffer_full:
+            rng.integers(3)
+        assert rng.bit_generator.state["has_uint32"] == buffer_full
+        return rng
+
+    for seed in range(20):
+        first, second = threshold_runs(oracle_verify, lambda: make_rng(seed), trials)
+        assert first == second, seed
+
+
+@pytest.mark.parametrize("uinteger", [0, 1, 2**32 - 1])
+def test_buffered_draws_and_a_rejected_draw_give_the_trial_loop(oracle_verify, uinteger):
+    """A buffered u = 0 is the one draw that ``integers(3)`` rejects, so the raw read gives
+    up and the block falls back to the per-trial calls; other buffered values are read."""
+    rng = pcg64_with_buffer(3, 1, uinteger)
+    bitgen = rng.bit_generator
+    assert (verify._pcg64_threshold_draws(bitgen, bitgen.state, 5) is None) == (uinteger == 0)
+    first, second = threshold_runs(oracle_verify, lambda: pcg64_with_buffer(3, 1, uinteger), 50)
+    assert first == second
+
+
+@pytest.mark.parametrize("block", [1, 7, 16])
+def test_raw_read_spans_patched_blocks(oracle_verify, monkeypatch, block):
+    monkeypatch.setattr(verify, "BLOCK", block)
+    for seed in range(10):
+        for make_rng in (lambda: np.random.default_rng(seed),
+                         lambda: pcg64_with_buffer(seed, 1, 12345)):
+            first, second = threshold_runs(oracle_verify, make_rng, 37)
+            assert first == second, seed
+
+
+def test_other_bit_generators_draw_trial_by_trial(oracle_verify, monkeypatch):
+    def no_raw_read(bitgen, state, n):
+        raise AssertionError("raw read")
+
+    monkeypatch.setattr(verify, "_pcg64_threshold_draws", no_raw_read)
+    for seed in range(5):
+        runs = threshold_runs(oracle_verify, lambda: np.random.Generator(np.random.MT19937(seed)),
+                              300)
+        (first, first_state), (second, second_state) = runs
+        assert first == second, seed
+        assert first_state["state"]["pos"] == second_state["state"]["pos"]
+        assert np.array_equal(first_state["state"]["key"], second_state["state"]["key"])
+
+
+class CountingGenerator:
+    """Forwards to a Generator and counts the calls made to its methods."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_threshold_check_runs_no_scalar_route_and_no_per_trial_draw(oracle_verify, monkeypatch):
+    """On the default generator the check calls none of the scalar branch functions and
+    no ``Generator`` method; it still gives the trial loop's results."""
+    expected = [oracle_verify.threshold_consistency(np.random.default_rng(s), 1000)
+                for s in range(3)]
+
+    def scalar_route(*args, **kwargs):
+        raise AssertionError("scalar route called")
+
+    with monkeypatch.context() as patch:
+        for name in ("branch_currents", "branch_thresholds", "expected_mode",
+                     "classify_from_signs"):
+            patch.setattr(regimes, name, scalar_route)
+        for s in range(3):
+            rng = CountingGenerator(np.random.default_rng(s))
+            assert verify.check_threshold_consistency(rng, 1000) == expected[s]
+            assert rng.calls == []
 
 
 @pytest.mark.parametrize("block", [1, 7, 16])
