@@ -19,8 +19,8 @@ quotient arctan(tau / (E - epsilon)), which is 0/0 at tau = 0; the two agree
 wherever the quotient is defined.
 
 This module also carries the minimal dense 2x2 matrix helpers (Hermiticity
-and density-matrix checks, max-norm, an elementwise 2x2 product) shared by
-the rest of the package.
+and density-matrix checks, max-norm, an elementwise 2x2 product and trace)
+shared by the rest of the package.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ def hamiltonian(params: DotParams) -> np.ndarray:
 def spectral_scalars(epsilon: float, tau: float) -> tuple[float, float, float, float]:
     """(E, theta, cos(theta), sin(theta)) of the half-angle construction, from ``math``.
 
-    theta = 0 at the degenerate point E = 0. Batch code takes its eigenbases
-    from here, one input at a time, so they equal ``spectrum``'s bit for bit.
+    theta = 0 at the degenerate point E = 0. ``thermo.run_cycle_matrix_batch``
+    maps the same ``math`` calls over its columns, so its eigenbases equal
+    ``spectrum``'s bit for bit.
     """
     gap = math.hypot(epsilon, tau)
     theta = 0.0 if gap == 0.0 else 0.5 * math.atan2(tau, -epsilon)
@@ -130,7 +131,7 @@ def _outer(phi: np.ndarray) -> np.ndarray:
 
 def internal_energy(h: np.ndarray, rho: np.ndarray):
     """Tr[H rho]; the (roundoff-level) imaginary part is discarded. Per matrix of a stack."""
-    return _per_matrix(np.trace(h @ rho, axis1=-2, axis2=-1).real)
+    return _per_matrix(trace2(h @ rho).real)
 
 
 def von_neumann_entropy(rho: np.ndarray):
@@ -179,18 +180,42 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 2x2 product a b as two elementwise products and one sum, per matrix of a stack.
+    """The 2x2 product a b as elementwise products and sums, per matrix of a stack.
 
     Entry (i, k) is a[i, 0] b[0, k] + a[i, 1] b[1, k], each product and the
-    sum rounded on its own. Where at most one of the two terms is nonzero, as
-    for a Kraus operator that is a real weight times one matrix unit |i><j|,
-    this equals ``a @ b`` bit for bit: BLAS may fuse a multiply and an add
-    into one rounding, but adding an exact zero rounds nothing. For dense
-    operands the two differ by up to ~1e-15 (9.9e-16 on random (256, 2, 2)
-    stacks), so ``internal_energy`` and the random states of ``verify`` keep
-    ``@``.
+    sum rounded on its own. Two 2-D operands take it as one broadcast
+    (2, 1) x (1, 2) product per term; when either operand is a stack, each
+    entry is written on its own, so every ufunc loops over the stack once
+    rather than over 1 or 2 elements per matrix. The two forms compute the
+    same products and the same sum per entry, with no reduction, so they give
+    the same bits; the rank decides only which is cheaper per call (the
+    broadcast on one matrix, the entry-wise form on a stack).
+
+    Where at most one of the two terms is nonzero, as for a Kraus operator
+    that is a real weight times one matrix unit |i><j|, this equals ``a @ b``
+    bit for bit: BLAS may fuse a multiply and an add into one rounding, but
+    adding an exact zero rounds nothing. For dense operands the two differ by
+    up to ~1e-15 (9.9e-16 on random (256, 2, 2) stacks), so
+    ``internal_energy`` and the random states of ``verify`` keep ``@``.
     """
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    if a.ndim == 2 and b.ndim == 2:
+        return a[:, :1] * b[:1, :] + a[:, 1:] * b[1:, :]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for i in (0, 1):
+        for k in (0, 1):
+            np.add(a[..., i, 0] * b[..., 0, k], a[..., i, 1] * b[..., 1, k], out=out[..., i, k])
+    return out
+
+
+def trace2(m: np.ndarray):
+    """0 + m[0, 0] + m[1, 1], per matrix of a stack; a single matrix gives a numpy scalar.
+
+    These are the sums ``np.trace(m, axis1=-2, axis2=-1)`` forms, whose
+    reduction starts from the identity +0 (so a trace is never -0.0), but as
+    additions over the whole stack instead of a length-2 reduction per
+    matrix, so the bits are the same.
+    """
+    return 0.0 + m[..., 0, 0] + m[..., 1, 1]
 
 
 def max_abs(m: np.ndarray):
@@ -203,7 +228,7 @@ def max_abs(m: np.ndarray):
 
 def trace_deviation(rho: np.ndarray):
     """|Tr rho - 1|, from Python's complex abs (numpy's can differ in the last bit)."""
-    tr = np.trace(rho, axis1=-2, axis2=-1)
+    tr = trace2(rho)
     return _per_matrix(np.array([abs(t - 1.0) for t in tr.reshape(-1).tolist()]).reshape(tr.shape))
 
 

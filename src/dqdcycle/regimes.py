@@ -232,9 +232,17 @@ def _tanh_gap(epsilon: float, tau: float, temperature: float) -> tuple[float, fl
 def _mid(x):
     """(1 + x)/2 clamped to [0, 1]: every pinned strength and threshold has this form.
 
-    Takes a float, and gives a Python float, or an array. On non-NaN values
-    np.minimum and np.maximum give the bits of min and max.
+    Takes a float, and gives a Python float, or an array. A Python float takes
+    min and max, which on non-NaN values give the bits of np.minimum and
+    np.maximum. It is never NaN: the scalar route's x is -t, t or (E/eps) t,
+    with t = tanh(E/T) in [0, 1] and E/eps >= 1 from validated finite inputs.
+    Their product is NaN only as inf * 0, but t = 0 needs E/T to underflow,
+    so E < 4.5e-16 for any finite T, while E/eps = inf needs E > 8.8e-16 as
+    eps >= 5e-324. Anything else, a NaN from an unvalidated array included,
+    takes np.minimum and np.maximum, which keep the NaN.
     """
+    if type(x) is float:
+        return min(1.0, max(0.0, 0.5 * (1.0 + x)))
     m = np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + x)))
     return m if isinstance(x, np.ndarray) else float(m)
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .channels import MeasurementChannel, Orientation, apply_channel
 from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, map_math
-from .qdot import spectral_scalars, thermal_state, von_neumann_entropy
+from .qdot import thermal_state, von_neumann_entropy
 # Not called here; imported so that perfbench/spans.py can rebind it in this module.
 from .qdot import spectrum  # noqa: F401
 
@@ -135,17 +135,18 @@ def run_cycle_matrix_batch(batch: np.ndarray) -> StrokeLedger:
     """``run_cycle_matrix`` over the n rows of an (n, 5) array of epsilon, tau, T, a, b.
 
     Every ledger field is an (n,) array and rho1..rho3 are (n, 2, 2) stacks;
-    a (0, 5) batch gives (0,) arrays. The per-row scalars (E, cos and sin of
-    theta from ``spectral_scalars``, and tanh(E/T)) come from ``math``,
-    mapped over the columns, as in ``run_cycle_matrix``. Each channel family
-    is one array channel, so the Kraus source is called twice per batch.
-    Every other step is the same numpy operation applied to each matrix of a
-    stack, so entry i equals ``run_cycle_matrix`` of row i with ==.
+    a (0, 5) batch gives (0,) arrays. The per-row scalars (E, theta, cos and
+    sin of theta, and tanh(E/T)) come from ``math``, mapped over the columns,
+    with theta = 0 where E == 0 and atan2(tau, -epsilon)/2 elsewhere, as
+    ``qdot.spectral_scalars`` computes them for ``run_cycle_matrix``. Each
+    channel family is one array channel, so the Kraus source is called twice
+    per batch. Every other step is the same numpy operation applied to each
+    matrix of a stack, so entry i equals ``run_cycle_matrix`` of row i with ==.
     """
     eps, tau, temperature, a, b = _columns(batch)
-    scalars = np.array(list(map(spectral_scalars, eps.tolist(), tau.tolist())),
-                       dtype=float).reshape(-1, 4)
-    gap, c, s = scalars[:, 0], scalars[:, 2], scalars[:, 3]
+    gap = map_math(math.hypot, eps, tau)
+    theta = np.where(gap == 0.0, 0.0, 0.5 * map_math(math.atan2, tau, -eps))
+    c, s = map_math(math.cos, theta), map_math(math.sin, theta)
     t = map_math(math.tanh, gap / temperature)
     h = np.stack((-eps, tau, tau, eps), axis=1).reshape(-1, 2, 2).astype(np.complex128)
     phi1 = np.stack((c, s), axis=1).astype(np.complex128)

@@ -100,6 +100,196 @@ def test_cycle_csv_to_file(tmp_path, capsys):
     assert "max_discrepancy," in text
     assert capsys.readouterr().out == ""
 
+# Captured before the 2x2 stack kernels changed. A changed bit of a ledger entry,
+# a state or a signed zero (the closed-form dU1 is -0.0 at epsilon = tau = 0) shows here.
+CYCLE_ARGS_GENERIC = ("--epsilon", "1", "--tau", "0.3", "--temperature", "1.5",
+                      "--a", "0.2", "--b", "0.7")
+CYCLE_ARGS_DEGENERATE = ("--epsilon", "0", "--tau", "0", "--temperature", "1",
+                         "--a", "0.3", "--b", "0.2")
+
+CYCLE_JSON_GENERIC = """\
+{
+  "inputs": {
+    "epsilon": 1.0,
+    "tau": 0.3,
+    "temperature": 1.5,
+    "a": 0.2,
+    "b": 0.7
+  },
+  "closed_form": {
+    "dU1": -0.2283349305708704,
+    "dU2": 0.02833493057087033,
+    "dU3": 0.20000000000000018,
+    "dS1": -0.11173693312293903,
+    "dS2": 0.0012750546062333945,
+    "dS3": 0.11046187851670564
+  },
+  "matrix": {
+    "dU1": -0.2283349305708703,
+    "dU2": 0.02833493057087033,
+    "dU3": 0.19999999999999996,
+    "dS1": -0.11173693312293886,
+    "dS2": 0.001275054606233339,
+    "dS3": 0.11046187851670553
+  },
+  "energy_closure": 1.1102230246251565e-16,
+  "entropy_closure": 0.0,
+  "max_discrepancy": 2.220446049250313e-16,
+  "states": {
+    "rho1": [
+      [
+        0.7882270323719588,
+        -0.0864681097115876
+      ],
+      [
+        -0.0864681097115876,
+        0.21177296762804113
+      ]
+    ],
+    "rho2": [
+      [
+        0.7999999999999998,
+        0.0
+      ],
+      [
+        0.0,
+        0.19999999999999996
+      ]
+    ],
+    "rho3": [
+      [
+        0.7,
+        0.0
+      ],
+      [
+        0.0,
+        0.30000000000000004
+      ]
+    ]
+  }
+}
+"""
+
+CYCLE_CSV_GENERIC = """\
+inputs.epsilon,1.000000000000e+00
+inputs.tau,3.000000000000e-01
+inputs.temperature,1.500000000000e+00
+inputs.a,2.000000000000e-01
+inputs.b,7.000000000000e-01
+closed_form.dU1,-2.283349305709e-01
+closed_form.dU2,2.833493057087e-02
+closed_form.dU3,2.000000000000e-01
+closed_form.dS1,-1.117369331229e-01
+closed_form.dS2,1.275054606233e-03
+closed_form.dS3,1.104618785167e-01
+matrix.dU1,-2.283349305709e-01
+matrix.dU2,2.833493057087e-02
+matrix.dU3,2.000000000000e-01
+matrix.dS1,-1.117369331229e-01
+matrix.dS2,1.275054606233e-03
+matrix.dS3,1.104618785167e-01
+energy_closure,1.110223024625e-16
+entropy_closure,0.000000000000e+00
+max_discrepancy,2.220446049250e-16
+"""
+
+CYCLE_JSON_DEGENERATE = """\
+{
+  "inputs": {
+    "epsilon": 0.0,
+    "tau": 0.0,
+    "temperature": 1.0,
+    "a": 0.3,
+    "b": 0.2
+  },
+  "closed_form": {
+    "dU1": -0.0,
+    "dU2": 0.0,
+    "dU3": 0.0,
+    "dS1": 0.19274475702175742,
+    "dS2": -0.08228287850505178,
+    "dS3": -0.11046187851670564
+  },
+  "matrix": {
+    "dU1": 0.0,
+    "dU2": 0.0,
+    "dU3": 0.0,
+    "dS1": 0.19274475702175742,
+    "dS2": -0.08228287850505189,
+    "dS3": -0.11046187851670553
+  },
+  "energy_closure": 0.0,
+  "entropy_closure": 0.0,
+  "max_discrepancy": 1.1102230246251565e-16,
+  "states": {
+    "rho1": [
+      [
+        0.5,
+        0.0
+      ],
+      [
+        0.0,
+        0.5
+      ]
+    ],
+    "rho2": [
+      [
+        0.7000000000000001,
+        0.0
+      ],
+      [
+        0.0,
+        0.29999999999999993
+      ]
+    ],
+    "rho3": [
+      [
+        0.2,
+        0.0
+      ],
+      [
+        0.0,
+        0.8
+      ]
+    ]
+  }
+}
+"""
+
+CYCLE_CSV_DEGENERATE = """\
+inputs.epsilon,0.000000000000e+00
+inputs.tau,0.000000000000e+00
+inputs.temperature,1.000000000000e+00
+inputs.a,3.000000000000e-01
+inputs.b,2.000000000000e-01
+closed_form.dU1,-0.000000000000e+00
+closed_form.dU2,0.000000000000e+00
+closed_form.dU3,0.000000000000e+00
+closed_form.dS1,1.927447570218e-01
+closed_form.dS2,-8.228287850505e-02
+closed_form.dS3,-1.104618785167e-01
+matrix.dU1,0.000000000000e+00
+matrix.dU2,0.000000000000e+00
+matrix.dU3,0.000000000000e+00
+matrix.dS1,1.927447570218e-01
+matrix.dS2,-8.228287850505e-02
+matrix.dS3,-1.104618785167e-01
+energy_closure,0.000000000000e+00
+entropy_closure,0.000000000000e+00
+max_discrepancy,1.110223024625e-16
+"""
+
+
+@pytest.mark.parametrize("args, fmt, expected", [
+    (CYCLE_ARGS_GENERIC, "json", CYCLE_JSON_GENERIC),
+    (CYCLE_ARGS_GENERIC, "csv", CYCLE_CSV_GENERIC),
+    (CYCLE_ARGS_DEGENERATE, "json", CYCLE_JSON_DEGENERATE),
+    (CYCLE_ARGS_DEGENERATE, "csv", CYCLE_CSV_DEGENERATE),
+], ids=["generic-json", "generic-csv", "degenerate-json", "degenerate-csv"])
+def test_cycle_stdout_is_pinned(capsys, args, fmt, expected):
+    assert run_cli("cycle", *args, "--format", fmt) == 0
+    assert capsys.readouterr().out == expected
+
 
 def test_cycle_rejects_bad_strength():
     assert run_cli(*cycle_args(a="1.5")) == 2

@@ -19,6 +19,7 @@ from dqdcycle.qdot import (
     matmul2,
     max_abs,
     spectrum,
+    trace2,
     trace_deviation,
     von_neumann_entropy,
 )
@@ -221,3 +222,47 @@ def test_matmul2_is_the_matrix_product(rng):
     np.testing.assert_allclose(stacked, a @ b, rtol=0, atol=1e-14)
     for i in range(50):
         np.testing.assert_array_equal(matmul2(a[i], b[i]), stacked[i])
+
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+def planted_stack(rng, shape):
+    """Random complex matrices of ``shape`` with signed zeros, +-inf and NaN planted in
+    their real and imaginary parts: each one once, then in about a fifth of the rest."""
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    parts = m.reshape(-1).view(np.float64)
+    at = rng.permutation(parts.size)
+    parts[at[:len(SPECIALS)]] = SPECIALS
+    rest = at[len(SPECIALS):][rng.random(parts.size - len(SPECIALS)) < 0.2]
+    parts[rest] = rng.choice(SPECIALS, size=len(rest))
+    return m
+
+
+def assert_same_bits(x, y):
+    """NaN in the same real and imaginary parts, and equal bits in every other one."""
+    x, y = (np.ascontiguousarray(v).reshape(-1).view(np.float64) for v in (x, y))
+    nan = np.isnan(x)
+    np.testing.assert_array_equal(nan, np.isnan(y))
+    np.testing.assert_array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0, inf - inf
+@pytest.mark.parametrize("n", [1, 3, 257])
+def test_stack_kernels_equal_one_matrix_kernels_bit_for_bit(rng, n):
+    """The entry-wise stack form of ``matmul2`` gives the bits of its one-matrix form on
+    every matrix, special values included, and ``trace2`` gives ``np.trace``'s."""
+    a, b = planted_stack(rng, (n, 2, 2)), planted_stack(rng, (n, 2, 2))
+    kraus = planted_stack(rng, (4, n, 2, 2))  # as ``apply_kraus`` takes a ``kraus_stack``
+    for x, y in ((a, b), (a, dagger(b)), (kraus, b), (kraus, dagger(kraus))):
+        stacked = matmul2(x, y)
+        assert stacked.shape == np.broadcast_shapes(x.shape, y.shape)
+        assert stacked.flags.c_contiguous
+        for index in np.ndindex(stacked.shape[:-2]):
+            assert_same_bits(stacked[index], matmul2(x[index], y[index[x.ndim - y.ndim:]]))
+    for m in (a, kraus):
+        assert_same_bits(trace2(m), np.trace(m, axis1=-2, axis2=-1))
+    for m in a:
+        one = trace2(m)
+        assert np.ndim(one) == 0
+        assert_same_bits(one, np.trace(m))

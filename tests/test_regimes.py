@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqdcycle import regimes
 from dqdcycle.qdot import DotParams
 from dqdcycle.thermo import CycleInputs, run_cycle_closed_form
 from dqdcycle.regimes import (
@@ -358,6 +359,20 @@ def test_array_forms_equal_scalar_route(branch):
                               np.array(scalar_currents).view(np.int64)), point
         assert expected[i] == code_of(expected_mode(branch, s, scalar_th)), point
         assert got[i] == MODES.index(classify_from_signs(*scalar_currents)), point
+
+
+def test_mid_float_path_equals_array_path():
+    """``_mid`` of a Python float is a float with the bits of the array path, at the
+    clamps, the signed zeros and the infinities; NaN stays NaN outside the float path."""
+    xs = [0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0, 1 - 1e-16, -1 + 1e-16, 5e-324,
+          -5e-324, 1e308, -1e308, math.inf, -math.inf]
+    array = regimes._mid(np.array(xs))
+    for x, want in zip(xs, array.tolist()):
+        got = regimes._mid(x)
+        assert type(got) is float
+        assert np.array([got]).view(np.int64) == np.array([want]).view(np.int64), x
+    assert math.isnan(regimes._mid(np.float64(math.nan)))
+    assert np.isnan(regimes._mid(np.array([math.nan]))).all()
 
 
 # The seed-32 failure of verify's threshold_consistency: just above tau = 0

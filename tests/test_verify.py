@@ -242,12 +242,22 @@ def test_run_all_is_deterministic():
     assert [r.max_residual for r in first] == [r.max_residual for r in second]
 
 
-def test_run_all_rejects_bad_trials():
-    with pytest.raises(ValueError, match="trials"):
-        verify.run_all(seed=1, trials=0)
+def test_run_all_rejects_bad_trials(monkeypatch):
+    """Zero, negatives, non-integers and bools all raise before anything is drawn."""
+    def no_generator(*args):
+        raise AssertionError("generator built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    for trials in (0, -2, 10.5, 5.0, "5", None, True, np.True_):
+        with pytest.raises(ValueError, match="^trials must be an integer >= 1$"):
+            verify.run_all(seed=1, trials=trials)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_run_all_takes_numpy_integers():
+    assert verify.run_all(np.int64(3), np.int32(5)) == verify.run_all(3, 5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
 def test_run_all_rejects_bad_seed_before_drawing(monkeypatch, seed):
     def no_generator(*args):
         raise AssertionError("generator built")
