@@ -26,19 +26,17 @@ three COP regimes can share one color bar; efficiency stays as eta.
 Three one-parameter branches slice the (a, b) square. ``BRANCHES`` holds
 one ``BranchRule`` per ``Branch``: the free strength, the pinned a (or
 b = a), the stroke of each of Qh, Qc and W, the analytic thresholds and their
-ordered intervals. ``branch_currents``, ``branch_thresholds`` and
-``expected_mode`` read that table; the per-branch functions below are thin
-wrappers over it that keep their historical return orders.
-
-The array forms read the same table and sign patterns and give the same
-floats bit for bit. ``branch_points`` is the pointwise kernel: the
-thresholds and ``(Qh, Qc, W)`` of a branch at n points, with E and
-tanh(E/T) taken from ``math`` through ``qdot.map_math``.
-``branch_currents_grid`` runs it over a sweep's grid. ``mode_codes`` and
-``expected_mode_codes`` are the array twins of ``classify_from_signs`` and
-``expected_mode``; they give each mode as its index in ``MODES`` (-1 where
-``expected_mode`` gives None). ``classify_grid`` adds the figures of merit
-to ``mode_codes``, as ``classify`` does to ``classify_from_signs``.
+ordered intervals. Each computation has one kernel, on arrays:
+``branch_points`` (thresholds and ``(Qh, Qc, W)`` at n points, with E and
+tanh(E/T) from ``math`` through ``qdot.map_math``), which
+``branch_currents_grid`` runs over a sweep's grid; ``expected_mode_codes``
+and ``mode_codes``, which give a mode as its index in ``MODES`` (-1 where no
+interval holds); and ``classify_grid``, which adds the figures of merit.
+``branch_currents``, ``branch_thresholds``, ``expected_mode``,
+``classify_from_signs`` and ``classify`` are one-row calls of them, and the
+per-branch functions below are thin wrappers that keep their historical
+return orders. ``tests/reference.py`` holds the scalar forms that the tests
+compare them with, bit for bit.
 
 * ``engine`` branch, b = a: work stroke W = dU3 = 2 epsilon (1 - 2a), hot
   stroke Qh = dU2, cold stroke Qc = dU1. Interval structure over a in [0, 1]:
@@ -138,15 +136,14 @@ def _check_zero_tol(zero_tol: float) -> None:
         raise ValueError("zero_tol must be finite and nonnegative")
 
 
+def _row(*values) -> tuple[np.ndarray, ...]:
+    """Each value as a one-element float64 array: the input of a one-row kernel call."""
+    return tuple(np.array([v], dtype=float) for v in values)
+
+
 def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Mode:
     """Sign-pattern lookup; currents within ``zero_tol`` of zero are ambiguous."""
-    _check_zero_tol(zero_tol)
-    if min(abs(Qh), abs(Qc), abs(W)) <= zero_tol:
-        return Mode.UNDEFINED
-    for mode, (sh, sc, sw) in SIGN_PATTERNS.items():
-        if sh * Qh > 0 and sc * Qc > 0 and sw * W > 0:
-            return mode
-    return Mode.UNDEFINED
+    return MODES[mode_codes(*_row(Qh, Qc, W), zero_tol)[0]]
 
 
 def kappa(cop: float) -> float:
@@ -159,29 +156,16 @@ def kappa(cop: float) -> float:
     return cop / (1.0 + cop)
 
 
-def _merit(mode: Mode, Qh: float, Qc: float, W: float) -> tuple[float, float | None]:
-    """(figure of merit, raw COP) of a defined mode; raw COP is None for engines.
-
-    ``classify`` calls this only once every current is beyond ``zero_tol``,
-    so no denominator is zero.
-    """
-    if mode is Mode.ENGINE:
-        return abs(W / Qh), None
-    raw = abs((Qc if mode is Mode.REFRIGERATOR else Qh) / W)
-    return kappa(raw), raw
-
-
 def classify(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Classification:
     """Bundle sign classification with the matching figure of merit."""
-    mode = classify_from_signs(Qh, Qc, W, zero_tol)
-    if mode is Mode.UNDEFINED:
-        return Classification(mode, Qh, Qc, W, None, None)
-    return Classification(mode, Qh, Qc, W, *_merit(mode, Qh, Qc, W))
+    codes, performance, raw_cop = classify_grid(*_row(Qh, Qc, W), zero_tol)
+    return Classification(MODES[codes[0]], Qh, Qc, W, performance[0], raw_cop[0])
 
 
 def mode_codes(Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray,
                zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Array twin of ``classify_from_signs``: each point's mode as its index in ``MODES``."""
+    """Each point's mode as its index in ``MODES``, from the signs of its currents;
+    a current within ``zero_tol`` of zero makes the point undefined."""
     _check_zero_tol(zero_tol)
     defined = (np.abs(Qh) > zero_tol) & (np.abs(Qc) > zero_tol) & (np.abs(W) > zero_tol)
     codes = np.full(np.shape(Qh), MODES.index(Mode.UNDEFINED))
@@ -193,14 +177,13 @@ def mode_codes(Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray,
 def classify_grid(
     Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray, zero_tol: float = ZERO_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array twin of ``classify``: (mode code, performance, raw COP) arrays.
+    """(mode code, performance, raw COP) arrays: ``mode_codes`` plus the figures of merit.
 
-    The mode codes are ``mode_codes``': small ints that index ``MODES``, so
-    sweeps count modes with ``np.bincount`` and look up their text by index
-    instead of hashing a ``Mode`` per cell. ``MODES[code]`` is the
-    ``classify`` mode for the same three floats; performance and raw COP are
-    object arrays whose elements equal the matching ``classify`` fields, None
-    included. The same warning or error is raised.
+    The mode codes are small ints that index ``MODES``, so sweeps count modes
+    with ``np.bincount`` and look up their text by index instead of hashing a
+    ``Mode`` per cell. Performance and raw COP are object arrays of Python
+    floats, with None where a point is undefined (and raw COP None for an
+    engine). ``kappa``'s warning or error is raised as ``kappa`` raises it.
     """
     codes = mode_codes(Qh, Qc, W, zero_tol)
     hits = {mode: codes == MODES.index(mode) for mode in SIGN_PATTERNS}
@@ -219,30 +202,27 @@ def classify_grid(
     return codes, performance, np.where(cop, ratio, None)
 
 
-def _tanh_gap(epsilon: float, tau: float, temperature: float) -> tuple[float, float]:
-    """E = hypot(epsilon, tau), as in ``qdot.spectrum``, and tanh(E/T)."""
-    if epsilon <= 0.0:
+def _gap_and_tanh(epsilon, tau, temperature) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(epsilon, E, tanh(E/T)) broadcast together, with E = hypot(epsilon, tau) and the
+    tanh from ``math``, after every branch operation's checks on its inputs."""
+    epsilon, tau, temperature = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (epsilon, tau, temperature)))
+    if not (np.isfinite(epsilon) & np.isfinite(tau)).all():
+        raise ValueError("epsilon and tau must be finite")
+    if np.any(epsilon <= 0.0):
         raise ValueError("branch operations require epsilon > 0")
-    if not (math.isfinite(temperature) and temperature > 0.0):
+    if not np.all(np.isfinite(temperature) & (temperature > 0.0)):
         raise ValueError("temperature must be positive")
-    gap = math.hypot(epsilon, tau)
-    return gap, math.tanh(gap / temperature)
+    gap = map_math(math.hypot, epsilon, tau)
+    with np.errstate(over="ignore"):  # silent, as float division is
+        return epsilon, gap, map_math(math.tanh, gap / temperature)
 
 
 def _mid(x):
     """(1 + x)/2 clamped to [0, 1]: every pinned strength and threshold has this form.
 
-    Takes a float, and gives a Python float, or an array. A Python float takes
-    min and max, which on non-NaN values give the bits of np.minimum and
-    np.maximum. It is never NaN: the scalar route's x is -t, t or (E/eps) t,
-    with t = tanh(E/T) in [0, 1] and E/eps >= 1 from validated finite inputs.
-    Their product is NaN only as inf * 0, but t = 0 needs E/T to underflow,
-    so E < 4.5e-16 for any finite T, while E/eps = inf needs E > 8.8e-16 as
-    eps >= 5e-324. Anything else, a NaN from an unvalidated array included,
-    takes np.minimum and np.maximum, which keep the NaN.
+    An array gives an array, and anything else a Python float. NaN stays NaN.
     """
-    if type(x) is float:
-        return min(1.0, max(0.0, 0.5 * (1.0 + x)))
     m = np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + x)))
     return m if isinstance(x, np.ndarray) else float(m)
 
@@ -286,45 +266,36 @@ BRANCHES = {
 }
 
 
-def branch_currents(
-    branch: Branch, params: DotParams, temperature: float, strength: float
-) -> Currents:
-    """(Qh, Qc, W) at the point of ``branch`` whose free strength is ``strength``."""
-    rule = BRANCHES[branch]
-    gap, t = _tanh_gap(params.epsilon, params.tau, temperature)
-    if not (math.isfinite(strength) and 0.0 <= strength <= 1.0):
-        raise ValueError(f"{rule.free} must be in [0, 1]")
-    a = strength if rule.pinned_a is None else rule.pinned_a(t)
-    du = stroke_energies(params.epsilon, gap, t, a, strength)
-    return tuple(du[i] for i in rule.strokes)
-
-
 def branch_points(branch: Branch, epsilon, tau, temperature, strength):
     """(thresholds, (Qh, Qc, W)) of ``branch`` at each point of broadcastable arrays.
 
-    The pointwise twin of ``branch_thresholds`` and ``branch_currents``: E
-    and tanh(E/T) come from ``math`` through ``qdot.map_math``, once per
+    E and tanh(E/T) come from ``math`` through ``qdot.map_math``, once per
     element of the broadcast (epsilon, tau, temperature), and only correctly
-    rounded + - * /, min and max run on arrays, so each element equals the
-    scalar functions' result at that point bit for bit. The thresholds are the
+    rounded + - * /, min and max run on arrays, so each element has the bits
+    that the same steps give on Python floats. The thresholds are the
     branch's named tuple of arrays (``engine_min`` stays the float 0.5).
+
+    The checks run in this order, each raising ``ValueError``: epsilon and
+    tau finite, epsilon > 0, temperature finite and > 0, then the strength in
+    [0, 1].
     """
+    epsilon, gap, t = _gap_and_tanh(epsilon, tau, temperature)
     rule = BRANCHES[branch]
     s = np.asarray(strength, dtype=float)
     if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError(f"{rule.free} must be in [0, 1]")
-    epsilon, tau, temperature = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (epsilon, tau, temperature)))
-    if np.any(epsilon <= 0.0):
-        raise ValueError("branch operations require epsilon > 0")
-    if not np.all(np.isfinite(temperature) & (temperature > 0.0)):
-        raise ValueError("temperature must be positive")
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-        gap = map_math(math.hypot, epsilon, tau)
-        t = map_math(math.tanh, gap / temperature)
         a = s if rule.pinned_a is None else rule.pinned_a(t)
         du = stroke_energies(epsilon, gap, t, a, s)
         return rule.thresholds(t, gap / epsilon * t), tuple(du[i] for i in rule.strokes)
+
+
+def branch_currents(
+    branch: Branch, params: DotParams, temperature: float, strength: float
+) -> Currents:
+    """(Qh, Qc, W) at the point of ``branch`` whose free strength is ``strength``."""
+    _, currents = branch_points(branch, *_row(params.epsilon, params.tau, temperature, strength))
+    return tuple(x.item() for x in currents)
 
 
 def branch_currents_grid(
@@ -334,8 +305,7 @@ def branch_currents_grid(
     """(Qh, Qc, W) arrays of shape (len(epsilons), len(strengths)).
 
     ``branch_points`` over the grid, with E and tanh(E/T) taken once per
-    epsilon, so each element equals ``branch_currents`` at that point bit
-    for bit.
+    epsilon.
     """
     s = np.array(strengths, dtype=float)
     epsilon_column = np.array(epsilons, dtype=float)[:, None]
@@ -347,13 +317,13 @@ def branch_thresholds(
     branch: Branch, params: DotParams, temperature: float
 ) -> EngineThresholds | RefrigeratorThresholds:
     """The branch's critical strengths, clamped to [0, 1]."""
-    gap, t = _tanh_gap(params.epsilon, params.tau, temperature)
-    return BRANCHES[branch].thresholds(t, gap / params.epsilon * t)
+    thresholds, _ = branch_points(branch, *_row(params.epsilon, params.tau, temperature), 0.0)
+    return type(thresholds)(*(np.ravel(x)[0].item() for x in thresholds))
 
 
 def _intervals_held(branch: Branch, strength, thresholds) -> list:
     """(whether ``strength`` is in the interval, its mode) for each of the branch's
-    intervals, in order; on floats or arrays alike."""
+    intervals, in order."""
     return [((strength < bound) if side == "<" else (strength > bound), mode)
             for name, side, mode in BRANCHES[branch].intervals
             for bound in (getattr(thresholds, name),)]
@@ -361,13 +331,13 @@ def _intervals_held(branch: Branch, strength, thresholds) -> list:
 
 def expected_mode(branch: Branch, strength: float, thresholds) -> Mode | None:
     """Mode the thresholds predict at ``strength``; None outside the cataloged windows."""
-    return next((mode for held, mode in _intervals_held(branch, strength, thresholds) if held),
-                None)
+    code = expected_mode_codes(branch, *_row(strength), thresholds)[0]
+    return None if code < 0 else MODES[code]
 
 
 def expected_mode_codes(branch: Branch, strength: np.ndarray, thresholds) -> np.ndarray:
-    """Array twin of ``expected_mode``: the index in ``MODES`` of the first interval's
-    mode that holds at each strength, and -1 where none holds."""
+    """The index in ``MODES`` of the first of the branch's intervals that holds at each
+    strength, and -1 where none holds."""
     held = _intervals_held(branch, strength, thresholds)
     return np.select([h for h, _ in held], [MODES.index(mode) for _, mode in held], -1)
 
@@ -389,11 +359,11 @@ def engine_branch_thresholds(params: DotParams, temperature: float) -> EngineThr
 
 def constrained_strength(params: DotParams, temperature: float, branch: Branch) -> float:
     """The pinned channel-A strength a = (1 +- tanh(E/T))/2 of a refrigerator branch."""
-    _, t = _tanh_gap(params.epsilon, params.tau, temperature)
+    _, _, t = _gap_and_tanh(*_row(params.epsilon, params.tau, temperature))
     pinned_a = BRANCHES[branch].pinned_a
     if pinned_a is None:
         raise ValueError("constrained strength only exists for refrigerator branches")
-    return pinned_a(t)
+    return pinned_a(t).item()
 
 
 def refrigerator_plus_quantities(params: DotParams, temperature: float, b: float) -> Currents:

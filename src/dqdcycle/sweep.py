@@ -7,14 +7,14 @@ on the other. The output is the regime map plus per-cell figures of merit --
 the raw material for the phase-diagram and performance figures.
 
 The whole grid is evaluated in one array pass, and cells come out in
-row-major order (epsilon outer, strength inner). The pass is bit-identical to
-the scalar ``evaluate_cell`` because of one rule: the only transcendentals,
-E = hypot(epsilon, tau) and tanh(E/T), depend on epsilon alone and are taken
-from ``math`` once per row, exactly as the scalar route takes them; everything
+row-major order (epsilon outer, strength inner). Each cell has the bits of
+the scalar route, which ``tests/reference.py`` keeps as ``evaluate_cell`` for
+the tests to compare the grid with, because of one rule: the only
+transcendentals, E = hypot(epsilon, tau) and tanh(E/T), depend on epsilon
+alone and are taken from ``math`` once per row; everything
 broadcast over the strength axis is float64 + - * / and abs, which are
 correctly rounded. numpy's own hypot and tanh may differ in the last bit, so
-they are never used. ``evaluate_cell`` stays as the scalar oracle that tests
-compare the grid against. ``run_sweep`` starts no thread; its ``workers``
+they are never used. ``run_sweep`` starts no thread; its ``workers``
 argument is validated and otherwise ignored.
 
 Serialization: ``run_sweep`` keeps the cells as flat row-major ``Columns``
@@ -60,11 +60,11 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .qdot import DotParams
-from .regimes import MODES, Branch, Classification, Mode, branch_currents, branch_currents_grid
-from .regimes import ZERO_TOL, _check_zero_tol, classify, classify_grid
+from .regimes import MODES, Branch, Classification, Mode, branch_currents_grid
+from .regimes import ZERO_TOL, _check_zero_tol, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from .regimes import classify  # noqa: F401
 from .regimes import engine_branch_quantities  # noqa: F401
 from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
 
@@ -197,13 +197,6 @@ class SweepResult:
     spec: GridSpec
     cells: Sequence[SweepCell]
     counts: dict[Mode, int]
-
-
-def evaluate_cell(spec: GridSpec, strength: float, epsilon: float) -> SweepCell:
-    """One cell through the scalar route: the oracle for ``run_sweep``."""
-    params = DotParams(epsilon=epsilon, tau=spec.tau)
-    qh, qc, w = branch_currents(spec.branch, params, spec.temperature, strength)
-    return SweepCell(strength, epsilon, classify(qh, qc, w, spec.zero_tol))
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:

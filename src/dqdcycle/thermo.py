@@ -22,9 +22,13 @@ entropies h(p) = -p ln p - (1-p) ln(1-p):
 where g = (1 - tanh(E/T))/2 is the excited-level thermal population. Both the
 closed forms and a literal density-matrix pipeline (build the states, trace
 against H, diagonalize for entropies) are exposed; they must agree, and the
-ledger discrepancy between them is the package's standing self-check. The
-closed forms are pure scalar arithmetic: only the matrix ledger carries the
-states rho1..rho3, and a closed-form ledger leaves them as None.
+ledger discrepancy between them is the package's standing self-check. Only
+the matrix ledger carries the states rho1..rho3; a closed-form ledger leaves
+them as None. Each route has one kernel over an (n, 5) array of epsilon, tau,
+T, a, b (``run_cycle_matrix_batch``, ``run_cycle_closed_form_batch``), and
+``run_cycle_matrix``, ``run_cycle_closed_form`` and ``binary_entropy`` are
+one-row calls of them. ``tests/reference.py`` holds the scalar forms that
+the tests compare them with, bit for bit.
 
 Sign convention: dU_i > 0 means energy flows *into* the dot during stroke i.
 """
@@ -37,10 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import MeasurementChannel, Orientation, apply_channel
-from .qdot import DotParams, gibbs_state, hamiltonian, internal_energy, map_math
-from .qdot import thermal_state, von_neumann_entropy
-# Not called here; imported so that perfbench/spans.py can rebind it in this module.
-from .qdot import spectrum  # noqa: F401
+from .qdot import DotParams, internal_energy, map_math, thermal_state, von_neumann_entropy
+# Not called here; imported so that perfbench/spans.py can rebind them in this module.
+from .qdot import gibbs_state, spectrum  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -91,27 +94,23 @@ def binary_entropy(p: float) -> float:
     """h(p) = -p ln p - (1-p) ln(1-p), with h(0) = h(1) = 0."""
     if not (math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError("p must be in [0, 1]")
-    out = 0.0
-    if p > 0.0:
-        out -= p * math.log(p)
-    if p < 1.0:
-        out -= (1.0 - p) * math.log(1.0 - p)
-    return out
+    return _binary_entropy_columns(np.array([p], dtype=float)).item()
+
+
+def _one_row(batch_ledger, inputs: CycleInputs) -> StrokeLedger:
+    """``batch_ledger`` of ``inputs`` as a one-row batch: Python floats, 2x2 states or None."""
+    p = inputs.params
+    ledger = batch_ledger(np.array([[p.epsilon, p.tau, inputs.temperature, inputs.a, inputs.b]],
+                                   dtype=float))
+    states = (ledger.rho1, ledger.rho2, ledger.rho3)
+    return StrokeLedger(ledger.dU1.item(), ledger.dU2.item(), ledger.dU3.item(),
+                        ledger.dS1.item(), ledger.dS2.item(), ledger.dS3.item(),
+                        *(None if rho is None else rho[0] for rho in states))
 
 
 def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
     """Ledger from the explicit density-matrix pipeline (no closed forms)."""
-    h = hamiltonian(inputs.params)
-    rho1 = gibbs_state(inputs.params, inputs.temperature)
-    rho2 = apply_channel(MeasurementChannel(inputs.a, Orientation.A), rho1)
-    rho3 = apply_channel(MeasurementChannel(inputs.b, Orientation.B), rho2)
-    u1, u2, u3 = (internal_energy(h, r) for r in (rho1, rho2, rho3))
-    s1, s2, s3 = (von_neumann_entropy(r) for r in (rho1, rho2, rho3))
-    return StrokeLedger(
-        dU1=u1 - u3, dU2=u2 - u1, dU3=u3 - u2,
-        dS1=s1 - s3, dS2=s2 - s1, dS3=s3 - s2,
-        rho1=rho1, rho2=rho2, rho3=rho3,
-    )
+    return _one_row(run_cycle_matrix_batch, inputs)
 
 
 def _columns(batch: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -132,22 +131,25 @@ def _columns(batch: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def run_cycle_matrix_batch(batch: np.ndarray) -> StrokeLedger:
-    """``run_cycle_matrix`` over the n rows of an (n, 5) array of epsilon, tau, T, a, b.
+    """The density-matrix ledger of each row of an (n, 5) array of epsilon, tau, T, a, b.
 
     Every ledger field is an (n,) array and rho1..rho3 are (n, 2, 2) stacks;
     a (0, 5) batch gives (0,) arrays. The per-row scalars (E, theta, cos and
     sin of theta, and tanh(E/T)) come from ``math``, mapped over the columns,
     with theta = 0 where E == 0 and atan2(tau, -epsilon)/2 elsewhere, as
-    ``qdot.spectral_scalars`` computes them for ``run_cycle_matrix``. Each
-    channel family is one array channel, so the Kraus source is called twice
-    per batch. Every other step is the same numpy operation applied to each
-    matrix of a stack, so entry i equals ``run_cycle_matrix`` of row i with ==.
+    ``qdot.spectral_scalars`` computes them for ``gibbs_state``. Each channel
+    family is one array channel, so the Kraus source is called twice per
+    batch. Every other step applies the numpy operation of the one-matrix
+    ``gibbs_state``, ``apply_channel``, ``internal_energy`` and
+    ``von_neumann_entropy`` to each matrix of a stack, so entry i equals
+    their ledger of row i with ==.
     """
     eps, tau, temperature, a, b = _columns(batch)
     gap = map_math(math.hypot, eps, tau)
     theta = np.where(gap == 0.0, 0.0, 0.5 * map_math(math.atan2, tau, -eps))
     c, s = map_math(math.cos, theta), map_math(math.sin, theta)
-    t = map_math(math.tanh, gap / temperature)
+    with np.errstate(over="ignore"):  # silent, as float division is
+        t = map_math(math.tanh, gap / temperature)
     h = np.stack((-eps, tau, tau, eps), axis=1).reshape(-1, 2, 2).astype(np.complex128)
     phi1 = np.stack((c, s), axis=1).astype(np.complex128)
     phi2 = np.stack((s, -c), axis=1).astype(np.complex128)
@@ -166,9 +168,9 @@ def run_cycle_matrix_batch(batch: np.ndarray) -> StrokeLedger:
 def stroke_energies(epsilon, gap, t, a, b):
     """(dU1, dU2, dU3) from epsilon, E, t = tanh(E/T) and the two strengths.
 
-    Takes floats or broadcastable float64 arrays. Only + - * are used, and
-    each is correctly rounded, so an array element equals the float result
-    for the same inputs bit for bit.
+    On broadcastable float64 arrays. Only + - * are used, and each is
+    correctly rounded, so every element has the bits that the same steps
+    give on Python floats.
     """
     return (
         -gap * t + epsilon * (2.0 * b - 1.0),
@@ -177,17 +179,8 @@ def stroke_energies(epsilon, gap, t, a, b):
     )
 
 
-def _closed_form_terms(inputs: CycleInputs) -> tuple[float, ...]:
-    """(epsilon, E, t, a, b, h(g), h(a), h(b)): every transcendental of the closed form."""
-    gap = math.hypot(inputs.params.epsilon, inputs.params.tau)
-    t = math.tanh(gap / inputs.temperature)
-    a, b = inputs.a, inputs.b
-    return (inputs.params.epsilon, gap, t, a, b,
-            binary_entropy(0.5 * (1.0 - t)), binary_entropy(a), binary_entropy(b))
-
-
 def _closed_form_ledger(epsilon, gap, t, a, b, h_g, h_a, h_b) -> StrokeLedger:
-    """The closed-form ledger from its terms; + - * only, on floats or (n,) arrays alike."""
+    """The closed-form ledger from its terms, on (n,) arrays; + - * only."""
     du1, du2, du3 = stroke_energies(epsilon, gap, t, a, b)
     return StrokeLedger(dU1=du1, dU2=du2, dU3=du3,
                         dS1=h_g - h_b, dS2=h_a - h_g, dS3=h_b - h_a)
@@ -195,13 +188,13 @@ def _closed_form_ledger(epsilon, gap, t, a, b, h_g, h_a, h_b) -> StrokeLedger:
 
 def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
     """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
-    return _closed_form_ledger(*_closed_form_terms(inputs))
+    return _one_row(run_cycle_closed_form_batch, inputs)
 
 
 def _binary_entropy_columns(p: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` of every element of p in [0, 1], step for step, signed zeros
-    included: out = 0.0, then out -= p ln p where p > 0 and out -= q ln q (q = 1 - p)
-    where p < 1."""
+    """h(p) of every element of p in [0, 1], in the steps of the scalar definition,
+    signed zeros included: out = 0.0, then out -= p ln p where p > 0 and
+    out -= q ln q (q = 1 - p) where p < 1."""
     q = 1.0 - p
     ln_p = map_math(math.log, np.where(p > 0.0, p, 1.0))
     ln_q = map_math(math.log, np.where(p < 1.0, q, 1.0))
@@ -210,19 +203,21 @@ def _binary_entropy_columns(p: np.ndarray) -> np.ndarray:
 
 
 def run_cycle_closed_form_batch(batch: np.ndarray) -> StrokeLedger:
-    """``run_cycle_closed_form`` over the n rows of an (n, 5) array of epsilon, tau, T,
-    a, b, as one ledger of (n,) arrays.
+    """The closed-form ledger of each row of an (n, 5) array of epsilon, tau, T, a, b,
+    as one ledger of (n,) arrays.
 
     The transcendentals (hypot, tanh, log) come from ``math``, mapped over the
-    columns, and the rest is + - * on arrays in the scalar order, so entry i
-    equals ``run_cycle_closed_form`` of row i with ==, signed zeros included.
-    A (0, 5) batch gives (0,) arrays.
+    columns, and the rest is + - * on arrays in the order of the scalar
+    formulas, so entry i has the bits of those formulas on Python floats for
+    row i, signed zeros included. Overflow and inf - inf give inf and NaN
+    without a warning, as they do on floats. A (0, 5) batch gives (0,) arrays.
     """
     eps, tau, temperature, a, b = _columns(batch)
-    gap = map_math(math.hypot, eps, tau)
-    t = map_math(math.tanh, gap / temperature)
-    h_g, h_a, h_b = (_binary_entropy_columns(p) for p in (0.5 * (1.0 - t), a, b))
-    return _closed_form_ledger(eps, gap, t, a, b, h_g, h_a, h_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        gap = map_math(math.hypot, eps, tau)
+        t = map_math(math.tanh, gap / temperature)
+        h_g, h_a, h_b = (_binary_entropy_columns(p) for p in (0.5 * (1.0 - t), a, b))
+        return _closed_form_ledger(eps, gap, t, a, b, h_g, h_a, h_b)
 
 
 def ledger_discrepancy(x: StrokeLedger, y: StrokeLedger):

@@ -11,12 +11,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dqdcycle import channels, regimes, verify
+import reference
+from dqdcycle import channels, verify
 from dqdcycle.channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
 from dqdcycle.qdot import DotParams, is_density_matrix, max_abs
-from dqdcycle.regimes import Branch, Mode, branch_currents, branch_thresholds, expected_mode
-from dqdcycle.sweep import SweepResult, evaluate_cell
-from dqdcycle.thermo import CycleInputs, run_cycle_closed_form, run_cycle_matrix
+from dqdcycle.regimes import Branch, Mode
+from dqdcycle.sweep import SweepResult
+from dqdcycle.thermo import CycleInputs
+from reference import branch_currents, branch_thresholds, evaluate_cell, expected_mode
+from reference import run_cycle_closed_form, run_cycle_matrix
 
 CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
@@ -44,7 +47,8 @@ def rng():
 
 @pytest.fixture
 def oracle_sweep():
-    """The scalar reference for ``run_sweep``: ``evaluate_cell`` on every cell, row-major."""
+    """The scalar reference for ``run_sweep``: ``reference.evaluate_cell`` on every cell,
+    row-major."""
 
     def sweep(spec):
         cells = [evaluate_cell(spec, s, e)
@@ -64,7 +68,8 @@ def oracle_verify():
     update are those of the loops that ``verify`` ran before its checks became
     array passes, and ``threshold_consistency`` draws its points with the
     scalar ``uniform`` and ``choice`` calls it used before its draws were
-    combined. That loop is also reachable as ``.threshold_consistency``.
+    combined. That loop is also reachable as ``.threshold_consistency``. The
+    ledgers and branch functions are the scalar ones of ``tests/reference.py``.
     """
 
     def random_density_matrix(rng):
@@ -174,7 +179,7 @@ def oracle_verify():
             if expected is None:
                 continue
             qh, qc, w = branch_currents(branch, params, temperature, strength)
-            got = regimes.classify_from_signs(qh, qc, w)  # at call time, so a test can watch it
+            got = reference.classify_from_signs(qh, qc, w)  # at call time, so a test can watch it
             if got is not expected:
                 mismatches += 1
                 if worst_case is None:

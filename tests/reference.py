@@ -1,0 +1,201 @@
+"""Scalar references for the array kernels of ``dqdcycle``.
+
+Each function here is the step-by-step scalar form of one computation: plain
+``math`` and Python float arithmetic on one point, with no batch and no
+array of inputs. ``dqdcycle`` itself has one implementation of each
+computation, an array kernel, and its scalar names (``run_cycle_matrix``,
+``run_cycle_closed_form``, ``binary_entropy``, ``branch_currents``,
+``branch_thresholds``, ``expected_mode``, ``classify_from_signs`` and
+``classify``) are one-row calls of those kernels. The tests hold the kernels
+and the one-row calls to these references with ``==``, signed zeros, types,
+warnings and error messages included, and the ``oracle_sweep`` and
+``oracle_verify`` fixtures run on them.
+
+The references share only the package's data and formulas: the branch table
+``regimes.BRANCHES`` (with its clamp ``regimes._mid``), ``thermo.stroke_energies``
+and ``thermo._closed_form_ledger`` (+ - * only, so a float gives the bits of an
+array element), the interval reader ``regimes._intervals_held``, ``kappa``, and
+the one-matrix Gibbs state, channels and traces of ``qdot`` and ``channels``.
+
+``outcome`` and ``same`` at the end are how the tests compare a call with its
+reference: the value, its type, every warning and any exception.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+
+from dqdcycle.channels import MeasurementChannel, Orientation, apply_channel
+from dqdcycle.qdot import DotParams, gibbs_state, hamiltonian, internal_energy
+from dqdcycle.qdot import von_neumann_entropy
+from dqdcycle.regimes import BRANCHES, SIGN_PATTERNS, ZERO_TOL, Branch, Classification, Currents
+from dqdcycle.regimes import EngineThresholds, Mode, RefrigeratorThresholds, _check_zero_tol
+from dqdcycle.regimes import _intervals_held, kappa
+from dqdcycle.sweep import GridSpec, SweepCell
+from dqdcycle.thermo import CycleInputs, StrokeLedger, _closed_form_ledger, stroke_energies
+
+# ---------------------------------------------------------------------------
+# thermo
+
+
+def binary_entropy(p: float) -> float:
+    """h(p) = -p ln p - (1-p) ln(1-p), with h(0) = h(1) = 0."""
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise ValueError("p must be in [0, 1]")
+    out = 0.0
+    if p > 0.0:
+        out -= p * math.log(p)
+    if p < 1.0:
+        out -= (1.0 - p) * math.log(1.0 - p)
+    return out
+
+
+def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
+    """Ledger from the explicit density-matrix pipeline (no closed forms)."""
+    h = hamiltonian(inputs.params)
+    rho1 = gibbs_state(inputs.params, inputs.temperature)
+    rho2 = apply_channel(MeasurementChannel(inputs.a, Orientation.A), rho1)
+    rho3 = apply_channel(MeasurementChannel(inputs.b, Orientation.B), rho2)
+    u1, u2, u3 = (internal_energy(h, r) for r in (rho1, rho2, rho3))
+    s1, s2, s3 = (von_neumann_entropy(r) for r in (rho1, rho2, rho3))
+    return StrokeLedger(
+        dU1=u1 - u3, dU2=u2 - u1, dU3=u3 - u2,
+        dS1=s1 - s3, dS2=s2 - s1, dS3=s3 - s2,
+        rho1=rho1, rho2=rho2, rho3=rho3,
+    )
+
+
+def _closed_form_terms(inputs: CycleInputs) -> tuple[float, ...]:
+    """(epsilon, E, t, a, b, h(g), h(a), h(b)): every transcendental of the closed form."""
+    gap = math.hypot(inputs.params.epsilon, inputs.params.tau)
+    t = math.tanh(gap / inputs.temperature)
+    a, b = inputs.a, inputs.b
+    return (inputs.params.epsilon, gap, t, a, b,
+            binary_entropy(0.5 * (1.0 - t)), binary_entropy(a), binary_entropy(b))
+
+
+def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
+    """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
+    return _closed_form_ledger(*_closed_form_terms(inputs))
+
+
+# ---------------------------------------------------------------------------
+# regimes
+
+
+def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Mode:
+    """Sign-pattern lookup; currents within ``zero_tol`` of zero are ambiguous."""
+    _check_zero_tol(zero_tol)
+    if min(abs(Qh), abs(Qc), abs(W)) <= zero_tol:
+        return Mode.UNDEFINED
+    for mode, (sh, sc, sw) in SIGN_PATTERNS.items():
+        if sh * Qh > 0 and sc * Qc > 0 and sw * W > 0:
+            return mode
+    return Mode.UNDEFINED
+
+
+def _merit(mode: Mode, Qh: float, Qc: float, W: float) -> tuple[float, float | None]:
+    """(figure of merit, raw COP) of a defined mode; raw COP is None for engines.
+
+    ``classify`` calls this only once every current is beyond ``zero_tol``,
+    so no denominator is zero.
+    """
+    if mode is Mode.ENGINE:
+        return abs(W / Qh), None
+    raw = abs((Qc if mode is Mode.REFRIGERATOR else Qh) / W)
+    return kappa(raw), raw
+
+
+def classify(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Classification:
+    """Bundle sign classification with the matching figure of merit."""
+    mode = classify_from_signs(Qh, Qc, W, zero_tol)
+    if mode is Mode.UNDEFINED:
+        return Classification(mode, Qh, Qc, W, None, None)
+    return Classification(mode, Qh, Qc, W, *_merit(mode, Qh, Qc, W))
+
+
+def _tanh_gap(epsilon: float, tau: float, temperature: float) -> tuple[float, float]:
+    """E = hypot(epsilon, tau), as in ``qdot.spectrum``, and tanh(E/T)."""
+    if epsilon <= 0.0:
+        raise ValueError("branch operations require epsilon > 0")
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError("temperature must be positive")
+    gap = math.hypot(epsilon, tau)
+    return gap, math.tanh(gap / temperature)
+
+
+def branch_currents(
+    branch: Branch, params: DotParams, temperature: float, strength: float
+) -> Currents:
+    """(Qh, Qc, W) at the point of ``branch`` whose free strength is ``strength``."""
+    rule = BRANCHES[branch]
+    gap, t = _tanh_gap(params.epsilon, params.tau, temperature)
+    if not (math.isfinite(strength) and 0.0 <= strength <= 1.0):
+        raise ValueError(f"{rule.free} must be in [0, 1]")
+    a = strength if rule.pinned_a is None else rule.pinned_a(t)
+    du = stroke_energies(params.epsilon, gap, t, a, strength)
+    return tuple(du[i] for i in rule.strokes)
+
+
+def branch_thresholds(
+    branch: Branch, params: DotParams, temperature: float
+) -> EngineThresholds | RefrigeratorThresholds:
+    """The branch's critical strengths, clamped to [0, 1]."""
+    gap, t = _tanh_gap(params.epsilon, params.tau, temperature)
+    return BRANCHES[branch].thresholds(t, gap / params.epsilon * t)
+
+
+def expected_mode(branch: Branch, strength: float, thresholds) -> Mode | None:
+    """Mode the thresholds predict at ``strength``; None outside the cataloged windows."""
+    return next((mode for held, mode in _intervals_held(branch, strength, thresholds) if held),
+                None)
+
+
+# ---------------------------------------------------------------------------
+# sweep
+
+
+def evaluate_cell(spec: GridSpec, strength: float, epsilon: float) -> SweepCell:
+    """One cell through the scalar route: the oracle for ``run_sweep``."""
+    params = DotParams(epsilon=epsilon, tau=spec.tau)
+    qh, qc, w = branch_currents(spec.branch, params, spec.temperature, strength)
+    return SweepCell(strength, epsilon, classify(qh, qc, w, spec.zero_tol))
+
+
+
+# ---------------------------------------------------------------------------
+# comparing a call with its reference
+
+
+def outcome(f, *args) -> tuple:
+    """What ``f(*args)`` does: ("returns", value) or ("raises", exception type, message),
+    followed by the (category, message) of every warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("returns", f(*args))
+        except Exception as exc:
+            result = ("raises", type(exc), str(exc))
+    return result + tuple((w.category, str(w.message)) for w in caught)
+
+
+def same(x, y) -> bool:
+    """Whether x and y are the same value: of the same type, floats equal with == and
+    with the same sign bit (or both NaN), arrays of the same dtype, shape and bytes, and
+    tuples and dataclasses field by field."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, float):
+        return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+                or math.isnan(x) and math.isnan(y))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(same, x, y))
+    if dataclasses.is_dataclass(x):
+        return all(same(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x))
+    return x == y

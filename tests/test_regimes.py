@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from dqdcycle import regimes
 from dqdcycle.qdot import DotParams
 from dqdcycle.thermo import CycleInputs, run_cycle_closed_form
@@ -31,6 +32,7 @@ from dqdcycle.regimes import (
     refrigerator_minus_quantities,
     refrigerator_plus_quantities,
 )
+from reference import outcome, same
 
 TANH1 = math.tanh(1.0)
 
@@ -338,7 +340,7 @@ def code_of(mode):
 @pytest.mark.parametrize("branch", list(Branch))
 def test_array_forms_equal_scalar_route(branch):
     """At every point, ``branch_points``, ``expected_mode_codes`` and ``mode_codes`` give
-    the bits and modes of the scalar functions, thresholds and clamped edges included."""
+    the bits and modes of the scalar references, thresholds and clamped edges included."""
     rng = np.random.default_rng(5)
     n = 400
     epsilon = np.concatenate((rng.uniform(0.05, 3.0, n), [1e-9, 1.3, 2e6, 1.626048089325509]))
@@ -351,19 +353,20 @@ def test_array_forms_equal_scalar_route(branch):
     for i, point in enumerate(zip(epsilon.tolist(), tau.tolist(), temperature.tolist(),
                                   strength.tolist())):
         e, t, temp, s = point
-        scalar_th = branch_thresholds(branch, DotParams(e, t), temp)
+        scalar_th = reference.branch_thresholds(branch, DotParams(e, t), temp)
         assert tuple(np.broadcast_to(x, epsilon.shape)[i] for x in th) == scalar_th, point
         assert all(isinstance(x, float) for x in scalar_th)
-        scalar_currents = branch_currents(branch, DotParams(e, t), temp, s)
+        scalar_currents = reference.branch_currents(branch, DotParams(e, t), temp, s)
         assert np.array_equal(np.array([x[i] for x in currents]).view(np.int64),
                               np.array(scalar_currents).view(np.int64)), point
-        assert expected[i] == code_of(expected_mode(branch, s, scalar_th)), point
-        assert got[i] == MODES.index(classify_from_signs(*scalar_currents)), point
+        assert expected[i] == code_of(reference.expected_mode(branch, s, scalar_th)), point
+        assert got[i] == MODES.index(reference.classify_from_signs(*scalar_currents)), point
 
 
 def test_mid_float_path_equals_array_path():
-    """``_mid`` of a Python float is a float with the bits of the array path, at the
-    clamps, the signed zeros and the infinities; NaN stays NaN outside the float path."""
+    """``_mid`` of a Python float, as the scalar references call it, is a float with the
+    bits of the array path, at the clamps, the signed zeros and the infinities; NaN
+    stays NaN."""
     xs = [0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0, 1 - 1e-16, -1 + 1e-16, 5e-324,
           -5e-324, 1e308, -1e308, math.inf, -math.inf]
     array = regimes._mid(np.array(xs))
@@ -438,3 +441,123 @@ def test_branches_require_positive_temperature(temperature):
         refrigerator_plus_quantities(p, temperature, 0.5)
     with pytest.raises(ValueError, match="temperature"):
         branch_points(Branch.REFRIGERATOR_PLUS, 1.0, 0.0, np.array([1.0, temperature]), 0.5)
+
+
+def test_branch_points_require_finite_epsilon_and_tau():
+    """A NaN or infinite epsilon or tau is refused before any other check, with the
+    message of ``DotParams``, not passed on as NaN or infinite currents."""
+    with pytest.raises(ValueError, match="^epsilon and tau must be finite$"):
+        branch_points(Branch.ENGINE, np.array([math.nan, 1.0]), np.array([0.5, math.inf]),
+                      1.0, 0.5)
+    for epsilon, tau in ((math.inf, 0.5), (1.0, -math.inf), (math.nan, 0.0), (1.0, math.nan)):
+        for branch in Branch:
+            with pytest.raises(ValueError, match="^epsilon and tau must be finite$"):
+                branch_points(branch, epsilon, tau, 1.0, 0.5)
+        with pytest.raises(ValueError, match="^epsilon and tau must be finite$"):
+            branch_points(Branch.ENGINE, np.array([1.0, epsilon]), tau, -1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the scalar names are one-row calls that return what the references return
+
+P = DotParams(1.0, 0.5)
+BAD_CALLS = [
+    # branch_currents checks epsilon, then temperature, then the strength
+    *[("branch_currents", (branch, DotParams(epsilon, 0.5), temperature, strength))
+      for branch in Branch
+      for epsilon, temperature, strength in [
+          (0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (-1e-300, 1.0, 0.5),
+          (1.0, 0.0, 0.5), (1.0, -2.0, 0.5), (1.0, math.nan, 0.5), (1.0, math.inf, 0.5),
+          (1.0, 1.0, -0.1), (1.0, 1.0, 1.1), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+          (0.0, 0.0, 0.5), (-1.0, 1.0, math.nan), (1.0, math.nan, 2.0), (-1.0, -1.0, -1.0)]],
+    ("branch_currents", ("engine", P, 1.0, 0.5)),
+    *[("branch_thresholds", (branch, DotParams(epsilon, 0.5), temperature))
+      for branch in Branch
+      for epsilon, temperature in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.nan),
+                                   (1.0, -math.inf), (-1.0, math.nan)]],
+    ("branch_thresholds", ("engine", P, 1.0)),
+    ("expected_mode", (Branch.ENGINE, 0.5, RefrigeratorThresholds(0.3, 0.7))),
+    ("expected_mode", ("engine", 0.5, EngineThresholds(0.2, 0.5, 0.8))),
+    *[(name, (1.0, -1.0, -1.0, zero_tol)) for name in ("classify_from_signs", "classify")
+      for zero_tol in (-1e-3, math.nan, math.inf, -math.inf)],
+    *[(name, (math.nan, 1.0, math.nan, math.nan)) for name in ("classify_from_signs", "classify")],
+    ("classify", (math.inf, -1.0, math.inf, 0.0)),  # accelerator with a NaN COP
+    ("classify", (1e-300, -1.0, 1e300, 0.0)),  # accelerator with a COP that underflows to 0
+    ("classify", (-1.0, math.inf, math.inf, 0.0)),  # refrigerator with a NaN COP
+]
+
+
+@pytest.mark.parametrize("name, args", BAD_CALLS)
+def test_scalar_names_raise_as_the_reference(name, args):
+    """Every bad input raises the reference's exception with its message, also when two
+    or three inputs are bad at once (the first check that fails wins)."""
+    got = outcome(getattr(regimes, name), *args)
+    assert got[0] == "raises", got
+    assert same(got, outcome(getattr(reference, name), *args))
+
+
+positive = st.one_of(st.floats(min_value=0.05, max_value=3.0),
+                     st.floats(min_value=5e-324, max_value=1e300))
+
+
+@given(
+    branch=st.sampled_from(Branch),
+    epsilon=st.one_of(positive, st.floats(min_value=-1.0, max_value=0.0)),
+    tau=st.one_of(st.floats(min_value=-1.0, max_value=1.0),
+                  st.floats(min_value=-1e300, max_value=1e300)),
+    temperature=st.one_of(positive, st.floats()),
+    strength=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.floats()),
+    zero_tol=st.one_of(st.just(regimes.ZERO_TOL), st.floats(min_value=0.0, max_value=1.0)),
+)
+@example(Branch.ENGINE, 1.0, 0.0, 1.0, 0.5, regimes.ZERO_TOL)  # a = b = 1/2: W = 0
+@example(Branch.ENGINE, 1.3, 0.3, 2.0, 0.5, regimes.ZERO_TOL)
+@example(Branch.REFRIGERATOR_MINUS, 1.0, 0.0, 2.0, 0.9, regimes.ZERO_TOL)  # tau = 0: W = 0
+@example(Branch.REFRIGERATOR_MINUS, 1.0, 0.0, 2.0, 0.2, 0.0)
+@example(Branch.REFRIGERATOR_PLUS, 1e-320, 1.0, 1.0, 0.9, regimes.ZERO_TOL)
+@example(Branch.ENGINE, 1e307, 0.0, 1.0, 0.9, regimes.ZERO_TOL)  # currents overflow
+@example(Branch.REFRIGERATOR_MINUS, SEED32_POINT[0].epsilon, SEED32_POINT[0].tau,
+         SEED32_POINT[1], SEED32_POINT[2], regimes.ZERO_TOL)
+@settings(max_examples=100, deadline=None)
+def test_one_row_branch_calls_equal_the_reference(branch, epsilon, tau, temperature, strength,
+                                                  zero_tol):
+    """``branch_currents``, ``branch_thresholds``, ``expected_mode``,
+    ``classify_from_signs`` and ``classify`` return the reference's values (Python
+    floats with its bits and signed zeros, a ``Mode`` or None, the same named tuple)
+    and warnings, or raise its exception."""
+    params = DotParams(epsilon, tau)
+    currents = outcome(regimes.branch_currents, branch, params, temperature, strength)
+    assert same(currents, outcome(reference.branch_currents, branch, params, temperature,
+                                  strength))
+    thresholds = outcome(regimes.branch_thresholds, branch, params, temperature)
+    assert same(thresholds, outcome(reference.branch_thresholds, branch, params, temperature))
+    if thresholds[0] == "returns":
+        args = (branch, strength, thresholds[1])
+        assert same(outcome(regimes.expected_mode, *args),
+                    outcome(reference.expected_mode, *args))
+    if currents[0] == "returns":
+        assert all(type(x) is float for x in currents[1])
+        for name in ("classify_from_signs", "classify"):
+            args = (*currents[1], zero_tol)
+            assert same(outcome(getattr(regimes, name), *args),
+                        outcome(getattr(reference, name), *args)), name
+
+
+@given(qh=st.floats(), qc=st.floats(), w=st.floats(),
+       zero_tol=st.one_of(st.just(regimes.ZERO_TOL), st.floats()))
+@example(1e300, -1.0, 1e-300, 0.0)  # accelerator with an infinite COP: kappa's warning
+@example(-1e300, 1e300, 1e-300, 0.0)  # refrigerator with an infinite COP
+@example(2.0, -1.2, -0.8, regimes.ZERO_TOL)  # engine
+@example(-1.0, -1.0, 2.0, regimes.ZERO_TOL)  # heater
+@example(0.0, -0.0, 1.0, 0.0)  # zero currents are undefined at zero_tol = 0
+@settings(max_examples=100, deadline=None)
+def test_one_row_classification_equals_the_reference(qh, qc, w, zero_tol):
+    for name in ("classify_from_signs", "classify"):
+        got = outcome(getattr(regimes, name), qh, qc, w, zero_tol)
+        assert same(got, outcome(getattr(reference, name), qh, qc, w, zero_tol)), name
+
+
+def test_infinite_cop_warns_as_the_reference():
+    got = outcome(classify, 1e300, -1.0, 1e-300, 0.0)
+    assert got[1].performance == 1.0 and got[1].raw_cop == math.inf
+    assert got[2:] == ((RuntimeWarning, "infinite COP mapped to kappa = 1.0"),)
+    assert same(got, outcome(reference.classify, 1e300, -1.0, 1e-300, 0.0))

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from dqdcycle import cli
-from dqdcycle.regimes import MODES, Mode, branch_currents_grid, classify, classify_grid
+from dqdcycle.regimes import MODES, Mode, branch_currents_grid, classify_grid
 from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
+from reference import classify
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_maps.py"
 
@@ -117,7 +118,8 @@ STANDARD_MAPS = [(branch, tau, temperature)
 
 @pytest.mark.parametrize("branch, tau, temperature", STANDARD_MAPS)
 def test_mode_codes_index_the_scalar_modes(branch, tau, temperature, oracle_sweep):
-    """``MODES[code]`` is ``classify``'s mode, also for currents exactly at +-zero_tol."""
+    """``MODES[code]`` is ``reference.classify``'s mode, also for currents exactly at
+    +-zero_tol."""
     epsilons = np.linspace(0.1, 3.0, 9).tolist()
     strengths = np.linspace(0.0, 1.0, 11).tolist()
     qh, qc, w = (np.array(x) for x in branch_currents_grid(branch, epsilons, tau, temperature,

@@ -16,13 +16,13 @@ from dqdcycle.sweep import (
     AxisSpec,
     CSV_COLUMNS,
     GridSpec,
-    evaluate_cell,
     mode_area_fractions,
     run_sweep,
     to_json_document,
     write_csv,
     write_json,
 )
+from reference import evaluate_cell
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -220,7 +220,7 @@ def test_parallel_matches_serial(monkeypatch, oracle_sweep):
 @pytest.mark.parametrize("tau", [0.0, 0.2, -0.4])
 @pytest.mark.parametrize("branch", list(Branch))
 def test_grid_matches_scalar_oracle(branch, tau, temperature, zero_tol, scale, oracle_sweep):
-    """The array pass equals ``evaluate_cell`` cell by cell, with no numpy warning.
+    """The array pass equals ``reference.evaluate_cell`` cell by cell, with no numpy warning.
 
     Energies are scaled together, so each scale shows the same physics; the
     minus branch at tau = 0 is the all-undefined case.

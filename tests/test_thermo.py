@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from dqdcycle import channels, thermo
 from dqdcycle.qdot import DotParams, hamiltonian, internal_energy
 from dqdcycle.thermo import (
@@ -19,6 +20,7 @@ from dqdcycle.thermo import (
     run_cycle_matrix,
     run_cycle_matrix_batch,
 )
+from reference import outcome, same
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 cycle_inputs = st.builds(
@@ -53,10 +55,29 @@ def test_binary_entropy_symmetric(p):
     assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-14)
 
 
-@pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan])
+@pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, math.inf, -math.inf, -5e-324, None])
 def test_binary_entropy_domain(bad):
-    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
-        binary_entropy(bad)
+    """A bad p raises what the reference raises: ValueError for a number outside [0, 1]."""
+    got = outcome(binary_entropy, bad)
+    if bad is None:
+        assert got[:2] == ("raises", TypeError)
+    else:
+        assert got == ("raises", ValueError, "p must be in [0, 1]")
+    assert same(got, outcome(reference.binary_entropy, bad))
+
+
+@given(p=unit)
+@example(p=0.0)
+@example(p=-0.0)
+@example(p=1.0)
+@example(p=0.5)
+@example(p=5e-324)
+@example(p=1.0 - 2.0 ** -53)
+def test_binary_entropy_equals_the_reference(p):
+    """The one-row call gives the reference's float, bit for bit and as a Python float."""
+    got = outcome(binary_entropy, p)
+    assert got[0] == "returns" and type(got[1]) is float
+    assert same(got, outcome(reference.binary_entropy, p))
 
 
 def test_cycle_inputs_validation():
@@ -160,7 +181,7 @@ def test_closed_form_builds_no_spectrum(monkeypatch):
 
 
 def test_matrix_batch_equals_scalar_ledger(rng):
-    """Every field and state of the batch ledger equals run_cycle_matrix's with ==,
+    """Every field and state of the batch ledger equals reference.run_cycle_matrix's with ==,
     including epsilon = tau = 0 (the theta = 0 convention), negative detuning,
     strengths at 0 and 1, and temperatures far from the energy scale."""
     grid = itertools.product((0.0, -1.3, 0.7, 2e6), (0.0, 0.4, 1e-9), (1e-3, 1.0, 1e3),
@@ -173,7 +194,7 @@ def test_matrix_batch_equals_scalar_ledger(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ledger = run_cycle_matrix_batch(as_columns(batch))
-        expected = [run_cycle_matrix(inputs) for inputs in batch]
+        expected = [reference.run_cycle_matrix(inputs) for inputs in batch]
     for i, ref in enumerate(expected):
         for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"):
             assert getattr(ledger, f)[i] == getattr(ref, f), (i, f)
@@ -182,8 +203,8 @@ def test_matrix_batch_equals_scalar_ledger(rng):
 
 
 def test_closed_form_batch_equals_scalar_ledger(rng):
-    """Every field of the closed-form batch ledger equals run_cycle_closed_form's with ==,
-    on the same edge grid as the matrix batch, plus near-pure and huge-E/T points."""
+    """Every field of the closed-form batch ledger equals reference.run_cycle_closed_form's
+    with ==, on the same edge grid as the matrix batch, plus near-pure and huge-E/T points."""
     grid = itertools.product((0.0, -1.3, 0.7, 2e6), (0.0, 0.4, 1e-9), (1e-3, 1.0, 1e3),
                              (0.0, 1.0, 0.35, 1e-300), (0.0, 1.0, 0.8, 1.0 - 2.0 ** -53))
     batch = [CycleInputs(DotParams(eps, tau), temperature, a, b)
@@ -194,7 +215,7 @@ def test_closed_form_batch_equals_scalar_ledger(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ledger = run_cycle_closed_form_batch(as_columns(batch))
-    expected = [run_cycle_closed_form(inputs) for inputs in batch]
+    expected = [reference.run_cycle_closed_form(inputs) for inputs in batch]
     for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3"):
         got = getattr(ledger, f)
         assert got.shape == (len(batch),) and got.dtype == np.float64
@@ -202,6 +223,38 @@ def test_closed_form_batch_equals_scalar_ledger(rng):
         assert np.signbit(got).tolist() == [math.copysign(1.0, getattr(ref, f)) < 0
                                             for ref in expected], f
     assert ledger.rho1 is ledger.rho2 is ledger.rho3 is None
+
+
+energy = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                   st.floats(min_value=-1e300, max_value=1e300))
+wide_cycle_inputs = st.builds(
+    CycleInputs,
+    params=st.builds(DotParams, epsilon=energy, tau=energy),
+    temperature=st.one_of(st.floats(min_value=0.05, max_value=6.0),
+                          st.floats(min_value=5e-324, max_value=1e300)),
+    a=unit,
+    b=unit,
+)
+
+
+@given(inputs=wide_cycle_inputs)
+@example(inputs=CycleInputs(DotParams(1.0, 0.4), 2.0, 0.5, 0.5))
+@example(inputs=CycleInputs(DotParams(0.0, 0.0), 1.0, 0.3, 0.8))
+@example(inputs=CycleInputs(DotParams(-1.3, 0.4), 1e-3, 0.0, 1.0))
+@example(inputs=CycleInputs(DotParams(2e6, 1e-9), 1e3, 1.0, 0.0))
+@example(inputs=CycleInputs(DotParams(0.7, 0.0), 1.0, 1e-300, 1.0 - 2.0 ** -53))
+@example(inputs=CycleInputs(DotParams(1e300, 1e300), 1e-300, 0.3, 0.6))
+@settings(max_examples=100, deadline=None)
+def test_one_row_ledgers_equal_the_reference(inputs):
+    """``run_cycle_closed_form`` and ``run_cycle_matrix``, one-row calls of the batch
+    kernels, return the reference's ledger: Python floats with its bits and signed
+    zeros, its 2x2 states (None for the closed form), and its warnings."""
+    for name in ("run_cycle_closed_form", "run_cycle_matrix"):
+        got = outcome(getattr(thermo, name), inputs)
+        assert got[0] == "returns", (name, got)
+        assert all(type(getattr(got[1], f)) is float
+                   for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")), name
+        assert same(got, outcome(getattr(reference, name), inputs)), name
 
 
 @pytest.mark.parametrize("batch_ledger", [run_cycle_closed_form_batch, run_cycle_matrix_batch])
@@ -235,8 +288,9 @@ def test_batches_call_the_kraus_source_once_per_channel_family(monkeypatch):
 def test_ledger_discrepancy_of_batches_is_per_entry():
     batch = [CycleInputs(DotParams(1.0, 0.2), 1.5, a, 0.4) for a in (0.1, 0.5, 0.9)]
     matrix = run_cycle_matrix_batch(as_columns(batch))
-    closed = [run_cycle_closed_form(inputs) for inputs in batch]
-    per_entry = [ledger_discrepancy(c, run_cycle_matrix(x)) for c, x in zip(closed, batch)]
+    closed = [reference.run_cycle_closed_form(inputs) for inputs in batch]
+    per_entry = [ledger_discrepancy(c, reference.run_cycle_matrix(x))
+                 for c, x in zip(closed, batch)]
     stacked = dataclasses.replace(
         matrix, **{f: np.array([getattr(c, f) for c in closed])
                    for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")})

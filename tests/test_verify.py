@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 from dqdcycle import channels, regimes, verify
 from dqdcycle.channels import MeasurementChannel, Orientation, kraus_operators
 from dqdcycle.qdot import is_density_matrix
-from dqdcycle.regimes import classify_from_signs, mode_codes
+from dqdcycle.regimes import mode_codes
+from reference import classify_from_signs
 
 NUMERICAL_CHECKS = [
     verify.check_kraus_completeness,
@@ -73,7 +75,7 @@ def test_threshold_consistency_reads_the_trial_loop_draws(oracle_verify, monkeyp
         return classify_from_signs(*currents)
 
     monkeypatch.setattr(verify, "mode_codes", recording_codes)
-    monkeypatch.setattr(regimes, "classify_from_signs", recording)
+    monkeypatch.setattr(reference, "classify_from_signs", recording)
     for seed in range(40):
         runs = []
         for check in (verify.check_threshold_consistency, oracle_verify.threshold_consistency):
