@@ -208,7 +208,8 @@ def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None
         except OSError:
             pass
         if isinstance(exc, OSError) and exc.filename == tmp:
-            exc.filename, exc.filename2 = output, None
+            exc.filename = output
+            del exc.filename2  # a stored None would print as "-> None"
         raise
 
 
@@ -228,7 +229,7 @@ def _flatten(doc: dict, prefix: str = ""):
         if isinstance(value, dict):
             yield from _flatten(value, name + ".")
         elif isinstance(value, (list, tuple)):
-            yield name, ";".join(str(v) for v in value)
+            yield name, ";".join(_fmt(v) if isinstance(v, float) else str(v) for v in value)
         elif value is None:
             yield name, ""
         elif isinstance(value, bool):

@@ -18,9 +18,11 @@ another from the generator, reading the stream exactly as a trial-by-trial
 loop would, then computes every residual in one numpy pass over (n, 2, 2)
 stacks. ``path_agreement`` and ``cycle_closure`` pass each block's single
 (n, 5) draw of epsilon, tau, T, a, b straight to
-``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``;
-no ``CycleInputs`` is built per trial, only one for a reported worst case, and
-no channel object is built per trial either. The Kraus products are the
+``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``.
+No ``CycleInputs`` or channel object is built: a worst case is its trial's
+draw in Python floats, ``{"strength": p, "orientation": "A" if r < 0.5 else
+"B"}`` for a channel check's ``random(2)`` draw (r, p), and the row's epsilon,
+tau, temperature, a and b for a cycle check. The Kraus products are the
 elementwise ``qdot.matmul2``, which gives the bits of ``@`` on the
 one-matrix-unit operators of an honest family. The draws and the results for
 a seed are the same as with the loop: the worst case is still the first trial
@@ -54,8 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
-from .channels import kraus_stack
+from .channels import Orientation, apply_kraus, completeness_residual, kraus_stack
 from .qdot import DotParams, dagger, is_density_matrix, max_abs, trace2, trace_deviation
 from .regimes import MODES, Branch, branch_points, expected_mode_codes, mode_codes
 from .thermo import CycleInputs, StrokeLedger, ledger_discrepancy, run_cycle_closed_form_batch
@@ -144,23 +145,13 @@ def _random_cycle_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(_CYCLE_LOW, _CYCLE_HIGH, size=(n, 5))
 
 
-def _inputs_of(row: np.ndarray) -> CycleInputs:
-    e, tau, temperature, a, b = row.tolist()
+def random_cycle_inputs(rng: np.random.Generator) -> CycleInputs:
+    e, tau, temperature, a, b = _random_cycle_rows(rng, 1)[0].tolist()
     return CycleInputs(DotParams(e, tau), temperature, a, b)
 
 
-def random_cycle_inputs(rng: np.random.Generator) -> CycleInputs:
-    return _inputs_of(_random_cycle_rows(rng, 1)[0])
-
-
-def _channel_of(draw) -> MeasurementChannel:
-    """The channel of one trial's ``random(2)`` draw (r, p): orientation A if r < 0.5, strength p."""
-    r, p = draw
-    return MeasurementChannel(float(p), Orientation.A if r < 0.5 else Orientation.B)
-
-
-def _random_channel(rng: np.random.Generator) -> MeasurementChannel:
-    return _channel_of(rng.random(2))
+def _row_dict(row: np.ndarray) -> dict:
+    return dict(zip(("epsilon", "tau", "temperature", "a", "b"), row.tolist()))
 
 
 def _kraus_of(draws: np.ndarray) -> np.ndarray:
@@ -178,12 +169,9 @@ def _random_channels_and_states(rng: np.random.Generator, n: int):
     return draws, _gram_state(z[:, 0], z[:, 1])
 
 
-def _channel_dict(ch: MeasurementChannel) -> dict:
-    return {"strength": ch.strength, "orientation": ch.orientation.value}
-
-
-def _draw_dict(draw) -> dict:
-    return _channel_dict(_channel_of(draw))
+def _draw_dict(draw: np.ndarray) -> dict:
+    r, p = draw.tolist()
+    return {"strength": p, "orientation": (Orientation.A if r < 0.5 else Orientation.B).value}
 
 
 def _both_ledgers(rows: np.ndarray) -> tuple[StrokeLedger, StrokeLedger]:
@@ -361,17 +349,3 @@ def run_all(seed: int, trials: int) -> list[CheckResult]:
         check_cycle_closure(rng, trials),
         check_threshold_consistency(rng, trials),
     ]
-
-
-def _inputs_dict(inputs: CycleInputs) -> dict:
-    return {
-        "epsilon": inputs.params.epsilon,
-        "tau": inputs.params.tau,
-        "temperature": inputs.temperature,
-        "a": inputs.a,
-        "b": inputs.b,
-    }
-
-
-def _row_dict(row: np.ndarray) -> dict:
-    return _inputs_dict(_inputs_of(row))

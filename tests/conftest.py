@@ -60,8 +60,14 @@ def oracle_sweep():
     return sweep
 
 
+@pytest.fixture(scope="session")
+def oracle_runs():
+    """``oracle_verify``'s ``run_all`` results, kept for the whole session."""
+    return {}
+
+
 @pytest.fixture
-def oracle_verify():
+def oracle_verify(oracle_runs):
     """The scalar reference for ``verify.run_all``: each check's trial-by-trial loop.
 
     The draws, the Kraus lookup at call time and the strict ``r > worst``
@@ -70,6 +76,11 @@ def oracle_verify():
     scalar ``uniform`` and ``choice`` calls it used before its draws were
     combined. That loop is also reachable as ``.threshold_consistency``. The
     ledgers and branch functions are the scalar ones of ``tests/reference.py``.
+
+    ``run_all`` results are memoised per ``(seed, trials)`` and per object
+    that the loops look up at call time: the Kraus source, the sign
+    classifier and the five tolerances. So a test that patches any of them
+    runs the loops afresh; each call returns a new list.
     """
 
     def random_density_matrix(rng):
@@ -191,10 +202,15 @@ def oracle_verify():
         return result("threshold_consistency", trials, float(mismatches), 0.0, worst_case)
 
     def run_all(seed, trials):
-        rng = np.random.default_rng(seed)
-        checks = (kraus_completeness, channel_cptp, channel_reset, path_agreement,
-                  cycle_closure, threshold_consistency)
-        return [check(rng, trials) for check in checks]
+        key = (seed, trials, channels.kraus_operators, reference.classify_from_signs,
+               verify.COMPLETENESS_TOL, verify.MATRIX_TOL, verify.PATH_TOL,
+               verify.CLOSURE_TOL, verify.THRESHOLD_MARGIN)
+        if key not in oracle_runs:
+            rng = np.random.default_rng(seed)
+            checks = (kraus_completeness, channel_cptp, channel_reset, path_agreement,
+                      cycle_closure, threshold_consistency)
+            oracle_runs[key] = [check(rng, trials) for check in checks]
+        return list(oracle_runs[key])
 
     run_all.threshold_consistency = threshold_consistency
     return run_all

@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from dqdcycle import channels, cli
+from dqdcycle import channels, cli, verify
 from dqdcycle.channels import kraus_operators
 from dqdcycle.sweep import AxisSpec
 
@@ -50,6 +50,7 @@ def test_spectrum_csv_format(capsys):
     assert "gap,1.000000000000e+00" in out
     assert "populations.ground,8.807970779779e-01" in out
     assert "degenerate,false" in out
+    assert "eigenvalues,1.000000000000e+00;-1.000000000000e+00\n" in out
 
 
 def test_spectrum_missing_flag_is_input_error(capsys):
@@ -499,9 +500,18 @@ def test_missing_directory_exits_3_naming_the_destination(tmp_path, capsys, fmt)
     out = tmp_path / "no" / "such" / "dir" / f"map.{fmt}"
     assert run_cli(*sweep_args(out, format=fmt)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("I/O error: ") and err.count("\n") == 1
-    assert repr(str(out)) in err and ".tmp" not in err
+    assert err == f"I/O error: [Errno 2] No such file or directory: {str(out)!r}\n"
     assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_directory_destination_exits_3_naming_the_destination(tmp_path, capsys, fmt):
+    out = tmp_path / "maps"
+    out.mkdir()
+    assert run_cli(*sweep_args(out, format=fmt)) == 3
+    err = capsys.readouterr().err
+    assert err == f"I/O error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("error", [RuntimeError("writer gave up"), OSError(5, "Input/output error"),
@@ -764,12 +774,46 @@ def test_verify_negative_seed_is_usage_error(tmp_path, capsys, source):
     assert captured.err == "error: seed must be a non-negative integer\n"
 
 
+# Captured before the worst cases were described straight from the draws: the
+# channel checks print strength and orientation, the cycle checks the five inputs.
+VERIFY_STDOUT_CORRUPTED = """\
+[FAIL] kraus_completeness: max residual 9.992e-01 (tolerance 1.0e-14, trials 40)
+       failing case: {"strength": 0.9991761150650714, "orientation": "A"}
+[FAIL] channel_cptp: max residual 1.000e+00 (tolerance 1.0e-12, trials 40)
+       failing case: {"strength": 0.8476243802545339, "orientation": "B"}
+[FAIL] channel_reset: max residual 7.476e-01 (tolerance 1.0e-12, trials 40)
+       failing case: {"strength": 0.8195928499330991, "orientation": "B"}
+[FAIL] path_agreement: max residual 4.081e+00 (tolerance 1.0e-10, trials 40)
+       failing case: {"epsilon": 2.8542269955093387, "tau": 0.7829948798550384, "temperature": 2.097493028971025, "a": 0.9145243689717206, "b": 0.8109810434242014}
+[PASS] cycle_closure: max residual 4.441e-16 (tolerance 1.0e-12, trials 40)
+[PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 40)
+4 of 6 checks failed (seed 5)
+"""
+
+VERIFY_STDOUT_ZERO_LEDGER_TOLERANCES = """\
+[PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 40)
+[PASS] channel_cptp: max residual 2.227e-16 (tolerance 1.0e-12, trials 40)
+[PASS] channel_reset: max residual 2.223e-16 (tolerance 1.0e-12, trials 40)
+[FAIL] path_agreement: max residual 8.882e-16 (tolerance 0.0e+00, trials 40)
+       failing case: {"epsilon": 1.6991422896956243, "tau": 0.567752378274604, "temperature": 3.7734036331232863, "a": 0.8088890905748133, "b": 0.7803666876407255}
+[FAIL] cycle_closure: max residual 8.882e-16 (tolerance 0.0e+00, trials 40)
+       failing case: {"epsilon": 2.851169072894182, "tau": 0.5489258093475453, "temperature": 3.0339656397997166, "a": 0.470448743321226, "b": 0.014659479308447354}
+[PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 40)
+2 of 6 checks failed (seed 5)
+"""
+
+
 def test_verify_detects_corruption(monkeypatch, capsys):
     monkeypatch.setattr(channels, "kraus_operators", lambda ch: kraus_operators(ch)[:3])
     assert run_cli("verify", "--seed", "5", "--trials", "40") == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] kraus_completeness" in out
-    assert "failing case" in out
+    assert capsys.readouterr().out == VERIFY_STDOUT_CORRUPTED
+
+
+def test_verify_prints_the_cycle_inputs_of_a_failing_ledger_check(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "PATH_TOL", 0.0)
+    monkeypatch.setattr(verify, "CLOSURE_TOL", 0.0)
+    assert run_cli("verify", "--seed", "5", "--trials", "40") == 1
+    assert capsys.readouterr().out == VERIFY_STDOUT_ZERO_LEDGER_TOLERANCES
 
 
 # ---------------------------------------------------------------------------

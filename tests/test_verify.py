@@ -48,8 +48,8 @@ def first_draw_case(check, seed):
     """The worst_case a check reports for the first trial drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     if check in (verify.check_path_agreement, verify.check_cycle_closure):
-        return verify._inputs_dict(verify.random_cycle_inputs(rng))
-    return verify._channel_dict(verify._random_channel(rng))
+        return verify._row_dict(verify._random_cycle_rows(rng, 1)[0])
+    return verify._draw_dict(rng.random(2))
 
 
 @pytest.mark.parametrize("trials", [1, 2, 37, 1000])
@@ -58,6 +58,27 @@ def test_run_all_equals_trial_loops(oracle_verify, trials):
         warnings.simplefilter("error")
         for seed in range(60):
             assert verify.run_all(seed, trials) == oracle_verify(seed, trials), seed
+
+
+def test_oracle_memo_misses_under_patched_sources(oracle_verify, monkeypatch):
+    """The oracle's memo is keyed on what its loops look up at call time, so a patched
+    source or tolerance runs them again; every call returns a new list."""
+    first = oracle_verify(0, 20)
+    again = oracle_verify(0, 20)
+    assert again == first and again is not first
+    calls = []
+
+    def counting(*currents):
+        calls.append(currents)
+        return classify_from_signs(*currents)
+
+    monkeypatch.setattr(reference, "classify_from_signs", counting)
+    assert oracle_verify(0, 20) == first and calls
+    monkeypatch.setattr(channels, "kraus_operators", corrupted_kraus)
+    assert oracle_verify(0, 20) != first
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "PATH_TOL", 0.0)
+    assert oracle_verify(0, 20)[3].tolerance == 0.0
 
 
 def test_threshold_consistency_reads_the_trial_loop_draws(oracle_verify, monkeypatch):
@@ -310,12 +331,12 @@ def test_first_nan_beats_earlier_blocks(monkeypatch):
     monkeypatch.setattr(channels, "kraus_operators", late_nan)
     monkeypatch.setattr(verify, "BLOCK", 8)
     rng = np.random.default_rng(4)
-    drawn = [verify._random_channel(rng) for _ in range(100)]
-    first_nan = next(i for i, ch in enumerate(drawn) if ch.strength > 0.9)
+    drawn = [rng.random(2) for _ in range(100)]
+    first_nan = next(i for i, (_, strength) in enumerate(drawn) if strength > 0.9)
     assert first_nan >= verify.BLOCK
     result = verify.check_kraus_completeness(np.random.default_rng(4), trials=100)
     assert math.isnan(result.max_residual) and not result.passed
-    assert result.worst_case == verify._channel_dict(drawn[first_nan])
+    assert result.worst_case == verify._draw_dict(drawn[first_nan])
 
 
 def test_corruption_hits_cptp_check(monkeypatch):
