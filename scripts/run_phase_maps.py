@@ -59,21 +59,26 @@ def main(argv=None) -> int:
               f"--epsilon-max {args.epsilon_max})", file=sys.stderr)
         return 2
 
-    args.outdir.mkdir(parents=True, exist_ok=True)
     summary = []
-    for branch, tau, temperature, spec in maps:
-        result = run_sweep(spec)
-        name = f"{branch.value}_tau{tau:g}_T{temperature:g}.csv"
-        emit(partial(write_csv, result), str(args.outdir / name))
-        fractions = {m.value: f for m, f in mode_area_fractions(result).items()}
-        summary.append(
-            {"file": name, "branch": branch.value, "tau": tau,
-             "temperature": temperature, "area_fractions": fractions}
-        )
-        shares = "  ".join(f"{k}={v:.3f}" for k, v in fractions.items() if v > 0)
-        print(f"{name:<40s} {shares}")
+    try:  # an --outdir that cannot be made or written to
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        for branch, tau, temperature, spec in maps:
+            result = run_sweep(spec)
+            name = f"{branch.value}_tau{tau:g}_T{temperature:g}.csv"
+            emit(partial(write_csv, result), str(args.outdir / name))
+            fractions = {m.value: f for m, f in mode_area_fractions(result).items()}
+            summary.append(
+                {"file": name, "branch": branch.value, "tau": tau,
+                 "temperature": temperature, "area_fractions": fractions}
+            )
+            shares = "  ".join(f"{k}={v:.3f}" for k, v in fractions.items() if v > 0)
+            print(f"{name:<40s} {shares}")
 
-    emit(json.dumps({"schema": 1, "maps": summary}, indent=2), str(args.outdir / "summary.json"))
+        emit(json.dumps({"schema": 1, "maps": summary}, indent=2),
+             str(args.outdir / "summary.json"))
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
     print(f"\n{len(summary)} maps -> {args.outdir}/ (+ summary.json)")
     return 0
 

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qdot import dagger, matmul2, max_abs
+from .qdot import check_unit, dagger, matmul2, max_abs
 
 KrausSet = list[np.ndarray]
 
@@ -60,9 +60,7 @@ class MeasurementChannel:
     orientation: Orientation
 
     def __post_init__(self):
-        # NaN fails both comparisons, and +-inf one of them
-        if not np.all((0.0 <= self.strength) & (self.strength <= 1.0)):
-            raise ValueError("strength must be in [0, 1]")
+        check_unit("strength", self.strength)
 
 
 def kraus_operators(channel: MeasurementChannel) -> KrausSet:

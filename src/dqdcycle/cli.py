@@ -38,7 +38,7 @@ from typing import IO
 import numpy as np
 
 from . import verify as verify_mod
-from .qdot import DotParams, spectrum
+from .qdot import DotParams, check_temperature, spectrum, thermal_factors
 from .regimes import BRANCHES, Branch, branch_currents, branch_thresholds, classify
 from .regimes import ZERO_TOL, constrained_strength
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
@@ -142,7 +142,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed config file {args.config}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {args.config} must contain a JSON object")
@@ -247,15 +247,13 @@ def _flatten(doc: dict, prefix: str = ""):
 def cmd_spectrum(args) -> int:
     _require(args, "epsilon", "tau", "temperature")
     params = DotParams(args.epsilon, args.tau)
-    if args.temperature <= 0.0 or not math.isfinite(args.temperature):
-        raise ValueError("temperature must be positive")
+    check_temperature(args.temperature)
     spec = spectrum(params)
-    beta_e = spec.gap / args.temperature
+    t = thermal_factors(args.epsilon, args.tau, args.temperature)[1].item()
     try:
-        z = 2.0 * math.cosh(beta_e)
+        z = 2.0 * math.cosh(spec.gap / args.temperature)
     except OverflowError:
         z = math.inf
-    t = math.tanh(beta_e)
     doc = {
         "epsilon": args.epsilon,
         "tau": args.tau,

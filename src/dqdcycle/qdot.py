@@ -44,8 +44,32 @@ class DotParams:
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.tau)):
-            raise ValueError("epsilon and tau must be finite")
+        check_dot(self.epsilon, self.tau)
+
+
+# The domain checks take floats or arrays and raise ValueError. Each first adds 0.0 to its
+# input, so that a value that is not a real number raises TypeError, and an int too large
+# for a float OverflowError, as float() would.
+
+
+def _holds(ok) -> bool:
+    """Whether a comparison's result, a bool or a bool array, is true everywhere."""
+    return ok if ok.__class__ is bool else bool(ok.all())
+
+
+def check_dot(epsilon, tau) -> None:
+    if not _holds((abs(epsilon + 0.0) < math.inf) & (abs(tau + 0.0) < math.inf)):
+        raise ValueError("epsilon and tau must be finite")
+
+
+def check_temperature(temperature) -> None:
+    if not _holds((0.0 < temperature + 0.0) & (temperature < math.inf)):
+        raise ValueError("temperature must be positive")
+
+
+def check_unit(name: str, p) -> None:
+    if not _holds((0.0 <= p + 0.0) & (p <= 1.0)):
+        raise ValueError(f"{name} must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -73,30 +97,30 @@ def hamiltonian(params: DotParams) -> np.ndarray:
     )
 
 
-def spectral_scalars(epsilon: float, tau: float) -> tuple[float, float, float, float]:
-    """(E, theta, cos(theta), sin(theta)) of the half-angle construction, from ``math``.
+def thermal_factors(epsilon, tau, temperature) -> tuple[np.ndarray, np.ndarray]:
+    """(E, tanh(E/T)) at each element of equal-shape float arrays, or of floats: the package
+    takes E = hypot(epsilon, tau) and tanh from ``math``, through ``map_math``, here and in
+    ``spectrum`` only. E/T overflows to inf silently, as float division does."""
+    gap = map_math(math.hypot, epsilon, tau)
+    with np.errstate(over="ignore"):
+        return gap, map_math(math.tanh, gap / temperature)
 
-    theta = 0 at the degenerate point E = 0. ``thermo.run_cycle_matrix_batch``
-    maps the same ``math`` calls over its columns, so its eigenbases equal
-    ``spectrum``'s bit for bit.
-    """
-    gap = math.hypot(epsilon, tau)
-    theta = 0.0 if gap == 0.0 else 0.5 * math.atan2(tau, -epsilon)
-    return gap, theta, math.cos(theta), math.sin(theta)
+
+def eigenbases(epsilon, tau, gap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, |phi_1>, |phi_2>) at each element of equal-shape float arrays, or of floats:
+    theta = atan2(tau, -epsilon)/2 from ``math`` (0 where E == 0), and the eigenvectors
+    as complex arrays with a last axis of length 2. The package takes theta only here."""
+    theta = np.where(gap == 0.0, 0.0, 0.5 * map_math(math.atan2, tau, -epsilon))
+    c, s = map_math(math.cos, theta), map_math(math.sin, theta)
+    phi1, phi2 = (np.stack(v, axis=-1).astype(np.complex128) for v in ((c, s), (s, -c)))
+    return theta, phi1, phi2
 
 
 def spectrum(params: DotParams) -> Spectrum:
-    """Exact eigenvalues and eigenvectors via the half-angle construction."""
-    gap, theta, c, s = spectral_scalars(params.epsilon, params.tau)
-    phi1 = np.array([c, s], dtype=np.complex128)
-    phi2 = np.array([s, -c], dtype=np.complex128)
-    return Spectrum(
-        gap=gap,
-        theta=theta,
-        eigenvalues=(gap, -gap),
-        eigenvectors=(phi1, phi2),
-        degenerate=(gap == 0.0),
-    )
+    """Exact eigenvalues and eigenvectors: ``eigenbases`` at one point."""
+    gap = map_math(math.hypot, params.epsilon, params.tau).item()
+    theta, phi1, phi2 = eigenbases(params.epsilon, params.tau, gap)
+    return Spectrum(gap, theta.item(), (gap, -gap), (phi1, phi2), gap == 0.0)
 
 
 def gibbs_state(params: DotParams, temperature: float) -> np.ndarray:
@@ -106,10 +130,10 @@ def gibbs_state(params: DotParams, temperature: float) -> np.ndarray:
     exp(-+E/T)/Z, which is the same number but cannot overflow. At the
     degenerate point E = 0 this is the maximally mixed state.
     """
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise ValueError("temperature must be positive")
-    spec = spectrum(params)
-    return thermal_state(*spec.eigenvectors, math.tanh(spec.gap / temperature))
+    check_temperature(temperature)
+    gap, t = thermal_factors(params.epsilon, params.tau, temperature)
+    _, phi1, phi2 = eigenbases(params.epsilon, params.tau, gap)
+    return thermal_state(phi1, phi2, t)
 
 
 def thermal_state(phi1, phi2, t):

@@ -28,7 +28,7 @@ one ``BranchRule`` per ``Branch``: the free strength, the pinned a (or
 b = a), the stroke of each of Qh, Qc and W, the analytic thresholds and their
 ordered intervals. Each computation has one kernel, on arrays:
 ``branch_points`` (thresholds and ``(Qh, Qc, W)`` at n points, with E and
-tanh(E/T) from ``math`` through ``qdot.map_math``), which
+tanh(E/T) from ``qdot.thermal_factors``), which
 ``branch_currents_grid`` runs over a sweep's grid; ``expected_mode_codes``
 and ``mode_codes``, which give a mode as its index in ``MODES`` (-1 where no
 interval holds); and ``classify_grid``, which adds the figures of merit.
@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qdot import DotParams, map_math
+from .qdot import DotParams, check_dot, check_temperature, check_unit, thermal_factors
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from .qdot import spectrum  # noqa: F401
 from .thermo import run_cycle_closed_form  # noqa: F401
@@ -203,19 +203,15 @@ def classify_grid(
 
 
 def _gap_and_tanh(epsilon, tau, temperature) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(epsilon, E, tanh(E/T)) broadcast together, with E = hypot(epsilon, tau) and the
-    tanh from ``math``, after every branch operation's checks on its inputs."""
+    """(epsilon, E, tanh(E/T)) broadcast together, from ``qdot.thermal_factors``, after
+    every branch operation's checks on its inputs."""
     epsilon, tau, temperature = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (epsilon, tau, temperature)))
-    if not (np.isfinite(epsilon) & np.isfinite(tau)).all():
-        raise ValueError("epsilon and tau must be finite")
+    check_dot(epsilon, tau)
     if np.any(epsilon <= 0.0):
         raise ValueError("branch operations require epsilon > 0")
-    if not np.all(np.isfinite(temperature) & (temperature > 0.0)):
-        raise ValueError("temperature must be positive")
-    gap = map_math(math.hypot, epsilon, tau)
-    with np.errstate(over="ignore"):  # silent, as float division is
-        return epsilon, gap, map_math(math.tanh, gap / temperature)
+    check_temperature(temperature)
+    return (epsilon, *thermal_factors(epsilon, tau, temperature))
 
 
 def _mid(x):
@@ -269,8 +265,8 @@ BRANCHES = {
 def branch_points(branch: Branch, epsilon, tau, temperature, strength):
     """(thresholds, (Qh, Qc, W)) of ``branch`` at each point of broadcastable arrays.
 
-    E and tanh(E/T) come from ``math`` through ``qdot.map_math``, once per
-    element of the broadcast (epsilon, tau, temperature), and only correctly
+    E and tanh(E/T) come from ``qdot.thermal_factors``, once per element of
+    the broadcast (epsilon, tau, temperature), and only correctly
     rounded + - * /, min and max run on arrays, so each element has the bits
     that the same steps give on Python floats. The thresholds are the
     branch's named tuple of arrays (``engine_min`` stays the float 0.5).
@@ -282,8 +278,7 @@ def branch_points(branch: Branch, epsilon, tau, temperature, strength):
     epsilon, gap, t = _gap_and_tanh(epsilon, tau, temperature)
     rule = BRANCHES[branch]
     s = np.asarray(strength, dtype=float)
-    if not np.all((s >= 0.0) & (s <= 1.0)):
-        raise ValueError(f"{rule.free} must be in [0, 1]")
+    check_unit(rule.free, s)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
         a = s if rule.pinned_a is None else rule.pinned_a(t)
         du = stroke_energies(epsilon, gap, t, a, s)

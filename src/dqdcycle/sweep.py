@@ -10,12 +10,11 @@ The whole grid is evaluated in one array pass, and cells come out in
 row-major order (epsilon outer, strength inner). Each cell has the bits of
 the scalar route, which ``tests/reference.py`` keeps as ``evaluate_cell`` for
 the tests to compare the grid with, because of one rule: the only
-transcendentals, E = hypot(epsilon, tau) and tanh(E/T), depend on epsilon
-alone and are taken from ``math`` once per row; everything
-broadcast over the strength axis is float64 + - * / and abs, which are
-correctly rounded. numpy's own hypot and tanh may differ in the last bit, so
-they are never used. ``run_sweep`` starts no thread; its ``workers``
-argument is validated and otherwise ignored.
+transcendentals, E and tanh(E/T), depend on epsilon alone and come from
+``qdot.thermal_factors`` once per row; everything broadcast over the
+strength axis is float64 + - * / and abs, which are correctly rounded.
+``run_sweep`` starts no thread; its ``workers`` argument is validated and
+otherwise ignored.
 
 Serialization: ``run_sweep`` keeps the cells as flat row-major ``Columns``
 (strength, epsilon, mode, performance, raw COP, Qh, Qc, W) behind
@@ -60,6 +59,7 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
+from .qdot import check_temperature
 from .regimes import MODES, Branch, Classification, Mode, branch_currents_grid
 from .regimes import ZERO_TOL, _check_zero_tol, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
@@ -113,8 +113,7 @@ class GridSpec:
             raise ValueError("strength axis must lie within [0, 1]")
         if self.epsilon_axis.start <= 0.0:
             raise ValueError("epsilon axis must be positive")
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError("temperature must be positive")
+        check_temperature(self.temperature)
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
         _check_zero_tol(self.zero_tol)

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import MeasurementChannel, Orientation, apply_channel
-from .qdot import DotParams, internal_energy, map_math, thermal_state, von_neumann_entropy
+from .qdot import DotParams, check_temperature, check_unit, eigenbases, internal_energy
+from .qdot import map_math, thermal_factors, thermal_state, von_neumann_entropy
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from .qdot import gibbs_state, spectrum  # noqa: F401
 
@@ -56,12 +57,9 @@ class CycleInputs:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError("temperature must be positive")
-        for name in ("a", "b"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1]")
+        check_temperature(self.temperature)
+        check_unit("a", self.a)
+        check_unit("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -120,13 +118,7 @@ def _columns(batch: np.ndarray) -> tuple[np.ndarray, ...]:
     if batch.ndim != 2 or batch.shape[1] != 5:
         raise ValueError("a batch is an (n, 5) array of epsilon, tau, T, a, b")
     eps, tau, temperature, a, b = batch.T
-    if not np.isfinite(batch[:, :2]).all():
-        raise ValueError("epsilon and tau must be finite")
-    if not (np.isfinite(temperature) & (temperature > 0.0)).all():
-        raise ValueError("temperature must be positive")
-    for name, v in (("a", a), ("b", b)):
-        if not ((0.0 <= v) & (v <= 1.0)).all():  # NaN fails both, +-inf one
-            raise ValueError(f"{name} must be in [0, 1]")
+    CycleInputs(DotParams(eps, tau), temperature, a, b)  # their checks, on whole columns
     return eps, tau, temperature, a, b
 
 
@@ -134,25 +126,18 @@ def run_cycle_matrix_batch(batch: np.ndarray) -> StrokeLedger:
     """The density-matrix ledger of each row of an (n, 5) array of epsilon, tau, T, a, b.
 
     Every ledger field is an (n,) array and rho1..rho3 are (n, 2, 2) stacks;
-    a (0, 5) batch gives (0,) arrays. The per-row scalars (E, theta, cos and
-    sin of theta, and tanh(E/T)) come from ``math``, mapped over the columns,
-    with theta = 0 where E == 0 and atan2(tau, -epsilon)/2 elsewhere, as
-    ``qdot.spectral_scalars`` computes them for ``gibbs_state``. Each channel
-    family is one array channel, so the Kraus source is called twice per
-    batch. Every other step applies the numpy operation of the one-matrix
-    ``gibbs_state``, ``apply_channel``, ``internal_energy`` and
-    ``von_neumann_entropy`` to each matrix of a stack, so entry i equals
-    their ledger of row i with ==.
+    a (0, 5) batch gives (0,) arrays. E, tanh(E/T) and the eigenbasis come
+    from ``qdot.thermal_factors`` and ``qdot.eigenbases``, as they do for
+    ``gibbs_state``. Each channel family is one array channel, so the Kraus
+    source is called twice per batch. Every other step applies the numpy
+    operation of the one-matrix ``gibbs_state``, ``apply_channel``,
+    ``internal_energy`` and ``von_neumann_entropy`` to each matrix of a
+    stack, so entry i equals their ledger of row i with ==.
     """
     eps, tau, temperature, a, b = _columns(batch)
-    gap = map_math(math.hypot, eps, tau)
-    theta = np.where(gap == 0.0, 0.0, 0.5 * map_math(math.atan2, tau, -eps))
-    c, s = map_math(math.cos, theta), map_math(math.sin, theta)
-    with np.errstate(over="ignore"):  # silent, as float division is
-        t = map_math(math.tanh, gap / temperature)
+    gap, t = thermal_factors(eps, tau, temperature)
+    _, phi1, phi2 = eigenbases(eps, tau, gap)
     h = np.stack((-eps, tau, tau, eps), axis=1).reshape(-1, 2, 2).astype(np.complex128)
-    phi1 = np.stack((c, s), axis=1).astype(np.complex128)
-    phi2 = np.stack((s, -c), axis=1).astype(np.complex128)
     rho1 = thermal_state(phi1, phi2, t)
     rho2 = apply_channel(MeasurementChannel(a, Orientation.A), rho1)
     rho3 = apply_channel(MeasurementChannel(b, Orientation.B), rho2)
@@ -206,16 +191,15 @@ def run_cycle_closed_form_batch(batch: np.ndarray) -> StrokeLedger:
     """The closed-form ledger of each row of an (n, 5) array of epsilon, tau, T, a, b,
     as one ledger of (n,) arrays.
 
-    The transcendentals (hypot, tanh, log) come from ``math``, mapped over the
-    columns, and the rest is + - * on arrays in the order of the scalar
-    formulas, so entry i has the bits of those formulas on Python floats for
-    row i, signed zeros included. Overflow and inf - inf give inf and NaN
+    E and tanh(E/T) come from ``qdot.thermal_factors`` and the logs from
+    ``math`` through ``qdot.map_math``; the rest is + - * on arrays in the
+    order of the scalar formulas, so entry i has the bits of those formulas
+    on Python floats for row i, signed zeros included. Overflow and inf - inf give inf and NaN
     without a warning, as they do on floats. A (0, 5) batch gives (0,) arrays.
     """
     eps, tau, temperature, a, b = _columns(batch)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-        gap = map_math(math.hypot, eps, tau)
-        t = map_math(math.tanh, gap / temperature)
+        gap, t = thermal_factors(eps, tau, temperature)
         h_g, h_a, h_b = (_binary_entropy_columns(p) for p in (0.5 * (1.0 - t), a, b))
         return _closed_form_ledger(eps, gap, t, a, b, h_g, h_a, h_b)
 

@@ -3,10 +3,11 @@
 Each function here is the step-by-step scalar form of one computation: plain
 ``math`` and Python float arithmetic on one point, with no batch and no
 array of inputs. ``dqdcycle`` itself has one implementation of each
-computation, an array kernel, and its scalar names (``run_cycle_matrix``,
-``run_cycle_closed_form``, ``binary_entropy``, ``branch_currents``,
-``branch_thresholds``, ``expected_mode``, ``classify_from_signs`` and
-``classify``) are one-row calls of those kernels. The tests hold the kernels
+computation, an array kernel, and its scalar names (``spectrum``,
+``gibbs_state``, ``run_cycle_matrix``, ``run_cycle_closed_form``,
+``binary_entropy``, ``branch_currents``, ``branch_thresholds``,
+``expected_mode``, ``classify_from_signs`` and ``classify``) are one-row
+calls of those kernels. The tests hold the kernels
 and the one-row calls to these references with ``==``, signed zeros, types,
 warnings and error messages included, and the ``oracle_sweep`` and
 ``oracle_verify`` fixtures run on them.
@@ -30,13 +31,34 @@ import warnings
 import numpy as np
 
 from dqdcycle.channels import MeasurementChannel, Orientation, apply_channel
-from dqdcycle.qdot import DotParams, gibbs_state, hamiltonian, internal_energy
+from dqdcycle.qdot import DotParams, hamiltonian, internal_energy, thermal_state
 from dqdcycle.qdot import von_neumann_entropy
 from dqdcycle.regimes import BRANCHES, SIGN_PATTERNS, ZERO_TOL, Branch, Classification, Currents
 from dqdcycle.regimes import EngineThresholds, Mode, RefrigeratorThresholds, _check_zero_tol
 from dqdcycle.regimes import _intervals_held, kappa
 from dqdcycle.sweep import GridSpec, SweepCell
 from dqdcycle.thermo import CycleInputs, StrokeLedger, _closed_form_ledger, stroke_energies
+
+# ---------------------------------------------------------------------------
+# qdot
+
+
+def eigenbasis(epsilon: float, tau: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(E, theta, |phi_1>, |phi_2>) of the half-angle construction, theta = 0 at E = 0."""
+    gap = math.hypot(epsilon, tau)
+    theta = 0.0 if gap == 0.0 else 0.5 * math.atan2(tau, -epsilon)
+    c, s = math.cos(theta), math.sin(theta)
+    return (gap, theta, np.array([c, s], dtype=np.complex128),
+            np.array([s, -c], dtype=np.complex128))
+
+
+def gibbs_state(params: DotParams, temperature: float) -> np.ndarray:
+    """The thermal state with populations (1 -+ tanh(E/T))/2 in the eigenbasis."""
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError("temperature must be positive")
+    gap, _, phi1, phi2 = eigenbasis(params.epsilon, params.tau)
+    return thermal_state(phi1, phi2, math.tanh(gap / temperature))
+
 
 # ---------------------------------------------------------------------------
 # thermo
@@ -119,7 +141,7 @@ def classify(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Clas
 
 
 def _tanh_gap(epsilon: float, tau: float, temperature: float) -> tuple[float, float]:
-    """E = hypot(epsilon, tau), as in ``qdot.spectrum``, and tanh(E/T)."""
+    """E = hypot(epsilon, tau), as in ``eigenbasis``, and tanh(E/T)."""
     if epsilon <= 0.0:
         raise ValueError("branch operations require epsilon > 0")
     if not (math.isfinite(temperature) and temperature > 0.0):

@@ -326,6 +326,16 @@ def test_malformed_config_leaves_no_partial_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert run_cli("verify", "--config", str(config)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: malformed config file {config}: 'utf-8' codec can't decode"
+                            " byte 0xff in position 0: invalid start byte\n")
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"epsilon": 1.0, "frequency": 2.0}))

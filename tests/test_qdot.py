@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import reference
 from dqdcycle.qdot import (
     DotParams,
     SIGMA_X,
     SIGMA_Z,
     dagger,
+    eigenbases,
     gibbs_state,
     hamiltonian,
     internal_energy,
@@ -19,6 +22,7 @@ from dqdcycle.qdot import (
     matmul2,
     max_abs,
     spectrum,
+    thermal_factors,
     trace2,
     trace_deviation,
     von_neumann_entropy,
@@ -87,6 +91,49 @@ def test_dot_params_rejects_nonfinite():
         DotParams(math.nan, 0.0)
     with pytest.raises(ValueError):
         DotParams(0.0, math.inf)
+
+
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(epsilon=st.one_of(finite, any_float), tau=st.one_of(finite, any_float),
+       temperature=st.one_of(st.floats(min_value=0.2, max_value=8.0),
+                             st.floats(min_value=5e-324, max_value=1e308)))
+@example(0.0, 0.0, 1.0)
+@example(-0.0, -0.0, 1.0)
+@example(-1.0, 0.0, 1.0)
+@example(1.7e308, 1.7e308, 1.0)  # E overflows to inf
+@example(1.0, 0.5, 5e-324)  # E/T overflows to inf
+@settings(max_examples=200)
+def test_spectrum_and_gibbs_state_equal_the_reference(epsilon, tau, temperature):
+    """``spectrum`` and ``gibbs_state``, kernel calls at one point, give the bits of the
+    scalar half-angle construction, signed zeros included, and Python floats."""
+    p = DotParams(epsilon, tau)
+    gap, theta, phi1, phi2 = reference.eigenbasis(epsilon, tau)
+    spec = spectrum(p)
+    assert reference.same((spec.gap, spec.theta, spec.eigenvalues), (gap, theta, (gap, -gap)))
+    assert all(map(reference.same, spec.eigenvectors, (phi1, phi2)))
+    assert spec.degenerate is (gap == 0.0)
+    assert reference.same(reference.outcome(gibbs_state, p, temperature),
+                          reference.outcome(reference.gibbs_state, p, temperature))
+
+
+def test_kernels_equal_the_reference_element_by_element():
+    """``thermal_factors`` and ``eigenbases`` on arrays give, element by element, the
+    bits of the scalar construction, and warn on no overflow."""
+    values = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308]
+    epsilon, tau = (np.array(x) for x in zip(*[(e, t) for e in values for t in values]))
+    temperature = np.resize([1.0, 5e-324, 1e300, 0.7], epsilon.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap, t = thermal_factors(epsilon, tau, temperature)
+        theta, phi1, phi2 = eigenbases(epsilon, tau, gap)
+    assert phi1.shape == phi2.shape == (len(epsilon), 2)
+    for i, (e, tu, temp) in enumerate(zip(epsilon.tolist(), tau.tolist(), temperature.tolist())):
+        ref = reference.eigenbasis(e, tu)
+        got = (gap[i].item(), theta[i].item(), phi1[i].copy(), phi2[i].copy())
+        assert reference.same(got, ref), (e, tu)
+        assert reference.same(t[i].item(), math.tanh(ref[0] / temp))
 
 
 def test_gibbs_matches_matrix_exponential(rng):

@@ -52,8 +52,10 @@ def test_maps_and_summary_equal_the_oracle(tmp_path, oracle_sweep, capsys):
 
 
 @pytest.mark.parametrize("target", ["engine_tau0_T1.csv", "summary.json"])
-def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, target):
-    """The first map and the summary are each written whole or not at all."""
+def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys,
+                                                             target):
+    """The first map and the summary are each written whole or not at all, and the
+    failed write exits 3 with the error on stderr."""
     old = tmp_path / target
     old.write_text("old contents\n")
 
@@ -78,8 +80,8 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypat
             raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "open", FullDisk, raising=False)
-    with pytest.raises(OSError, match="No space left"):
-        load_script().main(["--steps", "3", "--outdir", str(tmp_path)])
+    assert load_script().main(["--steps", "3", "--outdir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
     assert old.read_text() == "old contents\n"
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -109,6 +111,20 @@ def test_bad_steps_exit_2_as_a_process(tmp_path):
     assert run.stderr.startswith("error: strength axis needs at least 2 steps")
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("outdir", ["file", "file/sub"])
+def test_unwritable_outdir_exits_3_as_a_process(tmp_path, outdir):
+    """An --outdir that is a file, or lies under one, is an I/O error, not a traceback."""
+    (tmp_path / "file").write_text("not a directory\n")
+    target = tmp_path / outdir
+    run = subprocess.run([sys.executable, str(SCRIPT), "--steps", "3", "--outdir", str(target)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    error = "[Errno 17] File exists" if outdir == "file" else "[Errno 20] Not a directory"
+    assert run.stderr == f"I/O error: {error}: '{target}'\n"
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 STANDARD_MAPS = [(branch, tau, temperature)
