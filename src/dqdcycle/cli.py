@@ -362,10 +362,11 @@ def cmd_verify(args) -> int:
         )
         if not r.passed and r.worst_case is not None:
             sys.stdout.write(f"       failing case: {json.dumps(r.worst_case)}\n")
+    run = f"(seed {args.seed}, stream {verify_mod.STREAM})"
     if failed:
-        sys.stdout.write(f"{len(failed)} of {len(results)} checks failed (seed {args.seed})\n")
+        sys.stdout.write(f"{len(failed)} of {len(results)} checks failed {run}\n")
         return EXIT_VERIFY_FAILED
-    sys.stdout.write(f"all {len(results)} checks passed (seed {args.seed})\n")
+    sys.stdout.write(f"all {len(results)} checks passed {run}\n")
     return EXIT_OK
 
 

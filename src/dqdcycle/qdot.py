@@ -190,8 +190,9 @@ def map_math(f, *arrays: np.ndarray) -> np.ndarray:
     the bits the scalar code gets from ``math`` for the same inputs; whether
     numpy's ufuncs round the same way never comes up.
     """
-    flat = map(f, *(np.ravel(x).tolist() for x in arrays))
-    return np.fromiter(flat, float, np.size(arrays[0])).reshape(np.shape(arrays[0]))
+    first = np.asarray(arrays[0])
+    flat = map(f, first.ravel().tolist(), *(np.ravel(x).tolist() for x in arrays[1:]))
+    return np.fromiter(flat, float, first.size).reshape(first.shape)
 
 
 def _per_matrix(x):

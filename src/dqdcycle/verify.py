@@ -13,34 +13,42 @@ stay below a fixed tolerance:
 * ``threshold_consistency`` -- the analytic regime boundaries agree with
                             sign-based classification at random branch points.
 
-The first five checks run as array passes. Each draws its trials one after
-another from the generator, reading the stream exactly as a trial-by-trial
-loop would, then computes every residual in one numpy pass over (n, 2, 2)
-stacks. ``path_agreement`` and ``cycle_closure`` pass each block's single
-(n, 5) draw of epsilon, tau, T, a, b straight to
-``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``.
-No ``CycleInputs`` or channel object is built: a worst case is its trial's
-draw in Python floats, ``{"strength": p, "orientation": "A" if r < 0.5 else
-"B"}`` for a channel check's ``random(2)`` draw (r, p), and the row's epsilon,
-tau, temperature, a and b for a cycle check. The Kraus products are the
-elementwise ``qdot.matmul2``, which gives the bits of ``@`` on the
-one-matrix-unit operators of an honest family. The draws and the results for
-a seed are the same as with the loop: the worst case is still the first trial
-with the largest residual. A NaN residual fails its check, and the first one
-is reported as the worst case. Trials go through at most ``BLOCK`` at a time,
-so memory stays bounded whatever the trial count. ``BLOCK`` is the knee of
-the measured per-trial cost: the smallest power of two past which a larger
-block saves less than 5% per trial (the numbers are at its definition).
+Every check runs its trials at most ``BLOCK`` at a time, so memory stays
+bounded whatever the trial count, and draws each block as whole columns with
+public ``Generator`` calls, one row per trial:
 
-``threshold_consistency`` also runs in blocks, on the array forms of the
+* ``kraus_completeness``: ``random((n, 2))``, a channel (r, p) per row.
+* ``channel_cptp`` and ``channel_reset``: each splits ``params, states =
+  rng.spawn(2)`` off the run's generator, then draws ``params.random((n, 2))``
+  for the channels and ``states.standard_normal((n, 2, 2, 2))`` for the
+  random states, the real and imaginary parts of A in A A^dag.
+* ``path_agreement`` and ``cycle_closure``: ``uniform(low, high, (n, 5))``,
+  the rows epsilon, tau, T, a, b.
+* ``threshold_consistency``: ``random((n, 5))``, with epsilon, tau and T
+  scaled from the first three columns, the branch ``tuple(Branch)[int(3 u)]``
+  from the fourth and the strength the fifth.
+
+Each generator gives one kind of draw, so n rows in one call read the stream
+as n one-row calls do, and the results for a seed do not depend on
+``BLOCK``. This is version ``STREAM`` of the stream; any change to these draws
+changes every seed's results and takes a new version.
+
+A channel's draw (r, p) has strength p and orientation A if r < 0.5, else B.
+Each block's residuals come from one numpy pass over (n, 2, 2) stacks: the
+cycle checks pass the (n, 5) rows straight to
+``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``,
+and no ``CycleInputs`` or channel object is built. A worst case is its
+trial's draw in Python floats, ``{"strength": p, "orientation": "A" or "B"}``
+for a channel check and the row's epsilon, tau, temperature, a and b for a
+cycle check. The worst case is the first trial with the largest residual. A
+NaN residual fails its check, and the first one is reported as the worst
+case. ``BLOCK`` is the knee of the measured per-trial cost: the smallest
+power of two past which a larger block saves less than 5% per trial (the
+numbers are at its definition).
+
+``threshold_consistency`` classifies each block on the array forms of the
 branch table: ``regimes.branch_points`` for each branch present in a block,
-then ``regimes.expected_mode_codes`` and ``regimes.mode_codes``. Its trials
-interleave ``random(3)``, ``integers(3)`` and ``random()``. On the default
-PCG64 bit generator a block's draws are read from one ``random_raw`` call and
-the generator's 32-bit buffer is written back afterwards, so the results and
-the generator's final state are those of the per-trial calls. On any other
-bit generator, or in a block where ``integers(3)`` would reject a draw, the
-block is drawn with the per-trial calls instead.
+then ``regimes.expected_mode_codes`` and ``regimes.mode_codes``.
 
 The Kraus operators are looked up through ``channels.kraus_operators`` at call
 time, once per orientation per block (each call takes an array of strengths),
@@ -83,13 +91,16 @@ THRESHOLD_MARGIN = 1e-9
 # trial at 256, 512, 1024, 2048 and 4096, and peak RSS 38.3, 38.1, 38.9, 39.9, 42.3 MB.
 BLOCK = 1024
 
+# The version of the draw stream described in the module docstring. Version 1 drew
+# trial by trial, interleaving each trial's kinds of draw in one generator.
+STREAM = 2
+
 # The bounds of random_cycle_inputs' five draws: epsilon, tau, T, a, b.
 _CYCLE_LOW = (1e-3, 0.0, 0.5, 0.0, 0.0)
 _CYCLE_HIGH = (3.0, 1.0, 6.0, 1.0, 1.0)
 
-# threshold_consistency's draws: epsilon, tau and T are low + (high - low) * u, as
-# Generator.uniform computes them, and the branch is BRANCHES[integers(3)], as
-# Generator.choice picks it.
+# threshold_consistency's epsilon, tau and T are low + (high - low) u, as Generator.uniform
+# computes them.
 _THRESHOLD_LOW = np.array((0.05, 0.0, 0.5))
 _THRESHOLD_SPAN = np.array((3.0, 1.0, 6.0)) - _THRESHOLD_LOW
 _BRANCHES = tuple(Branch)
@@ -134,9 +145,10 @@ def _gram_state(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random mixed state: A A^dag normalized to unit trace."""
-    x = rng.normal(size=(2, 2))
-    return _gram_state(x, rng.normal(size=(2, 2)))
+    """Haar-ish random mixed state: A A^dag normalized to unit trace; one trial of the
+    channel checks' ``standard_normal`` draw."""
+    z = rng.standard_normal((2, 2, 2))
+    return _gram_state(z[0], z[1])
 
 
 def _random_cycle_rows(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -159,16 +171,6 @@ def _kraus_of(draws: np.ndarray) -> np.ndarray:
     return kraus_stack(draws[:, 1], draws[:, 0] < 0.5)
 
 
-def _random_channels_and_states(rng: np.random.Generator, n: int):
-    """n trials of a random channel's (r, p) draw followed by a random state, drawn in that order."""
-    draws, z = np.empty((n, 2)), np.empty((n, 2, 2, 2))
-    random, normal = rng.random, rng.standard_normal
-    for draw, zi in zip(draws, z):
-        random(out=draw)
-        normal(out=zi)  # normal(0, 1) gives 0 + 1 z: these bits, but for a zero's sign
-    return draws, _gram_state(z[:, 0], z[:, 1])
-
-
 def _draw_dict(draw: np.ndarray) -> dict:
     r, p = draw.tolist()
     return {"strength": p, "orientation": (Orientation.A if r < 0.5 else Orientation.B).value}
@@ -181,35 +183,45 @@ def _both_ledgers(rows: np.ndarray) -> tuple[StrokeLedger, StrokeLedger]:
 
 def check_kraus_completeness(rng: np.random.Generator, trials: int) -> CheckResult:
     def block(n):
-        draws = rng.random((n, 2))  # no normals between trials, so one call reads n of them
+        draws = rng.random((n, 2))
         return completeness_residual(_kraus_of(draws)), draws
 
     return _scan("kraus_completeness", trials, COMPLETENESS_TOL, block, _draw_dict)
 
 
-def check_channel_cptp(rng: np.random.Generator, trials: int) -> CheckResult:
+def _channel_scan(name, rng, trials, residuals) -> CheckResult:
+    """Scan ``residuals(draws, out)`` over random channels applied to random states, with
+    the channels and the states drawn from two generators spawned off ``rng``."""
+    params, states = rng.spawn(2)
+
     def block(n):
-        draws, rho = _random_channels_and_states(rng, n)
-        out = apply_kraus(_kraus_of(draws), rho)
+        draws = params.random((n, 2))
+        z = states.standard_normal((n, 2, 2, 2))
+        out = apply_kraus(_kraus_of(draws), _gram_state(z[:, 0], z[:, 1]))
+        return residuals(draws, out), draws
+
+    return _scan(name, trials, MATRIX_TOL, block, _draw_dict)
+
+
+def check_channel_cptp(rng: np.random.Generator, trials: int) -> CheckResult:
+    def residuals(draws, out):
         r = trace_deviation(out)
         # a structural failure counts as at least 1, not as a small residual
-        return np.where(is_density_matrix(out, MATRIX_TOL), r, np.maximum(r, 1.0)), draws
+        return np.where(is_density_matrix(out, MATRIX_TOL), r, np.maximum(r, 1.0))
 
-    return _scan("channel_cptp", trials, MATRIX_TOL, block, _draw_dict)
+    return _channel_scan("channel_cptp", rng, trials, residuals)
 
 
 def check_channel_reset(rng: np.random.Generator, trials: int) -> CheckResult:
     """Output must equal diag(1-a, a) (A) or diag(b, 1-b) (B) for any input."""
-    def block(n):
-        draws, rho = _random_channels_and_states(rng, n)
-        out = apply_kraus(_kraus_of(draws), rho)
+    def residuals(draws, out):
         p, is_a = draws[:, 1], draws[:, 0] < 0.5
         target = np.zeros_like(out)
         target[:, 0, 0] = np.where(is_a, 1.0 - p, p)
         target[:, 1, 1] = np.where(is_a, p, 1.0 - p)
-        return max_abs(out - target), draws
+        return max_abs(out - target)
 
-    return _scan("channel_reset", trials, MATRIX_TOL, block, _draw_dict)
+    return _channel_scan("channel_reset", rng, trials, residuals)
 
 
 def check_path_agreement(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -229,64 +241,6 @@ def check_cycle_closure(rng: np.random.Generator, trials: int) -> CheckResult:
     return _scan("cycle_closure", trials, CLOSURE_TOL, block, _row_dict)
 
 
-def _pcg64_threshold_draws(bitgen: np.random.PCG64, state: dict, n: int):
-    """The draws of ``_threshold_draws`` read from one ``random_raw`` call, or None if
-    ``integers(3)`` would reject one of its 32-bit draws. ``state`` is the bit
-    generator's state before the read.
-
-    ``random()`` is (w >> 11) 2^-53 of one raw 64-bit word w. ``integers(3)``
-    is (u 3) >> 32 of a 32-bit u (Lemire's method, which rejects only u = 0
-    for a range of 3). u is the buffered ``uinteger`` if the state's
-    ``has_uint32`` flag is set, which clears it; otherwise it is the low half
-    of a fresh word whose high half is buffered. So a trial takes 4 words when
-    it starts with the buffer full and 5 when it starts with it empty, and the
-    two alternate. The buffer is written back to the state after the read.
-    """
-    full = state["has_uint32"]
-    i = np.arange(n)
-    fresh = (i + 1 - full) % 2 == 1  # trial i starts with an empty buffer
-    first = 4 * i + (i + 1 - full) // 2  # trial i's first word
-    words = bitgen.random_raw(4 * n + (n + 1 - full) // 2)
-    branch_word = words[first + 3]
-    high = branch_word >> np.uint64(32)
-    buffered = np.concatenate((np.array([state["uinteger"]], np.uint64), high[:-1]))
-    u = np.where(fresh, branch_word & np.uint64(0xFFFFFFFF), buffered)
-    if not u.all():
-        return None
-    doubles = (words >> np.uint64(11)) * 2.0**-53
-    state = bitgen.state
-    state["has_uint32"] = int(fresh[-1])
-    state["uinteger"] = int(high[-1] if fresh[-1] else u[-1])
-    bitgen.state = state
-    return (doubles[first[:, None] + np.arange(3)], (u * np.uint64(3)) >> np.uint64(32),
-            doubles[first + 3 + fresh])
-
-
-def _threshold_draws(rng: np.random.Generator, n: int):
-    """n trials of ``rng.random(3)``, ``rng.integers(3)`` and ``rng.random()``, drawn in
-    that order: (uniforms (n, 3), branch indices (n,), strengths (n,)).
-
-    On a PCG64 bit generator the n trials are one raw read. Otherwise, or if
-    that read meets a 32-bit draw that ``integers(3)`` rejects (probability
-    2^-32 per trial), the generator goes back to its state before the read and
-    the trials are drawn one by one with the calls themselves.
-    """
-    bitgen = rng.bit_generator
-    if type(bitgen) is np.random.PCG64:
-        start = bitgen.state
-        drawn = _pcg64_threshold_draws(bitgen, start, n)
-        if drawn is not None:
-            return drawn
-        bitgen.state = start
-    uniforms, branches, strengths = np.empty((n, 3)), np.empty(n, np.int64), np.empty(n)
-    random, integers = rng.random, rng.integers
-    for i in range(n):
-        random(out=uniforms[i])
-        branches[i] = integers(3)
-        strengths[i] = random()
-    return uniforms, branches, strengths
-
-
 def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckResult:
     """Interval prediction from the analytic thresholds vs. sign classification.
 
@@ -297,8 +251,9 @@ def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckR
     mismatches = 0
     worst_case = None
     for start in range(0, trials, BLOCK):
-        uniforms, branches, strength = _threshold_draws(rng, min(BLOCK, trials - start))
-        epsilon, tau, temperature = (_THRESHOLD_LOW + _THRESHOLD_SPAN * uniforms).T
+        u = rng.random((min(BLOCK, trials - start), 5))
+        epsilon, tau, temperature = (_THRESHOLD_LOW + _THRESHOLD_SPAN * u[:, :3]).T
+        branches, strength = (3.0 * u[:, 3]).astype(np.int64), u[:, 4]
         currents = np.empty((3, len(strength)))
         expected = np.empty(len(strength), np.int64)  # a MODES index, or -1: skipped
         for k, branch in enumerate(_BRANCHES):

@@ -70,12 +70,14 @@ def oracle_runs():
 def oracle_verify(oracle_runs):
     """The scalar reference for ``verify.run_all``: each check's trial-by-trial loop.
 
-    The draws, the Kraus lookup at call time and the strict ``r > worst``
-    update are those of the loops that ``verify`` ran before its checks became
-    array passes, and ``threshold_consistency`` draws its points with the
-    scalar ``uniform`` and ``choice`` calls it used before its draws were
-    combined. That loop is also reachable as ``.threshold_consistency``. The
-    ledgers and branch functions are the scalar ones of ``tests/reference.py``.
+    Each trial reads one row of the stream that ``verify`` draws as columns:
+    ``random(2)`` for a channel, ``standard_normal((2, 2, 2))`` for a state
+    (the channel checks draw the two from ``rng.spawn(2)``), ``uniform`` for a
+    cycle input and ``random(5)`` for a threshold point. The Kraus lookup at
+    call time and the strict ``r > worst`` update are those of the loops that
+    ``verify`` ran before its checks became array passes. The threshold loop is
+    also reachable as ``.threshold_consistency``. The ledgers and branch
+    functions are the scalar ones of ``tests/reference.py``.
 
     ``run_all`` results are memoised per ``(seed, trials)`` and per object
     that the loops look up at call time: the Kraus source, the sign
@@ -84,7 +86,8 @@ def oracle_verify(oracle_runs):
     """
 
     def random_density_matrix(rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        z = rng.standard_normal((2, 2, 2))
+        a = z[0] + 1j * z[1]
         rho = a @ a.conj().T
         return rho / np.trace(rho).real
 
@@ -101,8 +104,8 @@ def oracle_verify(oracle_runs):
         )
 
     def random_channel(rng):
-        orientation = Orientation.A if rng.random() < 0.5 else Orientation.B
-        return MeasurementChannel(float(rng.uniform(0.0, 1.0)), orientation)
+        r, p = rng.random(2).tolist()
+        return MeasurementChannel(p, Orientation.A if r < 0.5 else Orientation.B)
 
     def ledger_discrepancy(x, y):
         return max(abs(getattr(x, f) - getattr(y, f))
@@ -125,10 +128,11 @@ def oracle_verify(oracle_runs):
         return result("kraus_completeness", trials, worst, verify.COMPLETENESS_TOL, worst_case)
 
     def channel_cptp(rng, trials):
+        params, states = rng.spawn(2)
         worst, worst_case = 0.0, None
         for _ in range(trials):
-            ch = random_channel(rng)
-            rho = random_density_matrix(rng)
+            ch = random_channel(params)
+            rho = random_density_matrix(states)
             out = apply_kraus(channels.kraus_operators(ch), rho)
             r = abs(complex(np.trace(out)) - 1.0)
             if not is_density_matrix(out, verify.MATRIX_TOL):
@@ -138,10 +142,11 @@ def oracle_verify(oracle_runs):
         return result("channel_cptp", trials, worst, verify.MATRIX_TOL, worst_case)
 
     def channel_reset(rng, trials):
+        params, states = rng.spawn(2)
         worst, worst_case = 0.0, None
         for _ in range(trials):
-            ch = random_channel(rng)
-            rho = random_density_matrix(rng)
+            ch = random_channel(params)
+            rho = random_density_matrix(states)
             out = apply_kraus(channels.kraus_operators(ch), rho)
             p = ch.strength
             if ch.orientation is Orientation.A:
@@ -176,12 +181,13 @@ def oracle_verify(oracle_runs):
         mismatches = 0
         worst_case = None
         for _ in range(trials):
-            epsilon = float(rng.uniform(0.05, 3.0))
-            tau = float(rng.uniform(0.0, 1.0))
-            temperature = float(rng.uniform(0.5, 6.0))
+            u = rng.random(5).tolist()
+            epsilon = 0.05 + (3.0 - 0.05) * u[0]
+            tau = u[1]
+            temperature = 0.5 + (6.0 - 0.5) * u[2]
             params = DotParams(epsilon, tau)
-            branch = rng.choice(list(Branch))
-            strength = float(rng.uniform(0.0, 1.0))
+            branch = list(Branch)[int(3 * u[3])]
+            strength = u[4]
 
             th = branch_thresholds(branch, params, temperature)
             if min(abs(strength - x) for x in th) < verify.THRESHOLD_MARGIN:

@@ -719,7 +719,7 @@ def test_verify_reads_seed_and_trials_from_config(tmp_path, capsys):
     assert run_cli("verify", "--config", config) == 0
     out = capsys.readouterr().out
     assert "trials 40)" in out
-    assert "(seed 5)" in out
+    assert "(seed 5, stream 2)" in out
 
 
 # ---------------------------------------------------------------------------
@@ -734,33 +734,58 @@ def test_verify_passes(capsys):
     assert "all 6 checks passed" in out
 
 
-# Captured before the checks became array passes. A changed draw, pass/fail
-# or printed digit shows here; test_verify.py compares every bit.
+# Draw stream 2 (see the verify module docstring). A changed draw, pass/fail or
+# printed digit shows here; test_verify.py compares every bit.
 VERIFY_STDOUT_42 = """\
 [PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
-[PASS] channel_cptp: max residual 4.444e-16 (tolerance 1.0e-12, trials 1000)
-[PASS] channel_reset: max residual 4.452e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_cptp: max residual 4.448e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.332e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
 [PASS] cycle_closure: max residual 9.992e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 1000)
-all 6 checks passed (seed 42)
+all 6 checks passed (seed 42, stream 2)
 """
 
 VERIFY_STDOUT_32 = """\
 [PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
-[PASS] channel_cptp: max residual 4.445e-16 (tolerance 1.0e-12, trials 1000)
-[PASS] channel_reset: max residual 3.331e-16 (tolerance 1.0e-12, trials 1000)
-[PASS] path_agreement: max residual 1.332e-15 (tolerance 1.0e-10, trials 1000)
+[PASS] channel_cptp: max residual 4.444e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.332e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
+[PASS] cycle_closure: max residual 8.882e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 1000)
+all 6 checks passed (seed 32, stream 2)
+"""
+
+VERIFY_STDOUT_7 = """\
+[PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
+[PASS] channel_cptp: max residual 4.444e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.333e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
+[PASS] cycle_closure: max residual 8.882e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 1000)
+all 6 checks passed (seed 7, stream 2)
+"""
+
+# The first seed that fails on stream 2: at this refrigerator-minus point W = 7.6e-13 is
+# below the absolute zero tolerance of 1e-12, so the signs say undefined where the
+# thresholds say accelerator.
+VERIFY_STDOUT_3876 = """\
+[PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
+[PASS] channel_cptp: max residual 4.442e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.333e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
 [PASS] cycle_closure: max residual 8.882e-16 (tolerance 1.0e-12, trials 1000)
 [FAIL] threshold_consistency: max residual 1.000e+00 (tolerance 0.0e+00, trials 1000)
-       failing case: {"branch": "refrigerator-minus", "epsilon": 1.626048089325509, "tau": 2.1093739255295674e-06, "temperature": 1.9347005760920484, "strength": 0.5216361462600286, "expected": "accelerator", "got": "undefined"}
-1 of 6 checks failed (seed 32)
+       failing case: {"branch": "refrigerator-minus", "epsilon": 1.619785264929073, "tau": 3.035943126339369e-06, "temperature": 5.877432471524357, "strength": 0.6170850606073499, "expected": "accelerator", "got": "undefined"}
+1 of 6 checks failed (seed 3876, stream 2)
 """
 
 
 @pytest.mark.parametrize("seed, code, expected", [
     (42, 0, VERIFY_STDOUT_42),
-    (32, 1, VERIFY_STDOUT_32),
+    (32, 0, VERIFY_STDOUT_32),
+    (7, 0, VERIFY_STDOUT_7),
+    (3876, 1, VERIFY_STDOUT_3876),
 ])
 def test_verify_stdout_is_pinned(capsys, seed, code, expected):
     assert run_cli("verify", "--seed", str(seed), "--trials", "1000") == code
@@ -784,32 +809,32 @@ def test_verify_negative_seed_is_usage_error(tmp_path, capsys, source):
     assert captured.err == "error: seed must be a non-negative integer\n"
 
 
-# Captured before the worst cases were described straight from the draws: the
-# channel checks print strength and orientation, the cycle checks the five inputs.
+# On draw stream 2: the channel checks print strength and orientation, the cycle
+# checks the five inputs.
 VERIFY_STDOUT_CORRUPTED = """\
 [FAIL] kraus_completeness: max residual 9.992e-01 (tolerance 1.0e-14, trials 40)
        failing case: {"strength": 0.9991761150650714, "orientation": "A"}
 [FAIL] channel_cptp: max residual 1.000e+00 (tolerance 1.0e-12, trials 40)
-       failing case: {"strength": 0.8476243802545339, "orientation": "B"}
-[FAIL] channel_reset: max residual 7.476e-01 (tolerance 1.0e-12, trials 40)
-       failing case: {"strength": 0.8195928499330991, "orientation": "B"}
-[FAIL] path_agreement: max residual 4.081e+00 (tolerance 1.0e-10, trials 40)
-       failing case: {"epsilon": 2.8542269955093387, "tau": 0.7829948798550384, "temperature": 2.097493028971025, "a": 0.9145243689717206, "b": 0.8109810434242014}
-[PASS] cycle_closure: max residual 4.441e-16 (tolerance 1.0e-12, trials 40)
+       failing case: {"strength": 0.7535917814748023, "orientation": "A"}
+[FAIL] channel_reset: max residual 7.177e-01 (tolerance 1.0e-12, trials 40)
+       failing case: {"strength": 0.9370017642756651, "orientation": "B"}
+[FAIL] path_agreement: max residual 2.349e+00 (tolerance 1.0e-10, trials 40)
+       failing case: {"epsilon": 2.75620347247606, "tau": 0.13360507118600062, "temperature": 2.5533052063115775, "a": 0.9507765881800887, "b": 0.11335589292157644}
+[PASS] cycle_closure: max residual 6.661e-16 (tolerance 1.0e-12, trials 40)
 [PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 40)
-4 of 6 checks failed (seed 5)
+4 of 6 checks failed (seed 5, stream 2)
 """
 
 VERIFY_STDOUT_ZERO_LEDGER_TOLERANCES = """\
 [PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 40)
-[PASS] channel_cptp: max residual 2.227e-16 (tolerance 1.0e-12, trials 40)
+[PASS] channel_cptp: max residual 2.229e-16 (tolerance 1.0e-12, trials 40)
 [PASS] channel_reset: max residual 2.223e-16 (tolerance 1.0e-12, trials 40)
-[FAIL] path_agreement: max residual 8.882e-16 (tolerance 0.0e+00, trials 40)
-       failing case: {"epsilon": 1.6991422896956243, "tau": 0.567752378274604, "temperature": 3.7734036331232863, "a": 0.8088890905748133, "b": 0.7803666876407255}
-[FAIL] cycle_closure: max residual 8.882e-16 (tolerance 0.0e+00, trials 40)
-       failing case: {"epsilon": 2.851169072894182, "tau": 0.5489258093475453, "temperature": 3.0339656397997166, "a": 0.470448743321226, "b": 0.014659479308447354}
+[FAIL] path_agreement: max residual 9.992e-16 (tolerance 0.0e+00, trials 40)
+       failing case: {"epsilon": 2.562262767224254, "tau": 0.39607069425150354, "temperature": 4.799280897772577, "a": 0.32259717169370206, "b": 0.6257228448212014}
+[FAIL] cycle_closure: max residual 6.661e-16 (tolerance 0.0e+00, trials 40)
+       failing case: {"epsilon": 2.5175816035243415, "tau": 0.22754197454853864, "temperature": 1.4062373547084193, "a": 0.5190158903814456, "b": 0.14859283068463236}
 [PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 40)
-2 of 6 checks failed (seed 5)
+2 of 6 checks failed (seed 5, stream 2)
 """
 
 

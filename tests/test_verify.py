@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -44,12 +45,20 @@ def nan_kraus(channel: MeasurementChannel):
     return [math.nan * m for m in kraus_operators(channel)]
 
 
+def channel_draws(check, seed, trials):
+    """A channel check's (r, p) draws from ``seed``: the run's generator for
+    ``kraus_completeness``, the first spawned child for the checks that also draw states."""
+    rng = np.random.default_rng(seed)
+    if check is not verify.check_kraus_completeness:
+        rng = rng.spawn(2)[0]
+    return rng.random((trials, 2))
+
+
 def first_draw_case(check, seed):
     """The worst_case a check reports for the first trial drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
     if check in (verify.check_path_agreement, verify.check_cycle_closure):
-        return verify._row_dict(verify._random_cycle_rows(rng, 1)[0])
-    return verify._draw_dict(rng.random(2))
+        return verify._row_dict(verify._random_cycle_rows(np.random.default_rng(seed), 1)[0])
+    return verify._draw_dict(channel_draws(check, seed, 1)[0])
 
 
 @pytest.mark.parametrize("trials", [1, 2, 37, 1000])
@@ -83,8 +92,8 @@ def test_oracle_memo_misses_under_patched_sources(oracle_verify, monkeypatch):
 
 def test_threshold_consistency_reads_the_trial_loop_draws(oracle_verify, monkeypatch):
     """Every point that reaches classification has the loop's currents bit for bit, and
-    the generator ends in the loop's state, so the draw stream is pinned even for seeds
-    where no point fails."""
+    the generator ends in the loop's state, in one block or in many, so the draw stream
+    is pinned even for seeds where no point fails."""
     seen = []
 
     def recording_codes(qh, qc, w, *args):
@@ -97,85 +106,45 @@ def test_threshold_consistency_reads_the_trial_loop_draws(oracle_verify, monkeyp
 
     monkeypatch.setattr(verify, "mode_codes", recording_codes)
     monkeypatch.setattr(reference, "classify_from_signs", recording)
-    for seed in range(40):
+    trials = 400
+    for seed, block in itertools.product(range(40), (verify.BLOCK, 7)):
+        monkeypatch.setattr(verify, "BLOCK", block)
         runs = []
         for check in (verify.check_threshold_consistency, oracle_verify.threshold_consistency):
             seen.clear()
             rng = np.random.default_rng(seed)
-            result = check(rng, 300)
+            result = check(rng, trials)
             runs.append((result, np.array(seen).view(np.int64).tolist(), rng.bit_generator.state))
-        assert runs[0] == runs[1], seed
-        assert len(runs[0][1]) > 200
+        assert runs[0] == runs[1], (seed, block)
+        assert 3 * len(runs[0][1]) > 2 * trials  # most points are classified, not skipped
 
 
-def threshold_runs(oracle_verify, make_rng, trials):
-    """(result, final bit-generator state) of the check and of its trial loop, each on
-    a fresh ``make_rng()``."""
-    runs = []
-    for check in (verify.check_threshold_consistency, oracle_verify.threshold_consistency):
-        rng = make_rng()
-        runs.append((check(rng, trials), rng.bit_generator.state))
-    return runs
+CHECKS = [*NUMERICAL_CHECKS, verify.check_threshold_consistency]
 
 
-def pcg64_with_buffer(seed, has_uint32, uinteger):
-    rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
-    rng.bit_generator.state = state
-    return rng
+def run_checks(rng, trials):
+    """Every check's result on ``rng``, then one more draw, which pins its final state."""
+    return [check(rng, trials) for check in CHECKS], rng.random()
 
 
-@pytest.mark.parametrize("buffer_full", [False, True])
-@pytest.mark.parametrize("trials", [1, 2, 300])
-def test_raw_read_equals_trial_loop_from_either_buffer_state(oracle_verify, buffer_full, trials):
-    """A start with the 32-bit buffer full (one ``integers(3)`` drawn first) or empty gives
-    the loop's results and final state."""
-    def make_rng(seed):
-        rng = np.random.default_rng(seed)
-        if buffer_full:
-            rng.integers(3)
-        assert rng.bit_generator.state["has_uint32"] == buffer_full
-        return rng
+@pytest.mark.parametrize("trials, seeds, mt19937", [
+    (37, range(8), True),
+    (2 * verify.BLOCK + 5, [0], False),  # a run of 2053 one-trial blocks takes ~5 s
+], ids=["37", "2-blocks-and-5"])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, trials, seeds, mt19937):
+    """``run_all`` gives the same results whatever the block size, and so do the checks
+    on an MT19937 generator, which they leave in the same state."""
+    def runs(seed):
+        if not mt19937:
+            return verify.run_all(seed, trials)
+        mt = np.random.Generator(np.random.MT19937(seed))
+        return verify.run_all(seed, trials), run_checks(mt, trials)
 
-    for seed in range(20):
-        first, second = threshold_runs(oracle_verify, lambda: make_rng(seed), trials)
-        assert first == second, seed
-
-
-@pytest.mark.parametrize("uinteger", [0, 1, 2**32 - 1])
-def test_buffered_draws_and_a_rejected_draw_give_the_trial_loop(oracle_verify, uinteger):
-    """A buffered u = 0 is the one draw that ``integers(3)`` rejects, so the raw read gives
-    up and the block falls back to the per-trial calls; other buffered values are read."""
-    rng = pcg64_with_buffer(3, 1, uinteger)
-    bitgen = rng.bit_generator
-    assert (verify._pcg64_threshold_draws(bitgen, bitgen.state, 5) is None) == (uinteger == 0)
-    first, second = threshold_runs(oracle_verify, lambda: pcg64_with_buffer(3, 1, uinteger), 50)
-    assert first == second
-
-
-@pytest.mark.parametrize("block", [1, 7, 16])
-def test_raw_read_spans_patched_blocks(oracle_verify, monkeypatch, block):
-    monkeypatch.setattr(verify, "BLOCK", block)
-    for seed in range(10):
-        for make_rng in (lambda: np.random.default_rng(seed),
-                         lambda: pcg64_with_buffer(seed, 1, 12345)):
-            first, second = threshold_runs(oracle_verify, make_rng, 37)
-            assert first == second, seed
-
-
-def test_other_bit_generators_draw_trial_by_trial(oracle_verify, monkeypatch):
-    def no_raw_read(bitgen, state, n):
-        raise AssertionError("raw read")
-
-    monkeypatch.setattr(verify, "_pcg64_threshold_draws", no_raw_read)
-    for seed in range(5):
-        runs = threshold_runs(oracle_verify, lambda: np.random.Generator(np.random.MT19937(seed)),
-                              300)
-        (first, first_state), (second, second_state) = runs
-        assert first == second, seed
-        assert first_state["state"]["pos"] == second_state["state"]["pos"]
-        assert np.array_equal(first_state["state"]["key"], second_state["state"]["key"])
+    expected = {seed: runs(seed) for seed in seeds}
+    for block in (1, 7, 16):
+        monkeypatch.setattr(verify, "BLOCK", block)
+        for seed in seeds:
+            assert runs(seed) == expected[seed], (block, seed)
 
 
 class CountingGenerator:
@@ -183,10 +152,6 @@ class CountingGenerator:
 
     def __init__(self, rng):
         self.rng, self.calls = rng, []
-
-    @property
-    def bit_generator(self):
-        return self.rng.bit_generator
 
     def __getattr__(self, name):
         method = getattr(self.rng, name)
@@ -199,8 +164,8 @@ class CountingGenerator:
 
 
 def test_threshold_check_runs_no_scalar_route_and_no_per_trial_draw(oracle_verify, monkeypatch):
-    """On the default generator the check calls none of the scalar branch functions and
-    no ``Generator`` method; it still gives the trial loop's results."""
+    """The check calls none of the scalar branch functions and makes one ``random`` call
+    per block; it still gives the trial loop's results."""
     expected = [oracle_verify.threshold_consistency(np.random.default_rng(s), 1000)
                 for s in range(3)]
 
@@ -211,10 +176,11 @@ def test_threshold_check_runs_no_scalar_route_and_no_per_trial_draw(oracle_verif
         for name in ("branch_currents", "branch_thresholds", "expected_mode",
                      "classify_from_signs"):
             patch.setattr(regimes, name, scalar_route)
+        patch.setattr(verify, "BLOCK", 256)
         for s in range(3):
             rng = CountingGenerator(np.random.default_rng(s))
             assert verify.check_threshold_consistency(rng, 1000) == expected[s]
-            assert rng.calls == []
+            assert rng.calls == ["random"] * 4
 
 
 @pytest.mark.parametrize("block", [1, 7, 16])
@@ -330,13 +296,13 @@ def test_first_nan_beats_earlier_blocks(monkeypatch):
 
     monkeypatch.setattr(channels, "kraus_operators", late_nan)
     monkeypatch.setattr(verify, "BLOCK", 8)
-    rng = np.random.default_rng(4)
-    drawn = [rng.random(2) for _ in range(100)]
-    first_nan = next(i for i, (_, strength) in enumerate(drawn) if strength > 0.9)
-    assert first_nan >= verify.BLOCK
-    result = verify.check_kraus_completeness(np.random.default_rng(4), trials=100)
-    assert math.isnan(result.max_residual) and not result.passed
-    assert result.worst_case == verify._draw_dict(drawn[first_nan])
+    for check in NUMERICAL_CHECKS[:3]:
+        drawn = channel_draws(check, 4, 100)
+        first_nan = int(np.argmax(drawn[:, 1] > 0.9))
+        assert drawn[first_nan, 1] > 0.9 and first_nan >= verify.BLOCK, check
+        result = check(np.random.default_rng(4), trials=100)
+        assert math.isnan(result.max_residual) and not result.passed
+        assert result.worst_case == verify._draw_dict(drawn[first_nan])
 
 
 def test_corruption_hits_cptp_check(monkeypatch):
