@@ -38,7 +38,7 @@ from typing import IO
 import numpy as np
 
 from . import verify as verify_mod
-from .qdot import DotParams, check_temperature, spectrum, thermal_factors
+from .qdot import DotParams, check_ledger_scale, check_temperature, spectrum, thermal_factors
 from .regimes import BRANCHES, Branch, branch_currents, branch_thresholds, classify
 from .regimes import ZERO_TOL, constrained_strength
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
@@ -48,14 +48,13 @@ from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities
 from .sweep import to_json_document  # noqa: F401
 from .sweep import PERFORMANCE_CONVENTION, AxisSpec, GridSpec, _fmt, mode_area_fractions
 from .sweep import run_sweep, write_csv, write_json
-from .thermo import CycleInputs, ledger_discrepancy, run_cycle_closed_form, run_cycle_matrix
+from .thermo import LEDGER_FIELDS, CycleInputs, ledger_discrepancy, run_cycle_closed_form
+from .thermo import run_cycle_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_IO_ERROR = 3
-
-_LEDGER_FIELDS = ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")
 
 
 def _axis(text: str) -> AxisSpec:
@@ -272,13 +271,14 @@ def cmd_spectrum(args) -> int:
 def cmd_cycle(args) -> int:
     _require(args, "epsilon", "tau", "temperature", "a", "b")
     inputs = CycleInputs(DotParams(args.epsilon, args.tau), args.temperature, args.a, args.b)
+    check_ledger_scale(args.epsilon, args.tau)
     closed = run_cycle_closed_form(inputs)
     matrix = run_cycle_matrix(inputs)
     doc = {
         "inputs": {"epsilon": args.epsilon, "tau": args.tau,
                    "temperature": args.temperature, "a": args.a, "b": args.b},
-        "closed_form": {f: getattr(closed, f) for f in _LEDGER_FIELDS},
-        "matrix": {f: getattr(matrix, f) for f in _LEDGER_FIELDS},
+        "closed_form": {f: getattr(closed, f) for f in LEDGER_FIELDS},
+        "matrix": {f: getattr(matrix, f) for f in LEDGER_FIELDS},
         "energy_closure": closed.energy_closure,
         "entropy_closure": closed.entropy_closure,
         "max_discrepancy": ledger_discrepancy(closed, matrix),
@@ -304,6 +304,7 @@ def cmd_classify(args) -> int:
     if rule.pinned_a is not None and args.a is not None:
         raise ValueError("refrigerator branches fix a thermally; give --b only")
     strength = getattr(args, rule.free)
+    check_ledger_scale(args.epsilon, args.tau)
     qh, qc, w = branch_currents(branch, params, args.temperature, strength)
     thresholds = branch_thresholds(branch, params, args.temperature)._asdict()
 

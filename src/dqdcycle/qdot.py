@@ -26,6 +26,7 @@ shared by the rest of the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,24 @@ def check_dot(epsilon, tau) -> None:
         raise ValueError("epsilon and tau must be finite")
 
 
+def check_ledger_scale(epsilon, tau) -> None:
+    """Refuse finite epsilon and tau at which a cycle ledger would overflow.
+
+    Every energy of both ledgers is bounded by E = hypot(epsilon, tau). As
+    |epsilon|, |tau| <= E and |rho_ij| <= 1, each partial sum of Tr[H rho] is
+    at most |epsilon| + |tau| <= 2E, and Tr[H rho] lies in [-E, E], so
+    |dU_i| <= 2E on the matrix route. On the closed form, |E tanh(E/T)| and
+    |epsilon (2x - 1)| are at most E, so again |dU_i| <= 2E. The closures
+    and the discrepancy between the routes add or subtract two of those:
+    at most 4E. So E <= DBL_MAX / 4 keeps every intermediate finite. (E/T
+    may still overflow to inf; its tanh is 1.)
+    """
+    limit = sys.float_info.max / 4.0
+    if not _holds(map_math(math.hypot, epsilon, tau) <= limit):
+        raise ValueError("epsilon and tau too large: the cycle ledgers need"
+                         f" hypot(epsilon, tau) <= {limit:.6g}")
+
+
 def check_temperature(temperature) -> None:
     if not _holds((0.0 < temperature + 0.0) & (temperature < math.inf)):
         raise ValueError("temperature must be positive")
@@ -90,11 +109,12 @@ class Spectrum:
 
 
 def hamiltonian(params: DotParams) -> np.ndarray:
-    """Dot Hamiltonian [[-epsilon, tau], [tau, epsilon]] in the localized basis."""
-    return np.array(
-        [[-params.epsilon, params.tau], [params.tau, params.epsilon]],
-        dtype=np.complex128,
-    )
+    """Dot Hamiltonian [[-epsilon, tau], [tau, epsilon]] in the localized basis.
+
+    Float parameters give one 2x2 matrix; (n,) arrays give an (n, 2, 2) stack.
+    """
+    e, t = np.asarray(params.epsilon, dtype=float), np.asarray(params.tau, dtype=float)
+    return np.stack((-e, t, t, e), axis=-1).reshape(e.shape + (2, 2)).astype(np.complex128)
 
 
 def thermal_factors(epsilon, tau, temperature) -> tuple[np.ndarray, np.ndarray]:
@@ -123,29 +143,21 @@ def spectrum(params: DotParams) -> Spectrum:
     return Spectrum(gap, theta.item(), (gap, -gap), (phi1, phi2), gap == 0.0)
 
 
-def gibbs_state(params: DotParams, temperature: float) -> np.ndarray:
-    """Thermal state exp(-H/T)/Z assembled from the spectral decomposition.
+def gibbs_state(params: DotParams, temperature) -> np.ndarray:
+    """Thermal state exp(-H/T)/Z assembled from the spectral decomposition:
+    p_+ |phi_1><phi_1| + p_- |phi_2><phi_2| with p_-+ = (1 -+ tanh(E/T))/2.
 
-    The level populations are written as (1 -+ tanh(E/T))/2 rather than
-    exp(-+E/T)/Z, which is the same number but cannot overflow. At the
-    degenerate point E = 0 this is the maximally mixed state.
+    The populations are written with tanh rather than as exp(-+E/T)/Z, which
+    is the same number but cannot overflow. At the degenerate point E = 0
+    this is the maximally mixed state. Float parameters give one 2x2 state;
+    (n,) arrays of epsilon, tau and T give an (n, 2, 2) stack whose entry i
+    is the state of element i, bit for bit.
     """
     check_temperature(temperature)
     gap, t = thermal_factors(params.epsilon, params.tau, temperature)
     _, phi1, phi2 = eigenbases(params.epsilon, params.tau, gap)
-    return thermal_state(phi1, phi2, t)
-
-
-def thermal_state(phi1, phi2, t):
-    """p_plus |phi1><phi1| + p_minus |phi2><phi2| with p_-+ = (1 -+ t)/2.
-
-    Takes one eigenbasis (vectors of shape (2,), float ``t``) or n of them
-    (shape (n, 2), ``t`` of shape (n,)) and returns a 2x2 state or an
-    (n, 2, 2) stack.
-    """
-    t = np.asarray(t)[..., None, None]
-    p_plus, p_minus = 0.5 * (1.0 - t), 0.5 * (1.0 + t)
-    return p_plus * _outer(phi1) + p_minus * _outer(phi2)
+    t = t[..., None, None]
+    return 0.5 * (1.0 - t) * _outer(phi1) + 0.5 * (1.0 + t) * _outer(phi2)
 
 
 def _outer(phi: np.ndarray) -> np.ndarray:
@@ -208,13 +220,9 @@ def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 2x2 product a b as elementwise products and sums, per matrix of a stack.
 
     Entry (i, k) is a[i, 0] b[0, k] + a[i, 1] b[1, k], each product and the
-    sum rounded on its own. Two 2-D operands take it as one broadcast
-    (2, 1) x (1, 2) product per term; when either operand is a stack, each
-    entry is written on its own, so every ufunc loops over the stack once
-    rather than over 1 or 2 elements per matrix. The two forms compute the
-    same products and the same sum per entry, with no reduction, so they give
-    the same bits; the rank decides only which is cheaper per call (the
-    broadcast on one matrix, the entry-wise form on a stack).
+    sum rounded on its own, written entry by entry, so that every ufunc
+    loops over the whole stack once. With no reduction, entry i of a stack
+    has the bits of the product of its matrices alone.
 
     Where at most one of the two terms is nonzero, as for a Kraus operator
     that is a real weight times one matrix unit |i><j|, this equals ``a @ b``
@@ -223,8 +231,6 @@ def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     up to ~1e-15 (9.9e-16 on random (256, 2, 2) stacks), so
     ``internal_energy`` and the random states of ``verify`` keep ``@``.
     """
-    if a.ndim == 2 and b.ndim == 2:
-        return a[:, :1] * b[:1, :] + a[:, 1:] * b[1:, :]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     for i in (0, 1):
         for k in (0, 1):

@@ -294,10 +294,11 @@ def branch_currents(
 
 
 def branch_currents_grid(
-    branch: Branch, epsilons: list[float], tau: float, temperature: float,
-    strengths: list[float],
+    branch: Branch, epsilons: np.ndarray, tau: float, temperature: float,
+    strengths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Qh, Qc, W) arrays of shape (len(epsilons), len(strengths)).
+    """(Qh, Qc, W) arrays of shape (len(epsilons), len(strengths)), from two 1-D arrays
+    or lists.
 
     ``branch_points`` over the grid, with E and tanh(E/T) taken once per
     epsilon.

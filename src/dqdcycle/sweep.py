@@ -59,7 +59,7 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .qdot import check_temperature
+from .qdot import check_dot, check_temperature
 from .regimes import MODES, Branch, Classification, Mode, branch_currents_grid
 from .regimes import ZERO_TOL, _check_zero_tol, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
@@ -114,8 +114,7 @@ class GridSpec:
         if self.epsilon_axis.start <= 0.0:
             raise ValueError("epsilon axis must be positive")
         check_temperature(self.temperature)
-        if not math.isfinite(self.tau):
-            raise ValueError("tau must be finite")
+        check_dot(self.epsilon_axis.start, self.tau)  # the axis bounds are finite by now
         _check_zero_tol(self.zero_tol)
 
 
@@ -206,9 +205,8 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    qh, qc, w = branch_currents_grid(spec.branch, spec.epsilon_axis.points().tolist(),
-                                     spec.tau, spec.temperature,
-                                     spec.strength_axis.points().tolist())
+    qh, qc, w = branch_currents_grid(spec.branch, spec.epsilon_axis.points(), spec.tau,
+                                     spec.temperature, spec.strength_axis.points())
     codes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
     cells = SweepCells(Columns(
         *map(_doubles, _grid_points(spec)),

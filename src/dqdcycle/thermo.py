@@ -27,8 +27,10 @@ the matrix ledger carries the states rho1..rho3; a closed-form ledger leaves
 them as None. Each route has one kernel over an (n, 5) array of epsilon, tau,
 T, a, b (``run_cycle_matrix_batch``, ``run_cycle_closed_form_batch``), and
 ``run_cycle_matrix``, ``run_cycle_closed_form`` and ``binary_entropy`` are
-one-row calls of them. ``tests/reference.py`` holds the scalar forms that
-the tests compare them with, bit for bit.
+one-row calls of them. The matrix kernel is the one-point pipeline run on
+stacks: ``qdot.hamiltonian`` and ``qdot.gibbs_state``, then ``apply_channel``
+for channel A and for channel B. ``tests/reference.py`` holds the scalar
+forms that the tests compare them with, bit for bit.
 
 Sign convention: dU_i > 0 means energy flows *into* the dot during stroke i.
 """
@@ -41,10 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import MeasurementChannel, Orientation, apply_channel
-from .qdot import DotParams, check_temperature, check_unit, eigenbases, internal_energy
-from .qdot import map_math, thermal_factors, thermal_state, von_neumann_entropy
-# Not called here; imported so that perfbench/spans.py can rebind them in this module.
-from .qdot import gibbs_state, spectrum  # noqa: F401
+from .qdot import DotParams, check_temperature, check_unit, gibbs_state, hamiltonian
+from .qdot import internal_energy, map_math, thermal_factors, von_neumann_entropy
+# Not called here; imported so that perfbench/spans.py can rebind it in this module.
+from .qdot import spectrum  # noqa: F401
+
+# The six fields of a ledger that the two routes both fill, in report order.
+LEDGER_FIELDS = ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")
 
 
 @dataclass(frozen=True)
@@ -111,36 +116,32 @@ def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
     return _one_row(run_cycle_matrix_batch, inputs)
 
 
-def _columns(batch: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The five (n,) columns epsilon, tau, T, a, b of an (n, 5) batch, validated at once
-    with the messages of ``DotParams`` and ``CycleInputs``."""
+def _columns(batch: np.ndarray) -> CycleInputs:
+    """One ``CycleInputs`` whose fields are the (n,) columns epsilon, tau, T, a, b of an
+    (n, 5) batch, so that its checks run on whole columns."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != 5:
         raise ValueError("a batch is an (n, 5) array of epsilon, tau, T, a, b")
     eps, tau, temperature, a, b = batch.T
-    CycleInputs(DotParams(eps, tau), temperature, a, b)  # their checks, on whole columns
-    return eps, tau, temperature, a, b
+    return CycleInputs(DotParams(eps, tau), temperature, a, b)
 
 
 def run_cycle_matrix_batch(batch: np.ndarray) -> StrokeLedger:
     """The density-matrix ledger of each row of an (n, 5) array of epsilon, tau, T, a, b.
 
     Every ledger field is an (n,) array and rho1..rho3 are (n, 2, 2) stacks;
-    a (0, 5) batch gives (0,) arrays. E, tanh(E/T) and the eigenbasis come
-    from ``qdot.thermal_factors`` and ``qdot.eigenbases``, as they do for
-    ``gibbs_state``. Each channel family is one array channel, so the Kraus
-    source is called twice per batch. Every other step applies the numpy
-    operation of the one-matrix ``gibbs_state``, ``apply_channel``,
-    ``internal_energy`` and ``von_neumann_entropy`` to each matrix of a
-    stack, so entry i equals their ledger of row i with ==.
+    a (0, 5) batch gives (0,) arrays. The steps are those of one point, on
+    stacks: ``hamiltonian`` and ``gibbs_state`` of the columns, then
+    ``apply_channel`` with channel A of every a and channel B of every b, so
+    the Kraus source is called twice per batch. ``internal_energy`` and
+    ``von_neumann_entropy`` run the same numpy operations on each matrix of
+    a stack, so entry i equals the one-point ledger of row i with ==.
     """
-    eps, tau, temperature, a, b = _columns(batch)
-    gap, t = thermal_factors(eps, tau, temperature)
-    _, phi1, phi2 = eigenbases(eps, tau, gap)
-    h = np.stack((-eps, tau, tau, eps), axis=1).reshape(-1, 2, 2).astype(np.complex128)
-    rho1 = thermal_state(phi1, phi2, t)
-    rho2 = apply_channel(MeasurementChannel(a, Orientation.A), rho1)
-    rho3 = apply_channel(MeasurementChannel(b, Orientation.B), rho2)
+    x = _columns(batch)
+    h = hamiltonian(x.params)
+    rho1 = gibbs_state(x.params, x.temperature)
+    rho2 = apply_channel(MeasurementChannel(x.a, Orientation.A), rho1)
+    rho3 = apply_channel(MeasurementChannel(x.b, Orientation.B), rho2)
     u1, u2, u3 = (internal_energy(h, r) for r in (rho1, rho2, rho3))
     s1, s2, s3 = (von_neumann_entropy(r) for r in (rho1, rho2, rho3))
     return StrokeLedger(
@@ -197,18 +198,19 @@ def run_cycle_closed_form_batch(batch: np.ndarray) -> StrokeLedger:
     on Python floats for row i, signed zeros included. Overflow and inf - inf give inf and NaN
     without a warning, as they do on floats. A (0, 5) batch gives (0,) arrays.
     """
-    eps, tau, temperature, a, b = _columns(batch)
+    x = _columns(batch)
+    eps, a, b = x.params.epsilon, x.a, x.b
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-        gap, t = thermal_factors(eps, tau, temperature)
+        gap, t = thermal_factors(eps, x.params.tau, x.temperature)
         h_g, h_a, h_b = (_binary_entropy_columns(p) for p in (0.5 * (1.0 - t), a, b))
         return _closed_form_ledger(eps, gap, t, a, b, h_g, h_a, h_b)
 
 
 def ledger_discrepancy(x: StrokeLedger, y: StrokeLedger):
-    """Largest absolute difference over the six dU/dS entries of two ledgers.
+    """Largest absolute difference over the ``LEDGER_FIELDS`` of two ledgers.
 
     NaN if any difference is NaN; an (n,) array for two ledgers of (n,) arrays.
     """
-    d = np.max([np.abs(np.subtract(getattr(x, f), getattr(y, f)))
-                for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")], axis=0)
+    d = np.max([np.abs(np.subtract(getattr(x, f), getattr(y, f))) for f in LEDGER_FIELDS],
+               axis=0)
     return d.item() if d.ndim == 0 else d

@@ -36,8 +36,10 @@ changes every seed's results and takes a new version.
 A channel's draw (r, p) has strength p and orientation A if r < 0.5, else B.
 Each block's residuals come from one numpy pass over (n, 2, 2) stacks: the
 cycle checks pass the (n, 5) rows straight to
-``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``,
-and no ``CycleInputs`` or channel object is built. A worst case is its
+``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``
+(``qdot.hamiltonian`` and ``qdot.gibbs_state``, then ``apply_channel`` for
+channel A and for channel B, all on stacks), and no per-trial inputs or
+channel object is built. A worst case is its
 trial's draw in Python floats, ``{"strength": p, "orientation": "A" or "B"}``
 for a channel check and the row's epsilon, tau, temperature, a and b for a
 cycle check. The worst case is the first trial with the largest residual. A
@@ -65,9 +67,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Orientation, apply_kraus, completeness_residual, kraus_stack
-from .qdot import DotParams, dagger, is_density_matrix, max_abs, trace2, trace_deviation
+from .qdot import dagger, is_density_matrix, max_abs, trace2, trace_deviation
 from .regimes import MODES, Branch, branch_points, expected_mode_codes, mode_codes
-from .thermo import CycleInputs, StrokeLedger, ledger_discrepancy, run_cycle_closed_form_batch
+from .thermo import StrokeLedger, ledger_discrepancy, run_cycle_closed_form_batch
 from .thermo import run_cycle_matrix_batch
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from .thermo import run_cycle_closed_form  # noqa: F401
@@ -95,7 +97,7 @@ BLOCK = 1024
 # trial by trial, interleaving each trial's kinds of draw in one generator.
 STREAM = 2
 
-# The bounds of random_cycle_inputs' five draws: epsilon, tau, T, a, b.
+# The bounds of the cycle checks' five draws per trial: epsilon, tau, T, a, b.
 _CYCLE_LOW = (1e-3, 0.0, 0.5, 0.0, 0.0)
 _CYCLE_HIGH = (3.0, 1.0, 6.0, 1.0, 1.0)
 
@@ -137,29 +139,10 @@ def _scan(name, trials, tol, block, describe) -> CheckResult:
     return _result(name, trials, worst, tol, worst_case)
 
 
-def _gram_state(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A A^dag normalized to unit trace, with A = x + iy; one matrix or an (n, 2, 2) stack."""
-    a = x + 1j * y
-    rho = a @ dagger(a)
-    return rho / trace2(rho).real[..., None, None]
-
-
-def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random mixed state: A A^dag normalized to unit trace; one trial of the
-    channel checks' ``standard_normal`` draw."""
-    z = rng.standard_normal((2, 2, 2))
-    return _gram_state(z[0], z[1])
-
-
 def _random_cycle_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n draws of random_cycle_inputs as the rows of an (n, 5) array of epsilon, tau, T,
-    a, b; one (n, 5) draw reads the stream in the same order as n single draws."""
+    """n random cycle inputs as the rows of an (n, 5) array of epsilon, tau, T, a, b;
+    one (n, 5) draw reads the stream in the same order as n one-row draws."""
     return rng.uniform(_CYCLE_LOW, _CYCLE_HIGH, size=(n, 5))
-
-
-def random_cycle_inputs(rng: np.random.Generator) -> CycleInputs:
-    e, tau, temperature, a, b = _random_cycle_rows(rng, 1)[0].tolist()
-    return CycleInputs(DotParams(e, tau), temperature, a, b)
 
 
 def _row_dict(row: np.ndarray) -> dict:
@@ -197,7 +180,9 @@ def _channel_scan(name, rng, trials, residuals) -> CheckResult:
     def block(n):
         draws = params.random((n, 2))
         z = states.standard_normal((n, 2, 2, 2))
-        out = apply_kraus(_kraus_of(draws), _gram_state(z[:, 0], z[:, 1]))
+        a = z[:, 0] + 1j * z[:, 1]  # each state is A A^dag over its trace
+        rho = a @ dagger(a)
+        out = apply_kraus(_kraus_of(draws), rho / trace2(rho).real[:, None, None])
         return residuals(draws, out), draws
 
     return _scan(name, trials, MATRIX_TOL, block, _draw_dict)

@@ -17,9 +17,9 @@ from dqdcycle.channels import MeasurementChannel, Orientation, apply_kraus, comp
 from dqdcycle.qdot import DotParams, is_density_matrix, max_abs
 from dqdcycle.regimes import Branch, Mode
 from dqdcycle.sweep import SweepResult
-from dqdcycle.thermo import CycleInputs
 from reference import branch_currents, branch_thresholds, evaluate_cell, expected_mode
-from reference import run_cycle_closed_form, run_cycle_matrix
+from reference import random_cycle_inputs, random_density_matrix, run_cycle_closed_form
+from reference import run_cycle_matrix
 
 CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
@@ -84,24 +84,6 @@ def oracle_verify(oracle_runs):
     classifier and the five tolerances. So a test that patches any of them
     runs the loops afresh; each call returns a new list.
     """
-
-    def random_density_matrix(rng):
-        z = rng.standard_normal((2, 2, 2))
-        a = z[0] + 1j * z[1]
-        rho = a @ a.conj().T
-        return rho / np.trace(rho).real
-
-    def random_cycle_inputs(rng):
-        params = DotParams(
-            epsilon=float(rng.uniform(1e-3, 3.0)),
-            tau=float(rng.uniform(0.0, 1.0)),
-        )
-        return CycleInputs(
-            params=params,
-            temperature=float(rng.uniform(0.5, 6.0)),
-            a=float(rng.uniform(0.0, 1.0)),
-            b=float(rng.uniform(0.0, 1.0)),
-        )
 
     def random_channel(rng):
         r, p = rng.random(2).tolist()

@@ -7,7 +7,8 @@ computation, an array kernel, and its scalar names (``spectrum``,
 ``gibbs_state``, ``run_cycle_matrix``, ``run_cycle_closed_form``,
 ``binary_entropy``, ``branch_currents``, ``branch_thresholds``,
 ``expected_mode``, ``classify_from_signs`` and ``classify``) are one-row
-calls of those kernels. The tests hold the kernels
+calls of those kernels; ``hamiltonian`` and ``gibbs_state`` also take
+parameters of (n,) arrays, and ``matmul2`` a stack. The tests hold the kernels
 and the one-row calls to these references with ``==``, signed zeros, types,
 warnings and error messages included, and the ``oracle_sweep`` and
 ``oracle_verify`` fixtures run on them.
@@ -16,7 +17,9 @@ The references share only the package's data and formulas: the branch table
 ``regimes.BRANCHES`` (with its clamp ``regimes._mid``), ``thermo.stroke_energies``
 and ``thermo._closed_form_ledger`` (+ - * only, so a float gives the bits of an
 array element), the interval reader ``regimes._intervals_held``, ``kappa``, and
-the one-matrix Gibbs state, channels and traces of ``qdot`` and ``channels``.
+the one-matrix channels and traces of ``qdot`` and ``channels``.
+``random_density_matrix`` and ``random_cycle_inputs`` draw one trial's state
+or cycle input, for the acceptance criteria and the ``oracle_verify`` loops.
 
 ``outcome`` and ``same`` at the end are how the tests compare a call with its
 reference: the value, its type, every warning and any exception.
@@ -31,8 +34,7 @@ import warnings
 import numpy as np
 
 from dqdcycle.channels import MeasurementChannel, Orientation, apply_channel
-from dqdcycle.qdot import DotParams, hamiltonian, internal_energy, thermal_state
-from dqdcycle.qdot import von_neumann_entropy
+from dqdcycle.qdot import DotParams, internal_energy, von_neumann_entropy
 from dqdcycle.regimes import BRANCHES, SIGN_PATTERNS, ZERO_TOL, Branch, Classification, Currents
 from dqdcycle.regimes import EngineThresholds, Mode, RefrigeratorThresholds, _check_zero_tol
 from dqdcycle.regimes import _intervals_held, kappa
@@ -52,12 +54,34 @@ def eigenbasis(epsilon: float, tau: float) -> tuple[float, float, np.ndarray, np
             np.array([s, -c], dtype=np.complex128))
 
 
+def hamiltonian(params: DotParams) -> np.ndarray:
+    """[[-epsilon, tau], [tau, epsilon]] at one point."""
+    return np.array([[-params.epsilon, params.tau], [params.tau, params.epsilon]],
+                    dtype=np.complex128)
+
+
 def gibbs_state(params: DotParams, temperature: float) -> np.ndarray:
     """The thermal state with populations (1 -+ tanh(E/T))/2 in the eigenbasis."""
     if not (math.isfinite(temperature) and temperature > 0.0):
         raise ValueError("temperature must be positive")
     gap, _, phi1, phi2 = eigenbasis(params.epsilon, params.tau)
-    return thermal_state(phi1, phi2, math.tanh(gap / temperature))
+    t = math.tanh(gap / temperature)
+    return (0.5 * (1.0 - t) * np.outer(phi1, phi1.conj())
+            + 0.5 * (1.0 + t) * np.outer(phi2, phi2.conj()))
+
+
+def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two 2x2 matrices as two broadcast (2, 1) x (1, 2) products and their
+    sum: entry (i, k) is a[i, 0] b[0, k] + a[i, 1] b[1, k], each step rounded on its own."""
+    return a[:, :1] * b[:1, :] + a[:, 1:] * b[1:, :]
+
+
+def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
+    """A A^dag normalized to unit trace, from one ``standard_normal((2, 2, 2))`` draw."""
+    z = rng.standard_normal((2, 2, 2))
+    a = z[0] + 1j * z[1]
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +98,13 @@ def binary_entropy(p: float) -> float:
     if p < 1.0:
         out -= (1.0 - p) * math.log(1.0 - p)
     return out
+
+
+def random_cycle_inputs(rng: np.random.Generator) -> CycleInputs:
+    """One cycle input from five ``uniform`` draws: epsilon, tau, T, a, b."""
+    params = DotParams(epsilon=float(rng.uniform(1e-3, 3.0)), tau=float(rng.uniform(0.0, 1.0)))
+    return CycleInputs(params=params, temperature=float(rng.uniform(0.5, 6.0)),
+                       a=float(rng.uniform(0.0, 1.0)), b=float(rng.uniform(0.0, 1.0)))
 
 
 def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:

@@ -38,7 +38,7 @@ from dqdcycle.thermo import (
     run_cycle_closed_form,
     run_cycle_matrix,
 )
-from dqdcycle.verify import random_density_matrix
+from reference import random_density_matrix
 
 import io
 

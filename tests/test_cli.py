@@ -3,6 +3,8 @@ import json
 import math
 import shutil
 import subprocess
+import sys
+import warnings
 
 import pytest
 
@@ -290,6 +292,56 @@ max_discrepancy,1.110223024625e-16
 def test_cycle_stdout_is_pinned(capsys, args, fmt, expected):
     assert run_cli("cycle", *args, "--format", fmt) == 0
     assert capsys.readouterr().out == expected
+
+
+# At E = hypot(epsilon, tau) above a quarter of the largest float, a ledger could overflow.
+TOO_LARGE = ("error: epsilon and tau too large: the cycle ledgers need"
+             " hypot(epsilon, tau) <= 4.49423e+307\n")
+LARGEST_GAP = repr(sys.float_info.max / 4.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cycle", "--epsilon=1.7e308", "--tau=1.7e308", "--temperature=1", "--a=0.3", "--b=0.6"],
+    ["cycle", "--epsilon=1e308", "--tau=1e308", "--temperature=1", "--a=0.3", "--b=0.6"],
+    ["cycle", "--epsilon=-4.5e307", "--tau=0", "--temperature=1", "--a=0.3", "--b=0.6"],
+    ["classify", "--branch=refrigerator-plus", "--epsilon=1.7e308", "--tau=1.7e308",
+     "--temperature=1", "--b=0.52"],
+    ["classify", "--branch=refrigerator-minus", "--epsilon=1e308", "--tau=1e308",
+     "--temperature=1", "--b=0.52"],
+    ["classify", "--branch=engine", "--epsilon=1e308", "--tau=1e308", "--temperature=1",
+     "--a=0.3"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ledger_overflow_is_refused_before_work(monkeypatch, capsys, argv, fmt):
+    """Finite epsilon and tau whose ledgers would overflow exit 2 with a message naming
+    them, before any ledger or current is computed and with no warning."""
+    def forbidden(*args):
+        raise AssertionError("work started")
+
+    for name in ("run_cycle_closed_form", "run_cycle_matrix", "branch_currents"):
+        monkeypatch.setattr(cli, name, forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--format", fmt) == 2
+    assert capsys.readouterr() == ("", TOO_LARGE)
+
+
+@pytest.mark.parametrize("epsilon, tau", [(LARGEST_GAP, "0"), ("1e-300", "-" + LARGEST_GAP),
+                                          ("3.1e307", "3.1e307"), ("1e300", "1e300")])
+def test_ledgers_just_inside_the_scale_bound_are_reported(capsys, epsilon, tau):
+    """At E up to the bound itself, cycle and classify exit 0 with finite numbers and no
+    warning."""
+    point = [f"--epsilon={epsilon}", f"--tau={tau}", "--temperature=1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("cycle", *point, "--a=0.3", "--b=0.6") == 0
+        cycle = json.loads(capsys.readouterr().out)
+        assert run_cli("classify", "--branch=engine", *point, "--a=0.3") == 0
+        classify = json.loads(capsys.readouterr().out)
+    numbers = [*cycle["closed_form"].values(), *cycle["matrix"].values(),
+               cycle["energy_closure"], cycle["max_discrepancy"],
+               classify["Qh"], classify["Qc"], classify["W"]]
+    assert all(math.isfinite(x) for x in numbers)
 
 
 def test_cycle_rejects_bad_strength():

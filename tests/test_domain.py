@@ -93,6 +93,13 @@ def test_gibbs_state_and_grid_spec(temperature):
         GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 3), AxisSpec(0.1, 3.0, 3), 0.5, temperature)
 
 
+@pytest.mark.parametrize("tau", BAD_DOT)
+def test_grid_spec_tau(tau):
+    """A sweep's tau goes through ``qdot.check_dot``, as every other tau does."""
+    with raises(DOT):
+        GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 3), AxisSpec(0.1, 3.0, 3), tau, 2.0)
+
+
 @pytest.mark.parametrize("strength", BAD_UNIT)
 def test_measurement_channel(strength):
     for s in (strength, np.array([0.5, strength])):
@@ -137,8 +144,10 @@ def test_constructors_refuse_what_is_not_a_float(bad, error):
 def test_domain_lives_in_qdot():
     """No module but ``qdot`` raises the dot's or the temperature's domain error, or takes
     E, theta or tanh(E/T) from ``math`` itself: ``qdot.check_dot``,
-    ``check_temperature``, ``thermal_factors`` and ``eigenbases`` are the one place."""
-    messages = ("epsilon and tau must be finite", "temperature must be positive")
+    ``check_temperature``, ``thermal_factors`` and ``eigenbases`` are the one place.
+    The scan also looks for the message of a tau check that ``GridSpec`` once had."""
+    messages = ("epsilon and tau must be finite", "temperature must be positive",
+                "tau must be finite")
     names = {"hypot", "tanh", "atan2"}
     found = []
     for path in sorted(SRC.glob("*.py")):

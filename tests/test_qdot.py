@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from dqdcycle.qdot import (
     DotParams,
     SIGMA_X,
     SIGMA_Z,
+    check_ledger_scale,
     dagger,
     eigenbases,
     gibbs_state,
@@ -116,6 +119,47 @@ def test_spectrum_and_gibbs_state_equal_the_reference(epsilon, tau, temperature)
     assert spec.degenerate is (gap == 0.0)
     assert reference.same(reference.outcome(gibbs_state, p, temperature),
                           reference.outcome(reference.gibbs_state, p, temperature))
+
+
+def test_hamiltonian_and_gibbs_state_of_arrays_stack_the_one_point_results():
+    """A ``DotParams`` of (n,) arrays gives the (n, 2, 2) stack of the one-point
+    ``hamiltonian`` and ``gibbs_state``, and those equal the scalar references, bit for
+    bit: tau = 0, signed zeros, E overflowing to inf and E/T overflowing to inf
+    included, and with no warning."""
+    values = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 5e-324, 1e300, 1.7e308, -1.7e308]
+    epsilon, tau = (np.array(x) for x in zip(*itertools.product(values, values)))
+    temperature = np.resize([1.0, 5e-324, 1e300, 0.7], epsilon.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hamiltonian(DotParams(epsilon, tau))
+        rho = gibbs_state(DotParams(epsilon, tau), temperature)
+        assert h.shape == rho.shape == (len(epsilon), 2, 2)
+        for i, (e, t, temp) in enumerate(zip(*(x.tolist() for x in (epsilon, tau, temperature)))):
+            p = DotParams(e, t)
+            assert reference.same(hamiltonian(p), reference.hamiltonian(p)), (e, t)
+            assert reference.same(h[i], hamiltonian(p)), (e, t)
+            assert reference.same(gibbs_state(p, temp), reference.gibbs_state(p, temp)), (e, t)
+            assert reference.same(rho[i], gibbs_state(p, temp)), (e, t, temp)
+    empty = DotParams(np.empty(0), np.empty(0))
+    assert hamiltonian(empty).shape == gibbs_state(empty, np.empty(0)).shape == (0, 2, 2)
+
+
+def test_check_ledger_scale_bounds_the_gap():
+    """E = hypot(epsilon, tau) up to a quarter of the largest float passes, and any E
+    above it, inf included, is refused: for floats and, anywhere in them, for arrays."""
+    limit = sys.float_info.max / 4.0
+    check_ledger_scale(limit, 0.0)
+    check_ledger_scale(-0.0, -limit)
+    check_ledger_scale(np.array([1.0, 0.0, limit]), np.array([0.5, -limit, 0.0]))
+    check_ledger_scale(np.empty(0), np.empty(0))
+    message = ("^epsilon and tau too large: the cycle ledgers need"
+               r" hypot\(epsilon, tau\) <= 4\.49423e\+307$")
+    for epsilon, tau in [(np.nextafter(limit, math.inf), 0.0), (limit, 1e307), (1e308, 1e308),
+                         (1.7e308, 1.7e308), (0.0, -1.7e308)]:
+        with pytest.raises(ValueError, match=message):
+            check_ledger_scale(epsilon, tau)
+        with pytest.raises(ValueError, match=message):
+            check_ledger_scale(np.array([1.0, epsilon]), np.array([0.0, tau]))
 
 
 def test_kernels_equal_the_reference_element_by_element():
@@ -297,8 +341,9 @@ def assert_same_bits(x, y):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0, inf - inf
 @pytest.mark.parametrize("n", [1, 3, 257])
 def test_stack_kernels_equal_one_matrix_kernels_bit_for_bit(rng, n):
-    """The entry-wise stack form of ``matmul2`` gives the bits of its one-matrix form on
-    every matrix, special values included, and ``trace2`` gives ``np.trace``'s."""
+    """``matmul2`` on a stack gives, on every matrix, the bits of ``matmul2`` on that
+    matrix alone and of the broadcast product of ``reference.matmul2``, special values
+    included, and ``trace2`` gives ``np.trace``'s."""
     a, b = planted_stack(rng, (n, 2, 2)), planted_stack(rng, (n, 2, 2))
     kraus = planted_stack(rng, (4, n, 2, 2))  # as ``apply_kraus`` takes a ``kraus_stack``
     for x, y in ((a, b), (a, dagger(b)), (kraus, b), (kraus, dagger(kraus))):
@@ -306,7 +351,9 @@ def test_stack_kernels_equal_one_matrix_kernels_bit_for_bit(rng, n):
         assert stacked.shape == np.broadcast_shapes(x.shape, y.shape)
         assert stacked.flags.c_contiguous
         for index in np.ndindex(stacked.shape[:-2]):
-            assert_same_bits(stacked[index], matmul2(x[index], y[index[x.ndim - y.ndim:]]))
+            one = x[index], y[index[x.ndim - y.ndim:]]
+            assert_same_bits(stacked[index], matmul2(*one))
+            assert_same_bits(stacked[index], reference.matmul2(*one))
     for m in (a, kraus):
         assert_same_bits(trace2(m), np.trace(m, axis1=-2, axis2=-1))
     for m in a:

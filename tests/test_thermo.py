@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import reference
 from dqdcycle import channels, thermo
-from dqdcycle.qdot import DotParams, hamiltonian, internal_energy
+from dqdcycle.qdot import DotParams, check_ledger_scale, hamiltonian, internal_energy
 from dqdcycle.thermo import (
+    LEDGER_FIELDS,
     CycleInputs,
     binary_entropy,
     ledger_discrepancy,
@@ -255,6 +257,28 @@ def test_one_row_ledgers_equal_the_reference(inputs):
         assert all(type(getattr(got[1], f)) is float
                    for f in ("dU1", "dU2", "dU3", "dS1", "dS2", "dS3")), name
         assert same(got, outcome(getattr(reference, name), inputs)), name
+
+
+def test_ledgers_are_finite_up_to_the_scale_bound():
+    """At every E = hypot(epsilon, tau) that ``check_ledger_scale`` lets through, up to the
+    bound itself, both ledgers, their closures and their discrepancy are finite, and no
+    step warns: the bound of its docstring holds."""
+    limit = sys.float_info.max / 4.0
+    angles = np.linspace(0.0, 2.0 * math.pi, 97)
+    points = [(r * math.cos(phi), r * math.sin(phi)) for phi in angles.tolist()
+              for r in (limit, limit * (1.0 - 2.0 ** -40), 1e307)]
+    rows = np.array([(eps, tau, temperature, a, b) for eps, tau in points
+                     for temperature in (1.0, 1e300) for a, b in ((0.3, 0.6), (1.0, 0.0),
+                                                                 (0.0, 0.0), (0.5, 1.0))])
+    check_ledger_scale(rows[:, 0], rows[:, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed, matrix = run_cycle_closed_form_batch(rows), run_cycle_matrix_batch(rows)
+        values = [ledger_discrepancy(closed, matrix)]
+        for ledger in (closed, matrix):
+            values += [getattr(ledger, f) for f in LEDGER_FIELDS]
+            values += [ledger.energy_closure, ledger.entropy_closure]
+    assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("batch_ledger", [run_cycle_closed_form_batch, run_cycle_matrix_batch])

@@ -8,7 +8,6 @@ import pytest
 import reference
 from dqdcycle import channels, regimes, verify
 from dqdcycle.channels import MeasurementChannel, Orientation, kraus_operators
-from dqdcycle.qdot import is_density_matrix
 from dqdcycle.regimes import mode_codes
 from reference import classify_from_signs
 
@@ -309,21 +308,6 @@ def test_corruption_hits_cptp_check(monkeypatch):
     monkeypatch.setattr(channels, "kraus_operators", corrupted_kraus)
     rng = np.random.default_rng(5)
     assert not verify.check_channel_cptp(rng, trials=30).passed
-
-
-def test_random_density_matrix_is_a_state(rng):
-    for _ in range(50):
-        assert is_density_matrix(verify.random_density_matrix(rng), 1e-12)
-
-
-def test_random_cycle_inputs_in_domain(rng):
-    for _ in range(100):
-        inputs = verify.random_cycle_inputs(rng)
-        assert 0.0 < inputs.params.epsilon <= 3.0
-        assert 0.0 <= inputs.params.tau <= 1.0
-        assert 0.5 <= inputs.temperature <= 6.0
-        assert 0.0 <= inputs.a <= 1.0
-        assert 0.0 <= inputs.b <= 1.0
 
 
 def test_check_result_records_worst_case():
