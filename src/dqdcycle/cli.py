@@ -342,6 +342,7 @@ def cmd_sweep(args) -> int:
         temperature=args.temperature,
         zero_tol=args.zero_tol,
     )
+    check_ledger_scale(spec.epsilon_axis.stop, spec.tau)  # the stop is the largest |epsilon|
     result = run_sweep(spec, workers=args.workers)
 
     write = {"csv": write_csv, "json": write_json}[args.format]

@@ -13,20 +13,32 @@ stay below a fixed tolerance:
 * ``threshold_consistency`` -- the analytic regime boundaries agree with
                             sign-based classification at random branch points.
 
-Every check runs its trials at most ``BLOCK`` at a time, so memory stays
-bounded whatever the trial count, and draws each block as whole columns with
-public ``Generator`` calls, one row per trial:
+The checks run as three passes over the trials, at most ``BLOCK`` at a time,
+so memory stays bounded whatever the trial count. The checks of a pass share
+its draws and every intermediate, so they see the same sample: with
+``trials`` = N, the three channel checks examine the same N channel/state
+pairs and the two ledger checks the same N cycle rows. Each check still makes
+N random trials with its own residual and tolerance. Each pass draws a block
+as whole columns with public ``Generator`` calls, one row per trial:
 
-* ``kraus_completeness``: ``random((n, 2))``, a channel (r, p) per row.
-* ``channel_cptp`` and ``channel_reset``: each splits ``params, states =
-  rng.spawn(2)`` off the run's generator, then draws ``params.random((n, 2))``
-  for the channels and ``states.standard_normal((n, 2, 2, 2))`` for the
-  random states, the real and imaginary parts of A in A A^dag.
-* ``path_agreement`` and ``cycle_closure``: ``uniform(low, high, (n, 5))``,
-  the rows epsilon, tau, T, a, b.
-* ``threshold_consistency``: ``random((n, 5))``, with epsilon, tau and T
-  scaled from the first three columns, the branch ``tuple(Branch)[int(3 u)]``
-  from the fourth and the strength the fifth.
+* The channel pass (``kraus_completeness``, ``channel_cptp``,
+  ``channel_reset``) splits ``params, states = rng.spawn(2)`` off the run's
+  generator, then draws ``params.random((n, 2))`` for the channels and
+  ``states.standard_normal((n, 2, 2, 2))`` for the random states, the real
+  and imaginary parts of A in A A^dag. Each block builds one ``kraus_stack``,
+  takes its ``completeness_residual`` and makes one ``apply_kraus`` call,
+  whose output gives the ``channel_cptp`` and ``channel_reset`` residuals.
+* The cycle pass (``path_agreement``, ``cycle_closure``) draws
+  ``uniform(low, high, (n, 5))`` from the run's generator, the rows epsilon,
+  tau, T, a, b, and passes them straight to
+  ``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``
+  (``qdot.hamiltonian`` and ``qdot.gibbs_state``, then ``apply_channel`` for
+  channel A and for channel B, all on stacks). Both checks read that one pair
+  of ledgers.
+* ``threshold_consistency`` then draws ``random((n, 5))`` from the run's
+  generator, with epsilon, tau and T scaled from the first three columns, the
+  branch ``tuple(Branch)[int(3 u)]`` from the fourth and the strength the
+  fifth.
 
 Each generator gives one kind of draw, so n rows in one call read the stream
 as n one-row calls do, and the results for a seed do not depend on
@@ -34,16 +46,11 @@ as n one-row calls do, and the results for a seed do not depend on
 changes every seed's results and takes a new version.
 
 A channel's draw (r, p) has strength p and orientation A if r < 0.5, else B.
-Each block's residuals come from one numpy pass over (n, 2, 2) stacks: the
-cycle checks pass the (n, 5) rows straight to
-``thermo.run_cycle_closed_form_batch`` and ``thermo.run_cycle_matrix_batch``
-(``qdot.hamiltonian`` and ``qdot.gibbs_state``, then ``apply_channel`` for
-channel A and for channel B, all on stacks), and no per-trial inputs or
-channel object is built. A worst case is its
-trial's draw in Python floats, ``{"strength": p, "orientation": "A" or "B"}``
-for a channel check and the row's epsilon, tau, temperature, a and b for a
-cycle check. The worst case is the first trial with the largest residual. A
-NaN residual fails its check, and the first one is reported as the worst
+No per-trial inputs or channel object is built. A worst case is its trial's
+draw in Python floats, ``{"strength": p, "orientation": "A" or "B"}`` for a
+channel check and the row's epsilon, tau, temperature, a and b for a cycle
+check. Each check's worst case is the first trial with its largest residual.
+A NaN residual fails its check, and the first one is reported as the worst
 case. ``BLOCK`` is the knee of the measured per-trial cost: the smallest
 power of two past which a larger block saves less than 5% per trial (the
 numbers are at its definition).
@@ -53,7 +60,8 @@ branch table: ``regimes.branch_points`` for each branch present in a block,
 then ``regimes.expected_mode_codes`` and ``regimes.mode_codes``.
 
 The Kraus operators are looked up through ``channels.kraus_operators`` at call
-time, once per orientation per block (each call takes an array of strengths),
+time, once per orientation per block of each of the channel and cycle passes
+(each call takes an array of strengths),
 so a deliberately corrupted implementation swapped in there is picked up and
 flagged -- the test suite uses that as a negative control on the checks
 themselves.
@@ -69,8 +77,7 @@ import numpy as np
 from .channels import Orientation, apply_kraus, completeness_residual, kraus_stack
 from .qdot import dagger, is_density_matrix, max_abs, trace2, trace_deviation
 from .regimes import MODES, Branch, branch_points, expected_mode_codes, mode_codes
-from .thermo import StrokeLedger, ledger_discrepancy, run_cycle_closed_form_batch
-from .thermo import run_cycle_matrix_batch
+from .thermo import ledger_discrepancy, run_cycle_closed_form_batch, run_cycle_matrix_batch
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from .thermo import run_cycle_closed_form  # noqa: F401
 from .regimes import engine_branch_quantities, engine_branch_thresholds  # noqa: F401
@@ -84,20 +91,22 @@ PATH_TOL = 1e-10
 CLOSURE_TOL = 1e-12
 THRESHOLD_MARGIN = 1e-9
 
-# Trials per array pass, so that a check's stacks stay small whatever the trial count.
+# Trials per array pass, so that a pass's stacks stay small whatever the trial count.
 # The size is the knee of the per-trial cost of run_all(seed, 8192), measured at powers
 # of two: the smallest block past which doubling it saves less than 5% per trial. Below
 # the knee every block pays each numpy call's fixed cost again; above it the cost is
 # flat, while peak memory and the oracle test that spans two blocks keep growing. On a
-# 2-core VM (Python 3.11, numpy 2.4) the median cost was 36, 28, 24.5, 25 and 25 us per
-# trial at 256, 512, 1024, 2048 and 4096, and peak RSS 38.3, 38.1, 38.9, 39.9, 42.3 MB.
-BLOCK = 1024
+# 2-core VM (Python 3.11, numpy 2.4), in three runs of 12 round-robin calls per size,
+# the median cost was 11.7-17.7, 9.2-14.0, 8.8-11.8, 7.4-10.5 and 7.6-10.8 us per trial
+# at 256, 512, 1024, 2048 and 4096, and peak RSS 38.0, 38.1, 38.9, 39.6 and 42.0 MB.
+BLOCK = 2048
 
 # The version of the draw stream described in the module docstring. Version 1 drew
-# trial by trial, interleaving each trial's kinds of draw in one generator.
-STREAM = 2
+# trial by trial, interleaving each trial's kinds of draw in one generator; version 2
+# drew each check's own sample.
+STREAM = 3
 
-# The bounds of the cycle checks' five draws per trial: epsilon, tau, T, a, b.
+# The bounds of the cycle pass's five draws per trial: epsilon, tau, T, a, b.
 _CYCLE_LOW = (1e-3, 0.0, 0.5, 0.0, 0.0)
 _CYCLE_HIGH = (3.0, 1.0, 6.0, 1.0, 1.0)
 
@@ -122,36 +131,28 @@ def _result(name, trials, residual, tol, worst) -> CheckResult:
     return CheckResult(name, trials, residual, tol, residual <= tol, worst)
 
 
-def _scan(name, trials, tol, block, describe) -> CheckResult:
-    """Run ``block(n) -> (residuals, draws)`` over the trials, at most BLOCK at a time.
+def _scan(trials, block, describe, *checks) -> list[CheckResult]:
+    """Run ``block(n) -> (residuals, draws)`` over the trials, at most BLOCK at a time,
+    with one residual array in ``residuals`` per ``(name, tolerance)`` of ``checks``.
 
-    The worst case is the first trial with the largest residual, and only a
-    residual above 0 counts, as in a trial-by-trial loop with ``r > worst``.
-    A NaN residual beats every number, and the first one stays the worst
-    case, so a NaN fails the check.
+    Each check's worst case is the first trial with its largest residual, and
+    only a residual above 0 counts, as in a trial-by-trial loop with
+    ``r > worst``. A NaN residual beats every number, and the first one stays
+    the worst case, so a NaN fails the check.
     """
-    worst, worst_case = 0.0, None
+    worst, worst_case = [0.0] * len(checks), [None] * len(checks)
     for start in range(0, trials, BLOCK):
-        r, draws = block(min(BLOCK, trials - start))
-        i = int(np.argmax(r))  # the first maximum, or the first NaN
-        if r[i] > worst or (math.isnan(r[i]) and not math.isnan(worst)):
-            worst, worst_case = float(r[i]), describe(draws[i])
-    return _result(name, trials, worst, tol, worst_case)
-
-
-def _random_cycle_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n random cycle inputs as the rows of an (n, 5) array of epsilon, tau, T, a, b;
-    one (n, 5) draw reads the stream in the same order as n one-row draws."""
-    return rng.uniform(_CYCLE_LOW, _CYCLE_HIGH, size=(n, 5))
+        residuals, draws = block(min(BLOCK, trials - start))
+        for c, r in enumerate(residuals):
+            i = int(np.argmax(r))  # the first maximum, or the first NaN
+            if r[i] > worst[c] or (math.isnan(r[i]) and not math.isnan(worst[c])):
+                worst[c], worst_case[c] = float(r[i]), describe(draws[i])
+    return [_result(name, trials, w, tol, case)
+            for (name, tol), w, case in zip(checks, worst, worst_case)]
 
 
 def _row_dict(row: np.ndarray) -> dict:
     return dict(zip(("epsilon", "tau", "temperature", "a", "b"), row.tolist()))
-
-
-def _kraus_of(draws: np.ndarray) -> np.ndarray:
-    """The ``kraus_stack`` of the channels of an (n, 2) array of draws."""
-    return kraus_stack(draws[:, 1], draws[:, 0] < 0.5)
 
 
 def _draw_dict(draw: np.ndarray) -> dict:
@@ -159,22 +160,9 @@ def _draw_dict(draw: np.ndarray) -> dict:
     return {"strength": p, "orientation": (Orientation.A if r < 0.5 else Orientation.B).value}
 
 
-def _both_ledgers(rows: np.ndarray) -> tuple[StrokeLedger, StrokeLedger]:
-    """The closed-form and the matrix ledger of every row, each as one ledger of (n,) arrays."""
-    return run_cycle_closed_form_batch(rows), run_cycle_matrix_batch(rows)
-
-
-def check_kraus_completeness(rng: np.random.Generator, trials: int) -> CheckResult:
-    def block(n):
-        draws = rng.random((n, 2))
-        return completeness_residual(_kraus_of(draws)), draws
-
-    return _scan("kraus_completeness", trials, COMPLETENESS_TOL, block, _draw_dict)
-
-
-def _channel_scan(name, rng, trials, residuals) -> CheckResult:
-    """Scan ``residuals(draws, out)`` over random channels applied to random states, with
-    the channels and the states drawn from two generators spawned off ``rng``."""
+def _channel_pass(rng: np.random.Generator, trials: int) -> list[CheckResult]:
+    """The three channel checks on one sample: random channels applied to random states,
+    with the channels and the states drawn from two generators spawned off ``rng``."""
     params, states = rng.spawn(2)
 
     def block(n):
@@ -182,48 +170,54 @@ def _channel_scan(name, rng, trials, residuals) -> CheckResult:
         z = states.standard_normal((n, 2, 2, 2))
         a = z[:, 0] + 1j * z[:, 1]  # each state is A A^dag over its trace
         rho = a @ dagger(a)
-        out = apply_kraus(_kraus_of(draws), rho / trace2(rho).real[:, None, None])
-        return residuals(draws, out), draws
-
-    return _scan(name, trials, MATRIX_TOL, block, _draw_dict)
-
-
-def check_channel_cptp(rng: np.random.Generator, trials: int) -> CheckResult:
-    def residuals(draws, out):
+        p, is_a = draws[:, 1], draws[:, 0] < 0.5
+        kraus = kraus_stack(p, is_a)
+        out = apply_kraus(kraus, rho / trace2(rho).real[:, None, None])
         r = trace_deviation(out)
         # a structural failure counts as at least 1, not as a small residual
-        return np.where(is_density_matrix(out, MATRIX_TOL), r, np.maximum(r, 1.0))
-
-    return _channel_scan("channel_cptp", rng, trials, residuals)
-
-
-def check_channel_reset(rng: np.random.Generator, trials: int) -> CheckResult:
-    """Output must equal diag(1-a, a) (A) or diag(b, 1-b) (B) for any input."""
-    def residuals(draws, out):
-        p, is_a = draws[:, 1], draws[:, 0] < 0.5
+        cptp = np.where(is_density_matrix(out, MATRIX_TOL), r, np.maximum(r, 1.0))
+        # reset: the output is diag(1-p, p) (A) or diag(p, 1-p) (B) for any input
         target = np.zeros_like(out)
         target[:, 0, 0] = np.where(is_a, 1.0 - p, p)
         target[:, 1, 1] = np.where(is_a, p, 1.0 - p)
-        return max_abs(out - target)
+        return (completeness_residual(kraus), cptp, max_abs(out - target)), draws
 
-    return _channel_scan("channel_reset", rng, trials, residuals)
+    return _scan(trials, block, _draw_dict, ("kraus_completeness", COMPLETENESS_TOL),
+                 ("channel_cptp", MATRIX_TOL), ("channel_reset", MATRIX_TOL))
+
+
+def _cycle_pass(rng: np.random.Generator, trials: int) -> list[CheckResult]:
+    """The two ledger checks on one sample: both ledgers of each row of epsilon, tau, T,
+    a, b, computed once for both checks."""
+    def block(n):
+        rows = rng.uniform(_CYCLE_LOW, _CYCLE_HIGH, size=(n, 5))
+        closed, matrix = run_cycle_closed_form_batch(rows), run_cycle_matrix_batch(rows)
+        sums = [s for x in (closed, matrix) for s in (x.energy_closure, x.entropy_closure)]
+        return (ledger_discrepancy(closed, matrix), np.max(np.abs(sums), axis=0)), rows
+
+    return _scan(trials, block, _row_dict, ("path_agreement", PATH_TOL),
+                 ("cycle_closure", CLOSURE_TOL))
+
+
+# Each check on its own: its pass runs whole, and the check's result is picked from it.
+def check_kraus_completeness(rng: np.random.Generator, trials: int) -> CheckResult:
+    return _channel_pass(rng, trials)[0]
+
+
+def check_channel_cptp(rng: np.random.Generator, trials: int) -> CheckResult:
+    return _channel_pass(rng, trials)[1]
+
+
+def check_channel_reset(rng: np.random.Generator, trials: int) -> CheckResult:
+    return _channel_pass(rng, trials)[2]
 
 
 def check_path_agreement(rng: np.random.Generator, trials: int) -> CheckResult:
-    def block(n):
-        rows = _random_cycle_rows(rng, n)
-        return ledger_discrepancy(*_both_ledgers(rows)), rows
-
-    return _scan("path_agreement", trials, PATH_TOL, block, _row_dict)
+    return _cycle_pass(rng, trials)[0]
 
 
 def check_cycle_closure(rng: np.random.Generator, trials: int) -> CheckResult:
-    def block(n):
-        rows = _random_cycle_rows(rng, n)
-        sums = [s for x in _both_ledgers(rows) for s in (x.energy_closure, x.entropy_closure)]
-        return np.max(np.abs(sums), axis=0), rows
-
-    return _scan("cycle_closure", trials, CLOSURE_TOL, block, _row_dict)
+    return _cycle_pass(rng, trials)[1]
 
 
 def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -281,11 +275,5 @@ def run_all(seed: int, trials: int) -> list[CheckResult]:
     if not _is_int(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
-    return [
-        check_kraus_completeness(rng, trials),
-        check_channel_cptp(rng, trials),
-        check_channel_reset(rng, trials),
-        check_path_agreement(rng, trials),
-        check_cycle_closure(rng, trials),
-        check_threshold_consistency(rng, trials),
-    ]
+    return [*_channel_pass(rng, trials), *_cycle_pass(rng, trials),
+            check_threshold_consistency(rng, trials)]

@@ -68,16 +68,19 @@ def oracle_runs():
 
 @pytest.fixture
 def oracle_verify(oracle_runs):
-    """The scalar reference for ``verify.run_all``: each check's trial-by-trial loop.
+    """The scalar reference for ``verify.run_all``: trial-by-trial loops on draw stream 3.
 
-    Each trial reads one row of the stream that ``verify`` draws as columns:
-    ``random(2)`` for a channel, ``standard_normal((2, 2, 2))`` for a state
-    (the channel checks draw the two from ``rng.spawn(2)``), ``uniform`` for a
-    cycle input and ``random(5)`` for a threshold point. The Kraus lookup at
-    call time and the strict ``r > worst`` update are those of the loops that
-    ``verify`` ran before its checks became array passes. The threshold loop is
-    also reachable as ``.threshold_consistency``. The ledgers and branch
-    functions are the scalar ones of ``tests/reference.py``.
+    Each trial reads one row of the stream that ``verify`` draws as columns.
+    One channel loop draws ``random(2)`` for a channel and
+    ``standard_normal((2, 2, 2))`` for a state from the two children of
+    ``rng.spawn(2)`` and gives each trial's three channel residuals. One cycle
+    loop draws ``uniform`` for a cycle input and gives both ledger residuals
+    from the row's two ledgers. Then the threshold loop draws ``random(5)``
+    per point; it is also reachable as ``.threshold_consistency``. The Kraus
+    lookup at call time and the strict ``r > worst`` update, per check, are
+    those of the loops that ``verify`` ran before its checks became array
+    passes. The ledgers and branch functions are the scalar ones of
+    ``tests/reference.py``.
 
     ``run_all`` results are memoised per ``(seed, trials)`` and per object
     that the loops look up at call time: the Kraus source, the sign
@@ -100,64 +103,44 @@ def oracle_verify(oracle_runs):
     def result(name, trials, residual, tol, worst):
         return verify.CheckResult(name, trials, residual, tol, residual <= tol, worst)
 
-    def kraus_completeness(rng, trials):
-        worst, worst_case = 0.0, None
-        for _ in range(trials):
-            ch = random_channel(rng)
-            r = completeness_residual(channels.kraus_operators(ch))
-            if r > worst:
-                worst, worst_case = r, {"strength": ch.strength, "orientation": ch.orientation.value}
-        return result("kraus_completeness", trials, worst, verify.COMPLETENESS_TOL, worst_case)
-
-    def channel_cptp(rng, trials):
+    def channel_checks(rng, trials):
+        """kraus_completeness, channel_cptp and channel_reset, each trial's three residuals
+        from one channel and one state."""
         params, states = rng.spawn(2)
-        worst, worst_case = 0.0, None
+        worst, cases = [0.0] * 3, [None] * 3
         for _ in range(trials):
             ch = random_channel(params)
             rho = random_density_matrix(states)
-            out = apply_kraus(channels.kraus_operators(ch), rho)
-            r = abs(complex(np.trace(out)) - 1.0)
+            kraus = channels.kraus_operators(ch)
+            out = apply_kraus(kraus, rho)
+            cptp = abs(complex(np.trace(out)) - 1.0)
             if not is_density_matrix(out, verify.MATRIX_TOL):
-                r = max(r, 1.0)  # structural failure, not a small residual
-            if r > worst:
-                worst, worst_case = r, {"strength": ch.strength, "orientation": ch.orientation.value}
-        return result("channel_cptp", trials, worst, verify.MATRIX_TOL, worst_case)
-
-    def channel_reset(rng, trials):
-        params, states = rng.spawn(2)
-        worst, worst_case = 0.0, None
-        for _ in range(trials):
-            ch = random_channel(params)
-            rho = random_density_matrix(states)
-            out = apply_kraus(channels.kraus_operators(ch), rho)
+                cptp = max(cptp, 1.0)  # structural failure, not a small residual
             p = ch.strength
             if ch.orientation is Orientation.A:
                 target = np.diag([1.0 - p, p]).astype(np.complex128)
             else:
                 target = np.diag([p, 1.0 - p]).astype(np.complex128)
-            r = max_abs(out - target)
-            if r > worst:
-                worst, worst_case = r, {"strength": p, "orientation": ch.orientation.value}
-        return result("channel_reset", trials, worst, verify.MATRIX_TOL, worst_case)
+            for k, r in enumerate((completeness_residual(kraus), cptp, max_abs(out - target))):
+                if r > worst[k]:
+                    worst[k], cases[k] = r, {"strength": p, "orientation": ch.orientation.value}
+        return [result("kraus_completeness", trials, worst[0], verify.COMPLETENESS_TOL, cases[0]),
+                result("channel_cptp", trials, worst[1], verify.MATRIX_TOL, cases[1]),
+                result("channel_reset", trials, worst[2], verify.MATRIX_TOL, cases[2])]
 
-    def path_agreement(rng, trials):
-        worst, worst_case = 0.0, None
+    def cycle_checks(rng, trials):
+        """path_agreement and cycle_closure, both from each row's two ledgers."""
+        worst, cases = [0.0] * 2, [None] * 2
         for _ in range(trials):
             inputs = random_cycle_inputs(rng)
-            r = ledger_discrepancy(run_cycle_closed_form(inputs), run_cycle_matrix(inputs))
-            if r > worst:
-                worst, worst_case = r, inputs_dict(inputs)
-        return result("path_agreement", trials, worst, verify.PATH_TOL, worst_case)
-
-    def cycle_closure(rng, trials):
-        worst, worst_case = 0.0, None
-        for _ in range(trials):
-            inputs = random_cycle_inputs(rng)
-            for ledger in (run_cycle_closed_form(inputs), run_cycle_matrix(inputs)):
-                r = max(abs(ledger.energy_closure), abs(ledger.entropy_closure))
-                if r > worst:
-                    worst, worst_case = r, inputs_dict(inputs)
-        return result("cycle_closure", trials, worst, verify.CLOSURE_TOL, worst_case)
+            closed, matrix = run_cycle_closed_form(inputs), run_cycle_matrix(inputs)
+            closure = max(abs(x) for ledger in (closed, matrix)
+                          for x in (ledger.energy_closure, ledger.entropy_closure))
+            for k, r in enumerate((ledger_discrepancy(closed, matrix), closure)):
+                if r > worst[k]:
+                    worst[k], cases[k] = r, inputs_dict(inputs)
+        return [result("path_agreement", trials, worst[0], verify.PATH_TOL, cases[0]),
+                result("cycle_closure", trials, worst[1], verify.CLOSURE_TOL, cases[1])]
 
     def threshold_consistency(rng, trials):
         mismatches = 0
@@ -195,9 +178,8 @@ def oracle_verify(oracle_runs):
                verify.CLOSURE_TOL, verify.THRESHOLD_MARGIN)
         if key not in oracle_runs:
             rng = np.random.default_rng(seed)
-            checks = (kraus_completeness, channel_cptp, channel_reset, path_agreement,
-                      cycle_closure, threshold_consistency)
-            oracle_runs[key] = [check(rng, trials) for check in checks]
+            oracle_runs[key] = [*channel_checks(rng, trials), *cycle_checks(rng, trials),
+                                threshold_consistency(rng, trials)]
         return list(oracle_runs[key])
 
     run_all.threshold_consistency = threshold_consistency

@@ -468,6 +468,40 @@ def sweep_args(out, **overrides):
     return argv
 
 
+@pytest.mark.parametrize("grid_epsilon, tau", [("1e307:1.7e308:3", "1e308"),
+                                             ("1:4.5e307:3", "0")])  # only the stop is too large
+@pytest.mark.parametrize("branch", ["engine", "refrigerator-plus"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_ledger_overflow_is_refused_before_work(monkeypatch, tmp_path, capsys,
+                                                      grid_epsilon, tau, branch, fmt):
+    """A grid whose largest epsilon, with tau, could overflow a ledger exits 2 with the
+    cycle's message, before the sweep runs and with nothing written."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run_sweep", forbidden)
+    out = tmp_path / f"map.{fmt}"
+    argv = sweep_args(out, branch=branch, **{"grid-epsilon": grid_epsilon, "tau": tau})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--format", fmt) == 2
+    assert capsys.readouterr() == ("", TOO_LARGE)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("branch", ["engine", "refrigerator-plus", "refrigerator-minus"])
+def test_sweep_just_inside_the_scale_bound_is_written(tmp_path, capsys, branch):
+    """A grid whose largest epsilon is the bound itself is swept, with finite currents."""
+    out = tmp_path / "map.json"
+    argv = sweep_args(out, branch=branch, **{"grid-epsilon": f"1e307:{LARGEST_GAP}:3"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--format", "json") == 0
+    text = out.read_text()
+    assert json.loads(text)["grid"]["epsilon"]["stop"] == float(LARGEST_GAP)
+    assert "Infinity" not in text and "NaN" not in text
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "map.csv"
     assert run_cli(*sweep_args(out)) == 0
@@ -771,7 +805,7 @@ def test_verify_reads_seed_and_trials_from_config(tmp_path, capsys):
     assert run_cli("verify", "--config", config) == 0
     out = capsys.readouterr().out
     assert "trials 40)" in out
-    assert "(seed 5, stream 2)" in out
+    assert "(seed 5, stream 3)" in out
 
 
 # ---------------------------------------------------------------------------
@@ -786,50 +820,50 @@ def test_verify_passes(capsys):
     assert "all 6 checks passed" in out
 
 
-# Draw stream 2 (see the verify module docstring). A changed draw, pass/fail or
+# Draw stream 3 (see the verify module docstring). A changed draw, pass/fail or
 # printed digit shows here; test_verify.py compares every bit.
 VERIFY_STDOUT_42 = """\
 [PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
 [PASS] channel_cptp: max residual 4.448e-16 (tolerance 1.0e-12, trials 1000)
-[PASS] channel_reset: max residual 3.332e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.337e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
-[PASS] cycle_closure: max residual 9.992e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] cycle_closure: max residual 8.882e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 1000)
-all 6 checks passed (seed 42, stream 2)
+all 6 checks passed (seed 42, stream 3)
 """
 
 VERIFY_STDOUT_32 = """\
 [PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
 [PASS] channel_cptp: max residual 4.444e-16 (tolerance 1.0e-12, trials 1000)
-[PASS] channel_reset: max residual 3.332e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.335e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
 [PASS] cycle_closure: max residual 8.882e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 1000)
-all 6 checks passed (seed 32, stream 2)
+all 6 checks passed (seed 32, stream 3)
 """
 
 VERIFY_STDOUT_7 = """\
 [PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
 [PASS] channel_cptp: max residual 4.444e-16 (tolerance 1.0e-12, trials 1000)
-[PASS] channel_reset: max residual 3.333e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.332e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
 [PASS] cycle_closure: max residual 8.882e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 1000)
-all 6 checks passed (seed 7, stream 2)
+all 6 checks passed (seed 7, stream 3)
 """
 
-# The first seed that fails on stream 2: at this refrigerator-minus point W = 7.6e-13 is
+# The first seed that fails on stream 3: at this refrigerator-minus point W = 3.7e-13 is
 # below the absolute zero tolerance of 1e-12, so the signs say undefined where the
-# thresholds say accelerator.
-VERIFY_STDOUT_3876 = """\
+# thresholds say refrigerator.
+VERIFY_STDOUT_44 = """\
 [PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 1000)
 [PASS] channel_cptp: max residual 4.442e-16 (tolerance 1.0e-12, trials 1000)
-[PASS] channel_reset: max residual 3.333e-16 (tolerance 1.0e-12, trials 1000)
+[PASS] channel_reset: max residual 3.339e-16 (tolerance 1.0e-12, trials 1000)
 [PASS] path_agreement: max residual 1.776e-15 (tolerance 1.0e-10, trials 1000)
 [PASS] cycle_closure: max residual 8.882e-16 (tolerance 1.0e-12, trials 1000)
 [FAIL] threshold_consistency: max residual 1.000e+00 (tolerance 0.0e+00, trials 1000)
-       failing case: {"branch": "refrigerator-minus", "epsilon": 1.619785264929073, "tau": 3.035943126339369e-06, "temperature": 5.877432471524357, "strength": 0.6170850606073499, "expected": "accelerator", "got": "undefined"}
-1 of 6 checks failed (seed 3876, stream 2)
+       failing case: {"branch": "refrigerator-minus", "epsilon": 1.0298895125201675, "tau": 2.0569713581330973e-06, "temperature": 5.6417193187257775, "strength": 0.7339798435772984, "expected": "refrigerator", "got": "undefined"}
+1 of 6 checks failed (seed 44, stream 3)
 """
 
 
@@ -837,7 +871,7 @@ VERIFY_STDOUT_3876 = """\
     (42, 0, VERIFY_STDOUT_42),
     (32, 0, VERIFY_STDOUT_32),
     (7, 0, VERIFY_STDOUT_7),
-    (3876, 1, VERIFY_STDOUT_3876),
+    (44, 1, VERIFY_STDOUT_44),
 ])
 def test_verify_stdout_is_pinned(capsys, seed, code, expected):
     assert run_cli("verify", "--seed", str(seed), "--trials", "1000") == code
@@ -861,32 +895,32 @@ def test_verify_negative_seed_is_usage_error(tmp_path, capsys, source):
     assert captured.err == "error: seed must be a non-negative integer\n"
 
 
-# On draw stream 2: the channel checks print strength and orientation, the cycle
+# On draw stream 3: the channel checks print strength and orientation, the cycle
 # checks the five inputs.
 VERIFY_STDOUT_CORRUPTED = """\
-[FAIL] kraus_completeness: max residual 9.992e-01 (tolerance 1.0e-14, trials 40)
-       failing case: {"strength": 0.9991761150650714, "orientation": "A"}
+[FAIL] kraus_completeness: max residual 9.416e-01 (tolerance 1.0e-14, trials 40)
+       failing case: {"strength": 0.9416344024782601, "orientation": "A"}
 [FAIL] channel_cptp: max residual 1.000e+00 (tolerance 1.0e-12, trials 40)
        failing case: {"strength": 0.7535917814748023, "orientation": "A"}
-[FAIL] channel_reset: max residual 7.177e-01 (tolerance 1.0e-12, trials 40)
-       failing case: {"strength": 0.9370017642756651, "orientation": "B"}
-[FAIL] path_agreement: max residual 2.349e+00 (tolerance 1.0e-10, trials 40)
-       failing case: {"epsilon": 2.75620347247606, "tau": 0.13360507118600062, "temperature": 2.5533052063115775, "a": 0.9507765881800887, "b": 0.11335589292157644}
-[PASS] cycle_closure: max residual 6.661e-16 (tolerance 1.0e-12, trials 40)
+[FAIL] channel_reset: max residual 8.106e-01 (tolerance 1.0e-12, trials 40)
+       failing case: {"strength": 0.9416344024782601, "orientation": "A"}
+[FAIL] path_agreement: max residual 3.071e+00 (tolerance 1.0e-10, trials 40)
+       failing case: {"epsilon": 1.9574549656523752, "tau": 0.23451020166982395, "temperature": 2.892211537238281, "a": 0.9741861932592554, "b": 0.8976776081085488}
+[PASS] cycle_closure: max residual 5.204e-16 (tolerance 1.0e-12, trials 40)
 [PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 40)
-4 of 6 checks failed (seed 5, stream 2)
+4 of 6 checks failed (seed 5, stream 3)
 """
 
 VERIFY_STDOUT_ZERO_LEDGER_TOLERANCES = """\
 [PASS] kraus_completeness: max residual 2.220e-16 (tolerance 1.0e-14, trials 40)
 [PASS] channel_cptp: max residual 2.229e-16 (tolerance 1.0e-12, trials 40)
-[PASS] channel_reset: max residual 2.223e-16 (tolerance 1.0e-12, trials 40)
-[FAIL] path_agreement: max residual 9.992e-16 (tolerance 0.0e+00, trials 40)
-       failing case: {"epsilon": 2.562262767224254, "tau": 0.39607069425150354, "temperature": 4.799280897772577, "a": 0.32259717169370206, "b": 0.6257228448212014}
-[FAIL] cycle_closure: max residual 6.661e-16 (tolerance 0.0e+00, trials 40)
-       failing case: {"epsilon": 2.5175816035243415, "tau": 0.22754197454853864, "temperature": 1.4062373547084193, "a": 0.5190158903814456, "b": 0.14859283068463236}
+[PASS] channel_reset: max residual 2.221e-16 (tolerance 1.0e-12, trials 40)
+[FAIL] path_agreement: max residual 8.882e-16 (tolerance 0.0e+00, trials 40)
+       failing case: {"epsilon": 2.415203768312395, "tau": 0.8079407897364937, "temperature": 3.334290585731781, "a": 0.2858013800881416, "b": 0.053930702381656426}
+[FAIL] cycle_closure: max residual 5.204e-16 (tolerance 0.0e+00, trials 40)
+       failing case: {"epsilon": 2.076974601659845, "tau": 0.6353867998907108, "temperature": 2.570818890732307, "a": 0.7985233458061055, "b": 0.19402547600704456}
 [PASS] threshold_consistency: max residual 0.000e+00 (tolerance 0.0e+00, trials 40)
-2 of 6 checks failed (seed 5, stream 2)
+2 of 6 checks failed (seed 5, stream 3)
 """
 
 

@@ -3,8 +3,10 @@
 import importlib.util
 import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -86,12 +88,17 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypat
     assert not list(tmp_path.glob("*.tmp"))
 
 
+TOO_LARGE = "epsilon and tau too large: the cycle ledgers need hypot(epsilon, tau) <= 4.49423e+307"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--steps", "1"], "strength axis needs at least 2 steps"),
     (["--steps", "0"], "strength axis needs at least 2 steps"),
     (["--epsilon-max", "0.1"], "epsilon axis must have start < stop"),
     (["--epsilon-max", "0.05"], "epsilon axis must have start < stop"),
     (["--epsilon-max", "nan"], "epsilon axis bounds must be finite"),
+    (["--epsilon-max", "1.7e308"], TOO_LARGE),
+    (["--epsilon-max", "4.5e307"], TOO_LARGE),
 ])
 def test_bad_grid_flags_exit_2_before_making_anything(tmp_path, capsys, flags, message):
     outdir = tmp_path / "maps"
@@ -100,6 +107,23 @@ def test_bad_grid_flags_exit_2_before_making_anything(tmp_path, capsys, flags, m
     assert out == ""
     assert err.startswith(f"error: {message} (") and err.count("\n") == 1
     assert not outdir.exists()
+
+
+def test_epsilon_max_is_bounded_by_the_ledger_scale(tmp_path, capsys):
+    """Past the ledger bound the script exits 2 and leaves an existing --outdir empty; at
+    the bound itself it writes every map with no warning."""
+    outdir = tmp_path / "maps"
+    outdir.mkdir()
+    limit = sys.float_info.max / 4.0
+    assert load_script().main(["--steps", "3", "--outdir", str(outdir),
+                               "--epsilon-max", repr(math.nextafter(limit, math.inf))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {TOO_LARGE} (")
+    assert list(outdir.iterdir()) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_script().main(["--steps", "3", "--outdir", str(outdir),
+                                   "--epsilon-max", repr(limit)]) == 0
+    assert len(list(outdir.glob("*.csv"))) == 14
 
 
 def test_bad_steps_exit_2_as_a_process(tmp_path):

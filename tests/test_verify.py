@@ -1,12 +1,13 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import reference
-from dqdcycle import channels, regimes, verify
+from dqdcycle import channels, regimes, thermo, verify
 from dqdcycle.channels import MeasurementChannel, Orientation, kraus_operators
 from dqdcycle.regimes import mode_codes
 from reference import classify_from_signs
@@ -44,20 +45,18 @@ def nan_kraus(channel: MeasurementChannel):
     return [math.nan * m for m in kraus_operators(channel)]
 
 
-def channel_draws(check, seed, trials):
-    """A channel check's (r, p) draws from ``seed``: the run's generator for
-    ``kraus_completeness``, the first spawned child for the checks that also draw states."""
-    rng = np.random.default_rng(seed)
-    if check is not verify.check_kraus_completeness:
-        rng = rng.spawn(2)[0]
-    return rng.random((trials, 2))
+def channel_draws(seed, trials):
+    """The (r, p) draws that every channel check reads from ``seed``: the first of the two
+    generators that the channel pass spawns."""
+    return np.random.default_rng(seed).spawn(2)[0].random((trials, 2))
 
 
 def first_draw_case(check, seed):
     """The worst_case a check reports for the first trial drawn from ``seed``."""
     if check in (verify.check_path_agreement, verify.check_cycle_closure):
-        return verify._row_dict(verify._random_cycle_rows(np.random.default_rng(seed), 1)[0])
-    return verify._draw_dict(channel_draws(check, seed, 1)[0])
+        row = np.random.default_rng(seed).uniform(verify._CYCLE_LOW, verify._CYCLE_HIGH, (1, 5))
+        return verify._row_dict(row[0])
+    return verify._draw_dict(channel_draws(seed, 1)[0])
 
 
 @pytest.mark.parametrize("trials", [1, 2, 37, 1000])
@@ -128,7 +127,7 @@ def run_checks(rng, trials):
 
 @pytest.mark.parametrize("trials, seeds, mt19937", [
     (37, range(8), True),
-    (2 * verify.BLOCK + 5, [0], False),  # a run of 2053 one-trial blocks takes ~5 s
+    (2 * verify.BLOCK + 5, [0], False),  # a run of 4101 one-trial blocks takes ~7 s
 ], ids=["37", "2-blocks-and-5"])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, trials, seeds, mt19937):
     """``run_all`` gives the same results whatever the block size, and so do the checks
@@ -180,6 +179,46 @@ def test_threshold_check_runs_no_scalar_route_and_no_per_trial_draw(oracle_verif
             rng = CountingGenerator(np.random.default_rng(s))
             assert verify.check_threshold_consistency(rng, 1000) == expected[s]
             assert rng.calls == ["random"] * 4
+
+
+def test_run_all_makes_one_pass_per_shared_intermediate(monkeypatch):
+    """In one block, the channel checks share one draw, one Kraus stack, one completeness
+    residual and one channel application, and the ledger checks one ``uniform`` draw and
+    one run of each ledger batch. So the Kraus source is called 4 times: once per
+    orientation in the channel pass, and for channels A and B in the matrix ledger."""
+    expected = verify.run_all(0, 100)
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[f"{module.__name__}.{name}"] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(channels, "kraus_operators"), (channels, "apply_kraus"),
+                         (verify, "kraus_stack"), (verify, "completeness_residual"),
+                         (verify, "apply_kraus"), (verify, "run_cycle_closed_form_batch"),
+                         (verify, "run_cycle_matrix_batch"), (thermo, "gibbs_state")]:
+        count(module, name)
+    generators = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        generators.append(CountingGenerator(default_rng(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    assert verify.run_all(0, 100) == expected
+    assert [g.calls for g in generators] == [["spawn", "uniform", "random"]]
+    assert calls == {
+        "dqdcycle.channels.kraus_operators": 4, "dqdcycle.channels.apply_kraus": 2,
+        "dqdcycle.verify.kraus_stack": 1, "dqdcycle.verify.completeness_residual": 1,
+        "dqdcycle.verify.apply_kraus": 1, "dqdcycle.verify.run_cycle_closed_form_batch": 1,
+        "dqdcycle.verify.run_cycle_matrix_batch": 1, "dqdcycle.thermo.gibbs_state": 1,
+    }
 
 
 @pytest.mark.parametrize("block", [1, 7, 16])
@@ -295,10 +334,10 @@ def test_first_nan_beats_earlier_blocks(monkeypatch):
 
     monkeypatch.setattr(channels, "kraus_operators", late_nan)
     monkeypatch.setattr(verify, "BLOCK", 8)
+    drawn = channel_draws(4, 100)
+    first_nan = int(np.argmax(drawn[:, 1] > 0.9))
+    assert drawn[first_nan, 1] > 0.9 and first_nan >= verify.BLOCK
     for check in NUMERICAL_CHECKS[:3]:
-        drawn = channel_draws(check, 4, 100)
-        first_nan = int(np.argmax(drawn[:, 1] > 0.9))
-        assert drawn[first_nan, 1] > 0.9 and first_nan >= verify.BLOCK, check
         result = check(np.random.default_rng(4), trials=100)
         assert math.isnan(result.max_residual) and not result.passed
         assert result.worst_case == verify._draw_dict(drawn[first_nan])
