@@ -24,7 +24,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dqdcycle.cli import emit
-from dqdcycle.qdot import check_ledger_scale
 from dqdcycle.regimes import Branch
 from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
 
@@ -55,8 +54,6 @@ def main(argv=None) -> int:
                     temperature=temperature,
                 ))
                 for branch, tau, temperatures in FAMILIES for temperature in temperatures]
-        for *_, spec in maps:  # the epsilon axis stop is the largest |epsilon|
-            check_ledger_scale(spec.epsilon_axis.stop, spec.tau)
     except ValueError as exc:
         print(f"error: {exc} (--steps {args.steps}; epsilon runs from {EPSILON_MIN} to "
               f"--epsilon-max {args.epsilon_max})", file=sys.stderr)

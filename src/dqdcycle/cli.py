@@ -38,7 +38,7 @@ from typing import IO
 import numpy as np
 
 from . import verify as verify_mod
-from .qdot import DotParams, check_ledger_scale, check_temperature, spectrum, thermal_factors
+from .qdot import DotParams, check_temperature, spectrum, thermal_factors
 from .regimes import BRANCHES, Branch, branch_currents, branch_thresholds, classify
 from .regimes import ZERO_TOL, constrained_strength
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
@@ -271,7 +271,6 @@ def cmd_spectrum(args) -> int:
 def cmd_cycle(args) -> int:
     _require(args, "epsilon", "tau", "temperature", "a", "b")
     inputs = CycleInputs(DotParams(args.epsilon, args.tau), args.temperature, args.a, args.b)
-    check_ledger_scale(args.epsilon, args.tau)
     closed = run_cycle_closed_form(inputs)
     matrix = run_cycle_matrix(inputs)
     doc = {
@@ -304,7 +303,6 @@ def cmd_classify(args) -> int:
     if rule.pinned_a is not None and args.a is not None:
         raise ValueError("refrigerator branches fix a thermally; give --b only")
     strength = getattr(args, rule.free)
-    check_ledger_scale(args.epsilon, args.tau)
     qh, qc, w = branch_currents(branch, params, args.temperature, strength)
     thresholds = branch_thresholds(branch, params, args.temperature)._asdict()
 
@@ -342,7 +340,6 @@ def cmd_sweep(args) -> int:
         temperature=args.temperature,
         zero_tol=args.zero_tol,
     )
-    check_ledger_scale(spec.epsilon_axis.stop, spec.tau)  # the stop is the largest |epsilon|
     result = run_sweep(spec, workers=args.workers)
 
     write = {"csv": write_csv, "json": write_json}[args.format]

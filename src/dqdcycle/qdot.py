@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+_GAP_LIMIT = sys.float_info.max / 4.0  # the largest E = hypot(epsilon, tau) check_dot admits
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -59,12 +60,7 @@ def _holds(ok) -> bool:
 
 
 def check_dot(epsilon, tau) -> None:
-    if not _holds((abs(epsilon + 0.0) < math.inf) & (abs(tau + 0.0) < math.inf)):
-        raise ValueError("epsilon and tau must be finite")
-
-
-def check_ledger_scale(epsilon, tau) -> None:
-    """Refuse finite epsilon and tau at which a cycle ledger would overflow.
+    """Refuse epsilon and tau that are not finite, or at which a cycle ledger would overflow.
 
     Every energy of both ledgers is bounded by E = hypot(epsilon, tau). As
     |epsilon|, |tau| <= E and |rho_ij| <= 1, each partial sum of Tr[H rho] is
@@ -75,10 +71,17 @@ def check_ledger_scale(epsilon, tau) -> None:
     at most 4E. So E <= DBL_MAX / 4 keeps every intermediate finite. (E/T
     may still overflow to inf; its tanh is 1.)
     """
-    limit = sys.float_info.max / 4.0
-    if not _holds(map_math(math.hypot, epsilon, tau) <= limit):
+    e, t = abs(epsilon + 0.0), abs(tau + 0.0)
+    small = (e <= _GAP_LIMIT / 2.0) & (t <= _GAP_LIMIT / 2.0)  # so E <= 0.71 DBL_MAX / 4
+    if _holds(small):  # the common case, finite and in bounds at the cost of one test
+        return
+    if not _holds((e < math.inf) & (t < math.inf)):
+        raise ValueError("epsilon and tau must be finite")
+    if small.__class__ is not bool:  # hypot of the large elements alone
+        e, t = (np.broadcast_to(x, small.shape)[~small] for x in (e, t))
+    if not _holds(map_math(math.hypot, e, t) <= _GAP_LIMIT):
         raise ValueError("epsilon and tau too large: the cycle ledgers need"
-                         f" hypot(epsilon, tau) <= {limit:.6g}")
+                         f" hypot(epsilon, tau) <= {_GAP_LIMIT:.6g}")
 
 
 def check_temperature(temperature) -> None:

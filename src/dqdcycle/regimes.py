@@ -272,8 +272,8 @@ def branch_points(branch: Branch, epsilon, tau, temperature, strength):
     branch's named tuple of arrays (``engine_min`` stays the float 0.5).
 
     The checks run in this order, each raising ``ValueError``: epsilon and
-    tau finite, epsilon > 0, temperature finite and > 0, then the strength in
-    [0, 1].
+    tau in the dot's domain (``qdot.check_dot``), epsilon > 0, temperature
+    finite and > 0, then the strength in [0, 1].
     """
     epsilon, gap, t = _gap_and_tanh(epsilon, tau, temperature)
     rule = BRANCHES[branch]

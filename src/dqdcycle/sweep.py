@@ -92,7 +92,8 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Everything needed to reproduce one sweep."""
+    """Everything needed to reproduce one sweep; its checks pass tau and the epsilon axis
+    stop, the largest |epsilon|, to ``qdot.check_dot``, so no cell's currents overflow."""
 
     branch: Branch
     strength_axis: AxisSpec
@@ -114,7 +115,7 @@ class GridSpec:
         if self.epsilon_axis.start <= 0.0:
             raise ValueError("epsilon axis must be positive")
         check_temperature(self.temperature)
-        check_dot(self.epsilon_axis.start, self.tau)  # the axis bounds are finite by now
+        check_dot(self.epsilon_axis.stop, self.tau)  # the axis bounds are finite by now
         _check_zero_tol(self.zero_tol)
 
 

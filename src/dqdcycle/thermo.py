@@ -95,8 +95,8 @@ class StrokeLedger:
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p ln p - (1-p) ln(1-p), with h(0) = h(1) = 0."""
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError("p must be in [0, 1]")
+    math.isfinite(p)  # what is not a float raises math's TypeError or OverflowError
+    check_unit("p", p)
     return _binary_entropy_columns(np.array([p], dtype=float)).item()
 
 
@@ -195,15 +195,14 @@ def run_cycle_closed_form_batch(batch: np.ndarray) -> StrokeLedger:
     E and tanh(E/T) come from ``qdot.thermal_factors`` and the logs from
     ``math`` through ``qdot.map_math``; the rest is + - * on arrays in the
     order of the scalar formulas, so entry i has the bits of those formulas
-    on Python floats for row i, signed zeros included. Overflow and inf - inf give inf and NaN
-    without a warning, as they do on floats. A (0, 5) batch gives (0,) arrays.
+    on Python floats for row i, signed zeros included. ``qdot.check_dot`` bounds E, so no
+    step overflows. A (0, 5) batch gives (0,) arrays.
     """
     x = _columns(batch)
     eps, a, b = x.params.epsilon, x.a, x.b
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-        gap, t = thermal_factors(eps, x.params.tau, x.temperature)
-        h_g, h_a, h_b = (_binary_entropy_columns(p) for p in (0.5 * (1.0 - t), a, b))
-        return _closed_form_ledger(eps, gap, t, a, b, h_g, h_a, h_b)
+    gap, t = thermal_factors(eps, x.params.tau, x.temperature)
+    h_g, h_a, h_b = (_binary_entropy_columns(p) for p in (0.5 * (1.0 - t), a, b))
+    return _closed_form_ledger(eps, gap, t, a, b, h_g, h_a, h_b)
 
 
 def ledger_discrepancy(x: StrokeLedger, y: StrokeLedger):

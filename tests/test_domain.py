@@ -24,8 +24,11 @@ from dqdcycle.sweep import AxisSpec, GridSpec
 from dqdcycle.thermo import CycleInputs, run_cycle_closed_form_batch, run_cycle_matrix_batch
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dqdcycle"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 DOT = "epsilon and tau must be finite"
+SCALE = ("epsilon and tau too large: the cycle ledgers need"
+         " hypot(epsilon, tau) <= 4.49423e+307")
 TEMPERATURE = "temperature must be positive"
 BAD_DOT = [math.nan, math.inf, -math.inf]
 BAD_TEMPERATURE = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
@@ -46,7 +49,12 @@ DOUBLE = [
     ({"temperature": math.inf, "b": -0.1}, TEMPERATURE),
     ({"a": 1.5, "b": math.nan}, "a must be in [0, 1]"),
 ]
-CASES = [({name: value}, message) for name, value, message in SINGLE] + DOUBLE
+# Finite values past the ledger scale bound, alone and with a temperature whose check
+# comes later. They come after DOUBLE so that the cases above keep their places, and
+# their test ids, in the tables built from CASES.
+BEYOND = [({"epsilon": 1e308}, SCALE), ({"tau": -1e308}, SCALE),
+          ({"epsilon": 1e308, "temperature": 0.0}, SCALE)]
+CASES = [({name: value}, message) for name, value, message in SINGLE] + DOUBLE + BEYOND
 
 
 def point(bad: dict) -> dict:
@@ -100,6 +108,13 @@ def test_grid_spec_tau(tau):
         GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 3), AxisSpec(0.1, 3.0, 3), tau, 2.0)
 
 
+def test_grid_spec_epsilon_stop():
+    """The epsilon axis stop, its largest |epsilon|, goes through ``qdot.check_dot`` with
+    tau: a grid whose start is in the domain and whose stop is past the bound is refused."""
+    with raises(SCALE):
+        GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 3), AxisSpec(0.1, 1e308, 3), 0.5, 2.0)
+
+
 @pytest.mark.parametrize("strength", BAD_UNIT)
 def test_measurement_channel(strength):
     for s in (strength, np.array([0.5, strength])):
@@ -110,8 +125,11 @@ def test_measurement_channel(strength):
 # (subcommand, inputs it reads): spectrum reads no strength, classify on the engine
 # branch reads a alone (b = a there).
 COMMANDS = [("spectrum", list(GOOD)[:3]), ("cycle", list(GOOD)), ("classify", list(GOOD)[:4])]
-CLI_CASES = [(command, names, bad, message) for command, names in COMMANDS
-             for bad, message in CASES if next(iter(bad)) in names]
+# The BEYOND cases come last here too, after every command's other cases.
+CLI_CASES = [(command, names, bad, message)
+             for cases in (CASES[:-len(BEYOND)], BEYOND)
+             for command, names in COMMANDS
+             for bad, message in cases if next(iter(bad)) in names]
 
 
 @pytest.mark.parametrize("command, names, bad, message", CLI_CASES)
@@ -142,21 +160,30 @@ def test_constructors_refuse_what_is_not_a_float(bad, error):
 
 
 def test_domain_lives_in_qdot():
-    """No module but ``qdot`` raises the dot's or the temperature's domain error, or takes
-    E, theta or tanh(E/T) from ``math`` itself: ``qdot.check_dot``,
-    ``check_temperature``, ``thermal_factors`` and ``eigenbases`` are the one place.
-    The scan also looks for the message of a tau check that ``GridSpec`` once had."""
+    """No module but ``qdot`` raises the dot's, the temperature's or a unit range's domain
+    error, or takes E, theta or tanh(E/T) from ``math`` itself: ``qdot.check_dot``,
+    ``check_temperature``, ``check_unit``, ``thermal_factors`` and ``eigenbases`` are
+    the one place. The scan covers the package and the scripts. It also looks for the
+    message of a tau check that ``GridSpec`` once had, and for the name of
+    ``check_ledger_scale``, a scale check apart from ``check_dot`` that front ends once
+    had to call."""
     messages = ("epsilon and tau must be finite", "temperature must be positive",
                 "tau must be finite")
     names = {"hypot", "tanh", "atan2"}
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted([*SRC.glob("*.py"), *SCRIPTS.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, "check_ledger_scale") for node in ast.walk(tree)
+                  for field in ("id", "attr", "name")
+                  if getattr(node, field, None) == "check_ledger_scale"]
         if path.name == "qdot.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Raise):
                 found += [(path.name, c.value) for c in ast.walk(node)
-                          if isinstance(c, ast.Constant) and c.value in messages]
+                          if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                          and (c.value in messages or c.value.startswith(SCALE.split(":")[0])
+                               or c.value.endswith("must be in [0, 1]"))]
             elif (isinstance(node, ast.Attribute) and node.attr in names
                   and isinstance(node.value, ast.Name) and node.value.id == "math"):
                 found.append((path.name, f"math.{node.attr}"))

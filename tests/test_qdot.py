@@ -14,7 +14,6 @@ from dqdcycle.qdot import (
     DotParams,
     SIGMA_X,
     SIGMA_Z,
-    check_ledger_scale,
     dagger,
     eigenbases,
     gibbs_state,
@@ -97,6 +96,9 @@ def test_dot_params_rejects_nonfinite():
 
 
 any_float = st.floats(allow_nan=False, allow_infinity=False)
+LIMIT = sys.float_info.max / 4.0  # the largest E = hypot(epsilon, tau) a DotParams takes
+TOO_LARGE = ("^epsilon and tau too large: the cycle ledgers need"
+             r" hypot\(epsilon, tau\) <= 4\.49423e\+307$")
 
 
 @given(epsilon=st.one_of(finite, any_float), tau=st.one_of(finite, any_float),
@@ -105,12 +107,18 @@ any_float = st.floats(allow_nan=False, allow_infinity=False)
 @example(0.0, 0.0, 1.0)
 @example(-0.0, -0.0, 1.0)
 @example(-1.0, 0.0, 1.0)
-@example(1.7e308, 1.7e308, 1.0)  # E overflows to inf
+@example(1.7e308, 1.7e308, 1.0)  # E past the bound: refused
+@example(LIMIT, 0.0, 1.0)  # E at the bound
 @example(1.0, 0.5, 5e-324)  # E/T overflows to inf
 @settings(max_examples=200)
 def test_spectrum_and_gibbs_state_equal_the_reference(epsilon, tau, temperature):
     """``spectrum`` and ``gibbs_state``, kernel calls at one point, give the bits of the
-    scalar half-angle construction, signed zeros included, and Python floats."""
+    scalar half-angle construction, signed zeros included, and Python floats. A point
+    whose E is past the ledger scale bound is refused by ``DotParams``."""
+    if math.hypot(epsilon, tau) > LIMIT:
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            DotParams(epsilon, tau)
+        return
     p = DotParams(epsilon, tau)
     gap, theta, phi1, phi2 = reference.eigenbasis(epsilon, tau)
     spec = spectrum(p)
@@ -124,10 +132,19 @@ def test_spectrum_and_gibbs_state_equal_the_reference(epsilon, tau, temperature)
 def test_hamiltonian_and_gibbs_state_of_arrays_stack_the_one_point_results():
     """A ``DotParams`` of (n,) arrays gives the (n, 2, 2) stack of the one-point
     ``hamiltonian`` and ``gibbs_state``, and those equal the scalar references, bit for
-    bit: tau = 0, signed zeros, E overflowing to inf and E/T overflowing to inf
-    included, and with no warning."""
-    values = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 5e-324, 1e300, 1.7e308, -1.7e308]
-    epsilon, tau = (np.array(x) for x in zip(*itertools.product(values, values)))
+    bit: tau = 0, signed zeros, E at the ledger scale bound and E/T overflowing to inf
+    included, and with no warning. Every pair whose E is past the bound is refused, alone
+    and in an array."""
+    values = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 5e-324, 1e300, LIMIT, -LIMIT, 1.7e308, -1.7e308]
+    pairs = list(itertools.product(values, values))
+    beyond = [(e, t) for e, t in pairs if math.hypot(e, t) > LIMIT]
+    for e, t in beyond:
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            DotParams(e, t)
+    with pytest.raises(ValueError, match=TOO_LARGE):
+        DotParams(*(np.array(x) for x in zip(*beyond)))
+    inside = [(e, t) for e, t in pairs if math.hypot(e, t) <= LIMIT]
+    epsilon, tau = (np.array(x) for x in zip(*inside))
     temperature = np.resize([1.0, 5e-324, 1e300, 0.7], epsilon.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -144,22 +161,19 @@ def test_hamiltonian_and_gibbs_state_of_arrays_stack_the_one_point_results():
     assert hamiltonian(empty).shape == gibbs_state(empty, np.empty(0)).shape == (0, 2, 2)
 
 
-def test_check_ledger_scale_bounds_the_gap():
+def test_dot_params_bound_the_gap():
     """E = hypot(epsilon, tau) up to a quarter of the largest float passes, and any E
     above it, inf included, is refused: for floats and, anywhere in them, for arrays."""
-    limit = sys.float_info.max / 4.0
-    check_ledger_scale(limit, 0.0)
-    check_ledger_scale(-0.0, -limit)
-    check_ledger_scale(np.array([1.0, 0.0, limit]), np.array([0.5, -limit, 0.0]))
-    check_ledger_scale(np.empty(0), np.empty(0))
-    message = ("^epsilon and tau too large: the cycle ledgers need"
-               r" hypot\(epsilon, tau\) <= 4\.49423e\+307$")
-    for epsilon, tau in [(np.nextafter(limit, math.inf), 0.0), (limit, 1e307), (1e308, 1e308),
+    DotParams(LIMIT, 0.0)
+    DotParams(-0.0, -LIMIT)
+    DotParams(np.array([1.0, 0.0, LIMIT]), np.array([0.5, -LIMIT, 0.0]))
+    DotParams(np.empty(0), np.empty(0))
+    for epsilon, tau in [(np.nextafter(LIMIT, math.inf), 0.0), (LIMIT, 1e307), (1e308, 1e308),
                          (1.7e308, 1.7e308), (0.0, -1.7e308)]:
-        with pytest.raises(ValueError, match=message):
-            check_ledger_scale(epsilon, tau)
-        with pytest.raises(ValueError, match=message):
-            check_ledger_scale(np.array([1.0, epsilon]), np.array([0.0, tau]))
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            DotParams(epsilon, tau)
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            DotParams(np.array([1.0, epsilon]), np.array([0.0, tau]))
 
 
 def test_kernels_equal_the_reference_element_by_element():

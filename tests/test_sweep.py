@@ -3,8 +3,10 @@ import io
 import json
 import math
 import re
+import sys
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -254,12 +256,20 @@ def test_current_equal_to_zero_tol_is_undefined(oracle_sweep):
     "epsilon_axis, tau",
     [
         (AxisSpec(1e-320, 2e-320, 3), 1.0),  # subnormal detuning: a COP overflows to inf
-        (AxisSpec(1e307, 1.7e308, 4), 0.0),  # currents overflow to inf and NaN
+        (AxisSpec(1e307, 1.7e308, 4), 0.0),  # past the ledger scale bound: refused
+        (AxisSpec(1e307, sys.float_info.max / 4.0, 4), 0.0),  # at the bound: E up to DBL_MAX/4
     ],
 )
 def test_grid_follows_oracle_at_float_range_edges(branch, epsilon_axis, tau, oracle_sweep):
-    """Same output, warnings and errors as the scalar route, where float arithmetic overflows."""
-    spec = GridSpec(branch, AxisSpec(0.0, 1.0, 5), epsilon_axis, tau, 1.0, zero_tol=0.0)
+    """Same output, warnings and errors as the scalar route, where float arithmetic overflows
+    or nearly does. A grid whose currents could overflow is refused at construction."""
+    make_spec = partial(GridSpec, branch, AxisSpec(0.0, 1.0, 5), epsilon_axis, tau, 1.0,
+                        zero_tol=0.0)
+    if epsilon_axis.stop > sys.float_info.max / 4.0:
+        with pytest.raises(ValueError, match="^epsilon and tau too large: "):
+            make_spec()
+        return
+    spec = make_spec()
 
     def outcome(run):
         with warnings.catch_warnings(record=True) as caught:

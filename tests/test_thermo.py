@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference
 from dqdcycle import channels, thermo
-from dqdcycle.qdot import DotParams, check_ledger_scale, hamiltonian, internal_energy
+from dqdcycle.qdot import DotParams, check_dot, hamiltonian, internal_energy
 from dqdcycle.thermo import (
     LEDGER_FIELDS,
     CycleInputs,
@@ -260,7 +260,7 @@ def test_one_row_ledgers_equal_the_reference(inputs):
 
 
 def test_ledgers_are_finite_up_to_the_scale_bound():
-    """At every E = hypot(epsilon, tau) that ``check_ledger_scale`` lets through, up to the
+    """At every E = hypot(epsilon, tau) that ``check_dot`` lets through, up to the
     bound itself, both ledgers, their closures and their discrepancy are finite, and no
     step warns: the bound of its docstring holds."""
     limit = sys.float_info.max / 4.0
@@ -270,7 +270,7 @@ def test_ledgers_are_finite_up_to_the_scale_bound():
     rows = np.array([(eps, tau, temperature, a, b) for eps, tau in points
                      for temperature in (1.0, 1e300) for a, b in ((0.3, 0.6), (1.0, 0.0),
                                                                  (0.0, 0.0), (0.5, 1.0))])
-    check_ledger_scale(rows[:, 0], rows[:, 1])
+    check_dot(rows[:, 0], rows[:, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         closed, matrix = run_cycle_closed_form_batch(rows), run_cycle_matrix_batch(rows)
