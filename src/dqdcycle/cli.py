@@ -378,9 +378,29 @@ _COMMANDS = {
 }
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each flag followed by a value such as -1e-3, which argparse would
+    read as a flag, joined into ``--flag=-1e-3``."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and out[-1] not in ("--", "--help")
+                and "=" not in out[-1] and token.startswith("-") and _is_float(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,12 +16,9 @@ strength axis is float64 + - * / and abs, which are correctly rounded.
 ``run_sweep`` starts no thread; its ``workers`` argument is validated and
 otherwise ignored.
 
-Serialization: ``run_sweep`` keeps the cells as flat row-major ``Columns``
-(strength, epsilon, mode, performance, raw COP, Qh, Qc, W) behind
-``SweepCells``, which builds a ``SweepCell`` only when one is read. The mode
-column holds ``classify_grid``'s codes, indices into ``regimes.MODES``;
-``SweepCells`` turns a code back into a ``Mode`` when a cell is read, and the
-writers look its text up by index. ``write_csv`` emits the exact column set
+``run_sweep`` keeps the cells as ``SweepCells``: the spec's two axis
+vectors and six (ne, ns) arrays over them, which read as the row-major list
+of ``SweepCell`` they stand for. ``write_csv`` emits the exact column set
 
     strength,epsilon,mode,performance,Qh,Qc,W
 
@@ -33,29 +30,21 @@ which figure-of-merit convention each mode uses, then the same rows.
 ``json.dumps(..., indent=2)`` text is the reference ``write_json`` matches
 byte for byte.
 
-Both writers work row by row, so that no value is formatted twice (a plain
-list of cells is first transposed into the same columns). The strength axis
-is formatted once per grid. Each epsilon row gets one ``%`` template that has
-the row's epsilon text built in, and also the text of every current whose
-float64 bit pattern is the same in all of the row's cells. Bit patterns, not
-``==``, decide, so 0.0 and -0.0 stay apart and only NaNs with the same bits
-merge. (On the refrigerator branches W depends on epsilon alone, so it is
-one value per row.) The template then runs once over the row's remaining
-fields: the mode text looked up by code, the performance and the currents
-that vary. Row text is right only for cells that sit on the grid, so the
-writers read its shape ``(ne, ns)`` from ``result.spec`` and, before anything
-is written, raise ``ValueError`` naming the first cell whose strength or
-epsilon is not bit for bit its row-major grid point, or that is missing.
+Both writers read the arrays row by row and never build a cell: each
+strength is formatted once per grid, and each epsilon, and each current
+whose float64 bits are the same all along a row (W on the refrigerator
+branches), once per row. Before anything is written they raise
+``ValueError`` unless ``result.cells`` is a ``SweepCells`` of the shape
+(ne, ns) that ``result.spec`` gives.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import chain
-from typing import IO, NamedTuple
+from dataclasses import asdict, dataclass
+from itertools import chain, repeat
+from typing import IO
 
 import numpy as np
 
@@ -126,69 +115,56 @@ class SweepCell:
     result: Classification
 
 
-class Columns(NamedTuple):
-    """One sequence per cell field, row-major: the form both writers format from.
-
-    The coordinates and currents are float64 ``array("d")``s, which numpy
-    reads without a copy; ``mode`` holds mode codes, indices into ``MODES``;
-    performance and raw COP are lists of floats and None.
-    """
-
-    strength: array
-    epsilon: array
-    mode: list
-    performance: list
-    raw_cop: list
-    Qh: array
-    Qc: array
-    W: array
-
-
+@dataclass(frozen=True, eq=False)
 class SweepCells(Sequence):
-    """The cells of a grid sweep, stored as ``Columns``.
+    """The cells of a grid sweep: the two axis vectors and six (ne, ns) arrays.
 
-    Behaves as the list of ``SweepCell`` it stands for: ``len``, indexing,
-    slicing, row-major iteration and ``==`` against a plain list (either side).
-    Each ``SweepCell`` is built only when it is read.
+    Row ``i`` holds the cells at ``epsilons[i]``, column ``j`` those at
+    ``strengths[j]``. ``mode`` holds ``classify_grid``'s codes, indices into
+    ``MODES``; ``performance`` and ``raw_cop`` are its object arrays of floats
+    and None; ``Qh``, ``Qc`` and ``W`` are float64 (a broadcast view will do).
+    Reads as the row-major list of ``SweepCell`` it stands for (``len``,
+    indexing, slicing, iteration and ``==`` against a plain list, either
+    side), and builds each ``SweepCell`` only when it is read.
     """
 
-    def __init__(self, columns: Columns):
-        self.columns = columns
+    strengths: np.ndarray
+    epsilons: np.ndarray
+    mode: np.ndarray
+    performance: np.ndarray
+    raw_cop: np.ndarray
+    Qh: np.ndarray
+    Qc: np.ndarray
+    W: np.ndarray
+
+    def _fields(self) -> tuple[np.ndarray, ...]:
+        return self.mode, self.performance, self.raw_cop, self.Qh, self.Qc, self.W
 
     def __len__(self) -> int:
-        return len(self.columns.mode)
+        return self.mode.size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        return _cell(*(column[index] for column in self.columns))
+        row, column = divmod(range(len(self))[index], len(self.strengths))
+        return _cell(self.strengths.item(column), self.epsilons.item(row),
+                     *(field.item(row, column) for field in self._fields()))
 
     def __iter__(self):
-        return map(_cell, *self.columns)
+        strengths = self.strengths.tolist()
+        for row, epsilon in enumerate(self.epsilons.tolist()):
+            yield from map(_cell, strengths, repeat(epsilon),
+                           *(field[row].tolist() for field in self._fields()))
 
     def __eq__(self, other):
         if not isinstance(other, (list, SweepCells)):
             return NotImplemented
         return list(self) == list(other)
 
-    def __repr__(self) -> str:
-        return f"SweepCells({list(self)!r})"
-
 
 def _cell(strength, epsilon, mode, performance, raw_cop, qh, qc, w) -> SweepCell:
     return SweepCell(strength, epsilon,
                      Classification(MODES[mode], qh, qc, w, performance, raw_cop))
-
-
-def _columns(cells) -> Columns:
-    """The columns of ``cells``: read from ``SweepCells``, transposed from any other list."""
-    if isinstance(cells, SweepCells):
-        return cells.columns
-    rows = [(c.strength, c.epsilon, MODES.index(c.result.mode), c.result.performance,
-             c.result.raw_cop, c.result.Qh, c.result.Qc, c.result.W) for c in cells]
-    s, e, mode, performance, raw_cop, qh, qc, w = zip(*rows) if rows else [()] * 8
-    return Columns(array("d", s), array("d", e), list(mode), list(performance), list(raw_cop),
-                   array("d", qh), array("d", qc), array("d", w))
 
 
 @dataclass(frozen=True)
@@ -206,31 +182,13 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    qh, qc, w = branch_currents_grid(spec.branch, spec.epsilon_axis.points(), spec.tau,
-                                     spec.temperature, spec.strength_axis.points())
-    codes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
-    cells = SweepCells(Columns(
-        *map(_doubles, _grid_points(spec)),
-        codes.ravel().tolist(),
-        perf.ravel().tolist(),
-        raw.ravel().tolist(),
-        _doubles(qh),
-        _doubles(qc),
-        _doubles(w),
-    ))
-    counts = np.bincount(codes.ravel(), minlength=len(MODES)).tolist()
-    return SweepResult(spec, cells, dict(zip(MODES, counts)))
-
-
-def _grid_points(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The strength and the epsilon of every cell of ``spec``'s grid, row-major."""
     strengths, epsilons = spec.strength_axis.points(), spec.epsilon_axis.points()
-    return np.tile(strengths, len(epsilons)), np.repeat(epsilons, len(strengths))
-
-
-def _doubles(values: np.ndarray) -> array:
-    """The float64 elements of ``values`` in row-major order, as an ``array("d")``."""
-    return array("d", values.tobytes())
+    qh, qc, w = branch_currents_grid(spec.branch, epsilons, spec.tau, spec.temperature,
+                                     strengths)
+    codes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
+    counts = np.bincount(codes.ravel(), minlength=len(MODES)).tolist()
+    return SweepResult(spec, SweepCells(strengths, epsilons, codes, perf, raw, qh, qc, w),
+                       dict(zip(MODES, counts)))
 
 
 def mode_area_fractions(result: SweepResult) -> dict[Mode, float]:
@@ -259,29 +217,14 @@ _JSON_CELL = ("    {\n"
               "    }")
 
 
-def _bits(values) -> np.ndarray:
-    """float64 bit patterns: equal only for the same float, so 0.0 != -0.0."""
-    return np.asarray(values).view(np.int64)
-
-
-def _grid_columns(result: SweepResult) -> tuple[int, Columns]:
-    """(cells per row, columns) of ``result.cells``, checked against ``result.spec``.
-
-    Raises ``ValueError`` naming the first cell that is not bit for bit at
-    its row-major point of the spec's grid, or that is missing or extra.
-    """
-    ne, ns = result.spec.epsilon_axis.steps, result.spec.strength_axis.steps
-    c = _columns(result.cells)
-    n = min(len(c.mode), ne * ns)
-    strengths, epsilons = _grid_points(result.spec)
-    off = ((_bits(c.strength)[:n] != _bits(strengths)[:n])
-           | (_bits(c.epsilon)[:n] != _bits(epsilons)[:n]))
-    if off.any() or len(c.mode) != ne * ns:
-        index = int(np.argmax(off)) if off.any() else n
-        where = "missing from" if index == len(c.mode) else "off"
-        raise ValueError(f"cell {index} is {where} the {ne} x {ns} (epsilon x strength) "
-                         "grid of result.spec")
-    return ns, c
+def _grid(result: SweepResult) -> SweepCells:
+    """``result.cells`` if they are ``SweepCells`` of ``result.spec``'s shape (ne, ns)."""
+    shape = (result.spec.epsilon_axis.steps, result.spec.strength_axis.steps)
+    cells = result.cells
+    if not (isinstance(cells, SweepCells) and cells.mode.shape == shape):
+        raise ValueError(f"result.cells must be the SweepCells of a {shape[0]} x {shape[1]} "
+                         "(epsilon x strength) grid, as run_sweep makes them")
+    return cells
 
 
 def _format_cells(result: SweepResult, cell: str, sep: str, text, slot: str, feed,
@@ -289,33 +232,34 @@ def _format_cells(result: SweepResult, cell: str, sep: str, text, slot: str, fee
     """The text of ``result``'s cells laid out by ``cell``, one string per grid row.
 
     Cells are joined by ``sep``, so every row after the first starts with it.
-    The rows are left unjoined: writers write them one at a time rather
-    than hold a second copy of the whole text. ``text`` formats one value. Every strength is formatted once, each row's
-    epsilon once, and so is each current whose bits are the same across a
-    row; those texts are built into one ``%`` template per row. The other
-    currents take ``slot``, which formats the items of ``feed(row)``; the
-    mode is its code's ``mode_text`` and the performance is
-    ``performance(row)``.
+    The rows are left unjoined: writers write them one at a time rather than
+    hold a second copy of the whole text. ``text`` formats one value. Every
+    strength is formatted once, each row's epsilon once, and so is each
+    current whose bits are the same across a row; those texts are built into
+    one ``%`` template per row. The other currents take ``slot``, which
+    formats the items of ``feed(row)``; the mode is its code's ``mode_text``
+    and the performance is ``performance(row)``, each row a list of floats
+    (and None).
     """
-    ns, c = _grid_columns(result)
+    c = _grid(result)
     pre, post = cell.split("%s", 1)  # pre leads up to the strength
-    strengths = [text(s) for s in c.strength[:ns]]
+    strengths = [text(s) for s in c.strengths.tolist()]
     currents = (c.Qh, c.Qc, c.W)
+    # Bit patterns, not ==, decide: 0.0 and -0.0 stay apart, and only NaNs with one bits merge.
     constant = [(b == b[:, :1]).all(axis=1).tolist()
-                for b in (_bits(column).reshape(-1, ns) for column in currents)]
+                for b in (current.view(np.int64) for current in currents)]
     rows = []
-    for row, start in enumerate(range(0, len(c.mode), ns)):
-        end = start + ns
+    for row, (epsilon, modes, performances) in enumerate(zip(
+            c.epsilons.tolist(), c.mode.tolist(), c.performance.tolist())):
         slots = []
-        fields = [map(mode_text.__getitem__, c.mode[start:end]),
-                  performance(c.performance[start:end])]
-        for column, same in zip(currents, constant):
+        fields = [map(mode_text.__getitem__, modes), performance(performances)]
+        for current, same in zip(currents, constant):
             if same[row]:
-                slots.append(text(column[start]))
+                slots.append(text(current.item(row, 0)))
             else:
                 slots.append(slot)
-                fields.append(feed(column[start:end]))
-        tail = post % (text(c.epsilon[start]), "%s", "%s", *slots)
+                fields.append(feed(current[row].tolist()))
+        tail = post % (text(epsilon), "%s", "%s", *slots)
         template = (sep if row else "") + pre + (tail + sep + pre).join(strengths) + tail
         rows.append(template % tuple(chain.from_iterable(zip(*fields))))
     return rows
@@ -324,8 +268,8 @@ def _format_cells(result: SweepResult, cell: str, sep: str, text, slot: str, fee
 def write_csv(result: SweepResult, stream: IO[str]) -> None:
     """Write the header and one ``CSV_COLUMNS`` row per cell.
 
-    Every row is formatted before the first is written. Raises
-    ``ValueError``, writing nothing, if a cell is off the spec's grid.
+    Every row is formatted before the first is written; nothing is written
+    if ``result.cells`` fails the writers' shape check.
     """
     rows = _format_cells(  # a current that varies is formatted by its slot as it is
         result, _CSV_CELL, "", _fmt, "%.12e", iter, tuple(m.value for m in MODES),
@@ -340,13 +284,13 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
     floats as ``repr`` does and non-finite floats as ``Infinity``,
     ``-Infinity`` and ``NaN``; no token it writes for a float or None
     contains ``", "``, so splitting on it gives one token per cell. Every
-    row is formatted before the first is written. Raises ``ValueError``,
-    writing nothing, if a cell is off the spec's grid.
+    row is formatted before the first is written; nothing is written if
+    ``result.cells`` fails the writers' shape check.
     """
     import json  # here, not at the top, so that importing the package loads no json
 
-    def tokens(values) -> list[str]:
-        return json.dumps(list(values))[1:-1].split(", ")
+    def tokens(values: list) -> list[str]:
+        return json.dumps(values)[1:-1].split(", ")
 
     rows = _format_cells(result, _JSON_CELL, ",\n", json.dumps, "%s", tokens,
                          tuple(json.dumps(m.value) for m in MODES), tokens)
@@ -368,12 +312,8 @@ def _document(result: SweepResult, cells: list) -> dict:
         "schema": 1,
         "grid": {
             "branch": spec.branch.value,
-            "strength": {"start": spec.strength_axis.start,
-                         "stop": spec.strength_axis.stop,
-                         "steps": spec.strength_axis.steps},
-            "epsilon": {"start": spec.epsilon_axis.start,
-                        "stop": spec.epsilon_axis.stop,
-                        "steps": spec.epsilon_axis.steps},
+            "strength": asdict(spec.strength_axis),
+            "epsilon": asdict(spec.epsilon_axis),
             "tau": spec.tau,
             "temperature": spec.temperature,
             "zero_tol": spec.zero_tol,

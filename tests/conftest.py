@@ -18,8 +18,8 @@ from dqdcycle.qdot import DotParams, is_density_matrix, max_abs
 from dqdcycle.regimes import Branch, Mode
 from dqdcycle.sweep import SweepResult
 from reference import branch_currents, branch_thresholds, evaluate_cell, expected_mode
-from reference import random_cycle_inputs, random_density_matrix, run_cycle_closed_form
-from reference import run_cycle_matrix
+from reference import grid_cells, random_cycle_inputs, random_density_matrix
+from reference import run_cycle_closed_form, run_cycle_matrix
 
 CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
@@ -48,14 +48,14 @@ def rng():
 @pytest.fixture
 def oracle_sweep():
     """The scalar reference for ``run_sweep``: ``reference.evaluate_cell`` on every cell,
-    row-major."""
+    row-major, kept as ``reference.grid_cells`` arrays."""
 
     def sweep(spec):
         cells = [evaluate_cell(spec, s, e)
                  for e in spec.epsilon_axis.points().tolist()
                  for s in spec.strength_axis.points().tolist()]
         counts = Counter(cell.result.mode for cell in cells)
-        return SweepResult(spec, cells, {m: counts.get(m, 0) for m in Mode})
+        return SweepResult(spec, grid_cells(spec, cells), {m: counts.get(m, 0) for m in Mode})
 
     return sweep
 

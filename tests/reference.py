@@ -11,7 +11,8 @@ calls of those kernels; ``hamiltonian`` and ``gibbs_state`` also take
 parameters of (n,) arrays, and ``matmul2`` a stack. The tests hold the kernels
 and the one-row calls to these references with ``==``, signed zeros, types,
 warnings and error messages included, and the ``oracle_sweep`` and
-``oracle_verify`` fixtures run on them.
+``oracle_verify`` fixtures run on them. ``grid_cells`` turns a list of cells,
+such as the oracle's, into the arrays that the sweep writers read.
 
 The references share only the package's data and formulas: the branch table
 ``regimes.BRANCHES`` (with its clamp ``regimes._mid``), ``thermo.stroke_energies``
@@ -35,10 +36,10 @@ import numpy as np
 
 from dqdcycle.channels import MeasurementChannel, Orientation, apply_channel
 from dqdcycle.qdot import DotParams, internal_energy, von_neumann_entropy
-from dqdcycle.regimes import BRANCHES, SIGN_PATTERNS, ZERO_TOL, Branch, Classification, Currents
-from dqdcycle.regimes import EngineThresholds, Mode, RefrigeratorThresholds, _check_zero_tol
-from dqdcycle.regimes import _intervals_held, kappa
-from dqdcycle.sweep import GridSpec, SweepCell
+from dqdcycle.regimes import BRANCHES, MODES, SIGN_PATTERNS, ZERO_TOL, Branch, Classification
+from dqdcycle.regimes import Currents, EngineThresholds, Mode, RefrigeratorThresholds
+from dqdcycle.regimes import _check_zero_tol, _intervals_held, kappa
+from dqdcycle.sweep import GridSpec, SweepCell, SweepCells
 from dqdcycle.thermo import CycleInputs, StrokeLedger, _closed_form_ledger, stroke_energies
 
 # ---------------------------------------------------------------------------
@@ -218,6 +219,25 @@ def evaluate_cell(spec: GridSpec, strength: float, epsilon: float) -> SweepCell:
     qh, qc, w = branch_currents(spec.branch, params, spec.temperature, strength)
     return SweepCell(strength, epsilon, classify(qh, qc, w, spec.zero_tol))
 
+
+def grid_cells(spec: GridSpec, cells: list) -> SweepCells:
+    """A row-major list of ``SweepCell`` on ``spec``'s grid as the ``SweepCells`` arrays
+    that ``run_sweep`` keeps; ``ValueError`` if a cell is not bit for bit at its point."""
+    strengths, epsilons = spec.strength_axis.points(), spec.epsilon_axis.points()
+    points = [(s, e) for e in epsilons.tolist() for s in strengths.tolist()]
+    if len(cells) != len(points) or not all(
+            same(c.strength, s) and same(c.epsilon, e) for c, (s, e) in zip(cells, points)):
+        raise ValueError("the cells are not the row-major points of the spec's grid")
+
+    def grid(values, dtype=float) -> np.ndarray:
+        return np.array(values, dtype=dtype).reshape(len(epsilons), len(strengths))
+
+    results = [c.result for c in cells]
+    return SweepCells(strengths, epsilons, grid([MODES.index(r.mode) for r in results], int),
+                      grid([r.performance for r in results], object),
+                      grid([r.raw_cop for r in results], object),
+                      grid([r.Qh for r in results]), grid([r.Qc for r in results]),
+                      grid([r.W for r in results]))
 
 
 # ---------------------------------------------------------------------------

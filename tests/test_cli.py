@@ -757,6 +757,27 @@ def test_negative_config_value_gives_flag_output(tmp_path, capsys):
     assert json.loads(from_config)["tau"] == -0.4
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5"])
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--epsilon", "1", "--temperature", "1"], "--tau"),
+    (["spectrum", "--tau", "0.1", "--temperature", "1"], "--epsilon"),
+    (["classify", "--branch", "engine", "--epsilon", "1", "--tau", "0.1", "--temperature", "1",
+      "--a", "0.3"], "--zero-tol"),
+])
+def test_flags_take_negative_values_in_every_float_form(capsys, argv, flag, value):
+    """A value that argparse alone would read as a flag acts as it does after ``=``."""
+    code = run_cli(*argv, flag, value)
+    separate = capsys.readouterr()
+    assert code == (2 if flag == "--zero-tol" else 0)
+    assert "expected one argument" not in separate.err
+    assert (run_cli(*argv, f"{flag}={value}"), capsys.readouterr()) == (code, separate)
+
+
+def test_negative_infinite_flag_value_is_a_domain_error(capsys):
+    assert run_cli("spectrum", "--epsilon", "1", "--tau", "-inf", "--temperature", "1") == 2
+    assert capsys.readouterr() == ("", "error: epsilon and tau must be finite\n")
+
+
 @pytest.mark.parametrize("entry", [
     {"epsilon": None}, {"output": None}, {"epsilon": True}, {"output": False}, {"a": {}},
     {"b": [0, 1, 2]}, {"a": [0.5]}, {"epsilon": "one"},
