@@ -77,31 +77,11 @@ def kraus_operators(channel: MeasurementChannel) -> KrausSet:
     return [keep * _E11, keep * _E10, flip * _E00, flip * _E01]
 
 
-def kraus_stack(strength: np.ndarray, is_a: np.ndarray) -> np.ndarray:
-    """The Kraus sets of n channels as one (k, n, 2, 2) array, operator k of every set
-    in row k; channel i has ``strength[i]`` and orientation A where ``is_a[i]``, else B.
-
-    Each orientation present takes one ``kraus_operators`` call on its
-    strengths. If the two calls return sets of different sizes, the shorter
-    is padded with zero operators, which add exactly nothing to the sums of
-    ``apply_kraus`` and ``completeness_residual``.
-    """
-    parts = [(mask, kraus_operators(MeasurementChannel(strength[mask], orientation)))
-             for orientation, mask in ((Orientation.A, is_a), (Orientation.B, ~is_a))
-             if mask.any()]
-    out = np.zeros((max((len(ops) for _, ops in parts), default=0), len(strength), 2, 2),
-                   dtype=np.complex128)
-    for mask, ops in parts:
-        if ops:
-            out[:len(ops), mask] = ops
-    return out
-
-
 def apply_kraus(kraus: KrausSet | np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Nonselective action sum_k M_k rho M_k^dag of an arbitrary Kraus set.
 
-    With stacked operators (a ``kraus_stack``, or the set of an array channel)
-    and an (n, 2, 2) stack of states, applies channel i to state i.
+    With stacked operators (the set of an array channel, or any (k, n, 2, 2)
+    array) and an (n, 2, 2) stack of states, applies channel i to state i.
 
     The products are ``qdot.matmul2``, not ``@``. Every operator of an honest
     family is a real weight times one matrix unit, so each entry of M rho and
@@ -121,8 +101,8 @@ def apply_channel(channel: MeasurementChannel, rho: np.ndarray) -> np.ndarray:
 
 
 def completeness_residual(kraus: KrausSet | np.ndarray):
-    """Max-norm deviation of sum_k M_k^dag M_k from the identity; one per set of a
-    ``kraus_stack``. The products are ``qdot.matmul2``, as in ``apply_kraus``."""
+    """Max-norm deviation of sum_k M_k^dag M_k from the identity; one per channel of
+    stacked operators. The products are ``qdot.matmul2``, as in ``apply_kraus``."""
     acc = np.zeros(np.shape(kraus)[1:], dtype=np.complex128)
     for m in kraus:
         acc += matmul2(dagger(m), m)

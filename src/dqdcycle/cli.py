@@ -215,7 +215,7 @@ def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None
 def _report(doc: dict, fmt: str) -> str:
     """Render a flat-ish report dict as JSON or as quantity,value CSV rows."""
     if fmt == "json":
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
     buf = io.StringIO()
     for key, value in _flatten(doc):
         buf.write(f"{key},{value}\n")
@@ -249,10 +249,7 @@ def cmd_spectrum(args) -> int:
     check_temperature(args.temperature)
     spec = spectrum(params)
     t = thermal_factors(args.epsilon, args.tau, args.temperature)[1].item()
-    try:
-        z = 2.0 * math.cosh(spec.gap / args.temperature)
-    except OverflowError:
-        z = math.inf
+    x = spec.gap / args.temperature
     doc = {
         "epsilon": args.epsilon,
         "tau": args.tau,
@@ -260,7 +257,7 @@ def cmd_spectrum(args) -> int:
         "gap": spec.gap,
         "theta": spec.theta,
         "eigenvalues": list(spec.eigenvalues),
-        "partition_function": z,
+        "log_partition_function": x + math.log1p(math.exp(-2.0 * x)),  # ln(2 cosh x)
         "populations": {"ground": 0.5 * (1.0 + t), "excited": 0.5 * (1.0 - t)},
         "degenerate": spec.degenerate,
     }

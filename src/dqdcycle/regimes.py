@@ -27,11 +27,11 @@ Three one-parameter branches slice the (a, b) square. ``BRANCHES`` holds
 one ``BranchRule`` per ``Branch``: the free strength, the pinned a (or
 b = a), the stroke of each of Qh, Qc and W, the analytic thresholds and their
 ordered intervals. Each computation has one kernel, on arrays:
-``branch_points`` (thresholds and ``(Qh, Qc, W)`` at n points, with E and
-tanh(E/T) from ``qdot.thermal_factors``), which
-``branch_currents_grid`` runs over a sweep's grid; ``expected_mode_codes``
-and ``mode_codes``, which give a mode as its index in ``MODES`` (-1 where no
-interval holds); and ``classify_grid``, which adds the figures of merit.
+``branch_points`` (thresholds and ``(Qh, Qc, W)`` at broadcast points, with E
+and tanh(E/T) from ``qdot.thermal_factors``; a sweep passes it an epsilon
+column and a strength row); ``expected_mode_codes`` and ``mode_codes``, which
+give a mode as its index in ``MODES`` (-1 where no interval holds); and
+``classify_grid``, which adds the figures of merit.
 ``branch_currents``, ``branch_thresholds``, ``expected_mode``,
 ``classify_from_signs`` and ``classify`` are one-row calls of them, and the
 per-branch functions below are thin wrappers that keep their historical
@@ -291,22 +291,6 @@ def branch_currents(
     """(Qh, Qc, W) at the point of ``branch`` whose free strength is ``strength``."""
     _, currents = branch_points(branch, *_row(params.epsilon, params.tau, temperature, strength))
     return tuple(x.item() for x in currents)
-
-
-def branch_currents_grid(
-    branch: Branch, epsilons: np.ndarray, tau: float, temperature: float,
-    strengths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Qh, Qc, W) arrays of shape (len(epsilons), len(strengths)), from two 1-D arrays
-    or lists.
-
-    ``branch_points`` over the grid, with E and tanh(E/T) taken once per
-    epsilon.
-    """
-    s = np.array(strengths, dtype=float)
-    epsilon_column = np.array(epsilons, dtype=float)[:, None]
-    _, currents = branch_points(branch, epsilon_column, tau, temperature, s)
-    return tuple(np.broadcast_to(x, (len(epsilons), len(s))) for x in currents)
 
 
 def branch_thresholds(

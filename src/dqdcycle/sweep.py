@@ -49,7 +49,7 @@ from typing import IO
 import numpy as np
 
 from .qdot import check_dot, check_temperature
-from .regimes import MODES, Branch, Classification, Mode, branch_currents_grid
+from .regimes import MODES, Branch, Classification, Mode, branch_points
 from .regimes import ZERO_TOL, _check_zero_tol, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -183,8 +183,9 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     strengths, epsilons = spec.strength_axis.points(), spec.epsilon_axis.points()
-    qh, qc, w = branch_currents_grid(spec.branch, epsilons, spec.tau, spec.temperature,
-                                     strengths)
+    _, currents = branch_points(spec.branch, epsilons[:, None], spec.tau, spec.temperature,
+                                strengths)
+    qh, qc, w = (np.broadcast_to(x, (len(epsilons), len(strengths))) for x in currents)
     codes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
     counts = np.bincount(codes.ravel(), minlength=len(MODES)).tolist()
     return SweepResult(spec, SweepCells(strengths, epsilons, codes, perf, raw, qh, qc, w),

@@ -25,9 +25,10 @@ as whole columns with public ``Generator`` calls, one row per trial:
   ``channel_reset``) splits ``params, states = rng.spawn(2)`` off the run's
   generator, then draws ``params.random((n, 2))`` for the channels and
   ``states.standard_normal((n, 2, 2, 2))`` for the random states, the real
-  and imaginary parts of A in A A^dag. Each block builds one ``kraus_stack``,
-  takes its ``completeness_residual`` and makes one ``apply_kraus`` call,
-  whose output gives the ``channel_cptp`` and ``channel_reset`` residuals.
+  and imaginary parts of A in A A^dag. Each orientation present in a block
+  takes one ``kraus_operators``, ``completeness_residual`` and ``apply_kraus``
+  call on its trials; the outputs give the ``channel_cptp`` and
+  ``channel_reset`` residuals.
 * The cycle pass (``path_agreement``, ``cycle_closure``) draws
   ``uniform(low, high, (n, 5))`` from the run's generator, the rows epsilon,
   tau, T, a, b, and passes them straight to
@@ -74,7 +75,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Orientation, apply_kraus, completeness_residual, kraus_stack
+from . import channels
+from .channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
 from .qdot import dagger, is_density_matrix, max_abs, trace2, trace_deviation
 from .regimes import MODES, Branch, branch_points, expected_mode_codes, mode_codes
 from .thermo import ledger_discrepancy, run_cycle_closed_form_batch, run_cycle_matrix_batch
@@ -170,9 +172,14 @@ def _channel_pass(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         z = states.standard_normal((n, 2, 2, 2))
         a = z[:, 0] + 1j * z[:, 1]  # each state is A A^dag over its trace
         rho = a @ dagger(a)
+        rho /= trace2(rho).real[:, None, None]
         p, is_a = draws[:, 1], draws[:, 0] < 0.5
-        kraus = kraus_stack(p, is_a)
-        out = apply_kraus(kraus, rho / trace2(rho).real[:, None, None])
+        out, completeness = np.empty_like(rho), np.empty(n)
+        for orientation, at in ((Orientation.A, is_a), (Orientation.B, ~is_a)):
+            if at.any():
+                kraus = channels.kraus_operators(MeasurementChannel(p[at], orientation))
+                out[at] = apply_kraus(kraus, rho[at])
+                completeness[at] = completeness_residual(kraus)
         r = trace_deviation(out)
         # a structural failure counts as at least 1, not as a small residual
         cptp = np.where(is_density_matrix(out, MATRIX_TOL), r, np.maximum(r, 1.0))
@@ -180,7 +187,7 @@ def _channel_pass(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         target = np.zeros_like(out)
         target[:, 0, 0] = np.where(is_a, 1.0 - p, p)
         target[:, 1, 1] = np.where(is_a, p, 1.0 - p)
-        return (completeness_residual(kraus), cptp, max_abs(out - target)), draws
+        return (completeness, cptp, max_abs(out - target)), draws
 
     return _scan(trials, block, _draw_dict, ("kraus_completeness", COMPLETENESS_TOL),
                  ("channel_cptp", MATRIX_TOL), ("channel_reset", MATRIX_TOL))

@@ -256,6 +256,12 @@ def outcome(f, *args) -> tuple:
     return result + tuple((w.category, str(w.message)) for w in caught)
 
 
+def bits(x) -> np.ndarray:
+    """The float64 elements of x as int64, so that ``np.array_equal`` compares bits:
+    signed zeros apart, and NaN equal to the same NaN."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 def same(x, y) -> bool:
     """Whether x and y are the same value: of the same type, floats equal with == and
     with the same sign bit (or both NaN), arrays of the same dtype, shape and bytes, and

@@ -14,7 +14,6 @@ from dqdcycle.channels import (
     apply_kraus,
     completeness_residual,
     kraus_operators,
-    kraus_stack,
 )
 from dqdcycle.qdot import DotParams, dagger, gibbs_state, is_density_matrix, max_abs
 
@@ -142,50 +141,6 @@ def test_apply_kraus_with_partial_set_loses_trace():
     ops = kraus_operators(MeasurementChannel(0.4, Orientation.A))[:3]
     out = apply_kraus(ops, 0.5 * np.eye(2, dtype=complex))
     assert np.trace(out).real < 1.0 - 0.1
-
-
-def test_kraus_stack_applies_each_channel_to_its_state(rng, monkeypatch):
-    """Stacked Kraus sets act like the sets one at a time; shorter sets are zero-padded."""
-    strength = rng.uniform(size=12)
-    is_a = np.array([True, True, False] * 4)
-    chans = [MeasurementChannel(float(p), Orientation.A if a else Orientation.B)
-             for p, a in zip(strength, is_a)]
-    states = np.array([random_state(rng) for _ in chans])
-    honest = kraus_operators
-
-    def uneven(ch):
-        """A set's size may depend on the orientation, never on one element's strength."""
-        ops = honest(ch)
-        return ops[:2] if ch.orientation is Orientation.A else ops + [0.0 * ops[0]] * 2
-
-    for source in (honest, uneven):
-        monkeypatch.setattr(channels, "kraus_operators", source)
-        stack = kraus_stack(strength, is_a)
-        assert stack.shape == (max(len(source(ch)) for ch in chans), len(chans), 2, 2)
-        out = apply_kraus(stack, states)
-        residuals = completeness_residual(stack)
-        for i, ch in enumerate(chans):
-            np.testing.assert_array_equal(out[i], apply_kraus(source(ch), states[i]))
-            assert residuals[i] == completeness_residual(source(ch))
-    monkeypatch.setattr(channels, "kraus_operators", lambda ch: [])
-    assert completeness_residual(kraus_stack(strength[:3], is_a[:3])).tolist() == [1.0] * 3
-
-
-@pytest.mark.parametrize("is_a", [[True, False, True, False], [True] * 4, [False] * 4, []])
-def test_kraus_stack_calls_the_source_once_per_orientation(monkeypatch, is_a):
-    is_a = np.array(is_a, dtype=bool)
-    strength = np.linspace(0.1, 0.9, len(is_a))
-    calls = []
-
-    def counted(ch):
-        calls.append((ch.orientation, ch.strength.tolist()))
-        return kraus_operators(ch)
-
-    monkeypatch.setattr(channels, "kraus_operators", counted)
-    stack = kraus_stack(strength, is_a)
-    assert calls == [(o, strength[mask].tolist())
-                     for o, mask in ((Orientation.A, is_a), (Orientation.B, ~is_a)) if mask.any()]
-    assert stack.shape == ((4 if len(is_a) else 0), len(is_a), 2, 2)
 
 
 @pytest.mark.parametrize("orientation", list(Orientation))

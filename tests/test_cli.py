@@ -28,7 +28,7 @@ def test_spectrum_report(capsys):
     assert doc["eigenvalues"] == [1.0, -1.0]
     assert doc["populations"]["ground"] == pytest.approx(0.8807970779778824, abs=1e-12)
     assert doc["populations"]["excited"] == pytest.approx(0.11920292202211756, abs=1e-12)
-    assert doc["partition_function"] == pytest.approx(2 * math.cosh(1.0))
+    assert doc["log_partition_function"] == pytest.approx(math.log(2 * math.cosh(1.0)))
     assert doc["degenerate"] is False
 
 
@@ -43,6 +43,35 @@ def test_spectrum_with_tunneling(capsys):
     assert run_cli("spectrum", "--epsilon", "1", "--tau", "0.5", "--temperature", "2") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["gap"] == pytest.approx(1.118033988749895, abs=1e-12)
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-standard tokens NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_spectrum_reports_a_finite_log_partition_function(capsys):
+    """At T = 1e-300, Z = 2 cosh(E/T) overflows but ln Z = x + log1p(exp(-2x)) does not;
+    at E = 0 it is ln 2."""
+    assert run_cli("spectrum", "--epsilon", "1", "--tau", "0.5", "--temperature", "1e-300") == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert "partition_function" not in doc
+    assert doc["log_partition_function"] == doc["gap"] / 1e-300
+    assert run_cli("spectrum", "--epsilon", "0", "--tau", "0", "--temperature", "1") == 0
+    assert strict_json(capsys.readouterr().out)["log_partition_function"] == math.log(2.0)
+
+
+def test_spectrum_refuses_json_it_cannot_write(capsys):
+    """E/T overflows at T = 1e-310, so ln Z is inf: no valid JSON holds it, and the
+    command exits 2 and prints nothing."""
+    argv = ("spectrum", "--epsilon", "1", "--tau", "0", "--temperature", "1e-310")
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Out of range float values are not JSON compliant")
 
 
 def test_spectrum_csv_format(capsys):

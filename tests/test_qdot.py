@@ -352,6 +352,37 @@ def assert_same_bits(x, y):
     np.testing.assert_array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64))
 
 
+def complex_abs_or_inf(z: complex) -> float:
+    """Python's ``abs(z)``, with inf where it raises ``OverflowError``."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_trace_deviation_has_the_bits_of_complex_abs(rng):
+    """|Tr rho - 1| has the bits of ``abs(complex(t) - 1.0)`` on every matrix, with +-0
+    imaginary parts, subnormal and huge entries, and traces near 1; a deviation that
+    overflows is inf, where complex abs raises."""
+    n = 6000
+    scales = [0.0, 5e-324, 1e-310, 1e-300, 1e-16, 0.5, 1.0, 1e300, 1.7e308]
+    rho = np.empty((n, 2, 2), dtype=np.complex128)
+    rho.real, rho.imag = (rng.uniform(-1.0, 1.0, (n, 2, 2)) * rng.choice(scales, (n, 2, 2))
+                          for _ in range(2))
+    rho[: n // 3, 0, 0] += 1.0  # traces near 1, whose deviation is tiny
+    got = trace_deviation(rho)
+    expected = np.array([complex_abs_or_inf(complex(np.trace(m)) - 1.0) for m in rho])
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.isinf(expected).any() and ((expected > 0) & (expected < 2.3e-308)).any()
+    assert {math.copysign(1.0, x) for x in rho.imag.ravel().tolist() if x == 0.0} == {1.0, -1.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = np.diag([1.5e308 + 1.5e308j, 0.0])
+        assert trace_deviation(huge) == math.inf
+        assert [trace_deviation(m) for m in rho[:50]] == expected[:50].tolist()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0, inf - inf
 @pytest.mark.parametrize("n", [1, 3, 257])
 def test_stack_kernels_equal_one_matrix_kernels_bit_for_bit(rng, n):
@@ -359,7 +390,7 @@ def test_stack_kernels_equal_one_matrix_kernels_bit_for_bit(rng, n):
     matrix alone and of the broadcast product of ``reference.matmul2``, special values
     included, and ``trace2`` gives ``np.trace``'s."""
     a, b = planted_stack(rng, (n, 2, 2)), planted_stack(rng, (n, 2, 2))
-    kraus = planted_stack(rng, (4, n, 2, 2))  # as ``apply_kraus`` takes a ``kraus_stack``
+    kraus = planted_stack(rng, (4, n, 2, 2))  # as ``apply_kraus`` takes stacked operators
     for x, y in ((a, b), (a, dagger(b)), (kraus, b), (kraus, dagger(kraus))):
         stacked = matmul2(x, y)
         assert stacked.shape == np.broadcast_shapes(x.shape, y.shape)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from dqdcycle import regimes
+from dqdcycle import regimes, verify
 from dqdcycle.qdot import DotParams
 from dqdcycle.thermo import CycleInputs, run_cycle_closed_form
 from dqdcycle.regimes import (
@@ -32,7 +32,7 @@ from dqdcycle.regimes import (
     refrigerator_minus_quantities,
     refrigerator_plus_quantities,
 )
-from reference import outcome, same
+from reference import bits, outcome, same
 
 TANH1 = math.tanh(1.0)
 
@@ -561,3 +561,35 @@ def test_infinite_cop_warns_as_the_reference():
     assert got[1].performance == 1.0 and got[1].raw_cop == math.inf
     assert got[2:] == ((RuntimeWarning, "infinite COP mapped to kappa = 1.0"),)
     assert same(got, outcome(reference.classify, 1e300, -1.0, 1e-300, 0.0))
+
+
+def threshold_points(k: int, n: int = 3000) -> tuple[np.ndarray, ...]:
+    """epsilon, tau, T and strength of ``n`` points drawn as verify's threshold check
+    draws them, with epsilon, tau and T multiplied by 2^k."""
+    u = np.random.default_rng(9).random((n, 5))
+    energies = np.ldexp(verify._THRESHOLD_LOW + verify._THRESHOLD_SPAN * u[:, :3], k)
+    return (*energies.T, u[:, 4])
+
+
+@pytest.mark.parametrize("k", [-60, -30, 20, 700, 900])
+@pytest.mark.parametrize("branch", list(Branch))
+def test_branch_points_scale_exactly(branch, k):
+    """Multiplying epsilon, tau and T by 2^k multiplies every current by 2^k and leaves
+    every threshold as it is, bit for bit."""
+    (thresholds, currents), (scaled_thresholds, scaled_currents) = (
+        branch_points(branch, *threshold_points(j)) for j in (0, k))
+    for x, y in zip(scaled_currents, currents):
+        assert np.array_equal(bits(x), bits(np.ldexp(y, k)))
+    for x, y in zip(scaled_thresholds, thresholds):
+        assert np.array_equal(bits(x), bits(y))
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+def test_branch_points_ignore_the_sign_of_tau(branch):
+    """tau enters only through E = hypot(epsilon, tau), so -tau gives every threshold's
+    and current's bits."""
+    epsilon, tau, temperature, strength = threshold_points(0)
+    ours, mirrored = ((*thresholds, *currents) for thresholds, currents in (
+        branch_points(branch, epsilon, t, temperature, strength) for t in (tau, -tau)))
+    for x, y in zip(ours, mirrored):
+        assert np.array_equal(bits(x), bits(y))

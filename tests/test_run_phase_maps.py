@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dqdcycle import cli
-from dqdcycle.regimes import MODES, Mode, branch_currents_grid, classify_grid
+from dqdcycle.regimes import MODES, Mode, branch_points, classify_grid
 from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
 from reference import classify
 
@@ -160,10 +160,9 @@ STANDARD_MAPS = [(branch, tau, temperature)
 def test_mode_codes_index_the_scalar_modes(branch, tau, temperature, oracle_sweep):
     """``MODES[code]`` is ``reference.classify``'s mode, also for currents exactly at
     +-zero_tol."""
-    epsilons = np.linspace(0.1, 3.0, 9).tolist()
-    strengths = np.linspace(0.0, 1.0, 11).tolist()
-    qh, qc, w = (np.array(x) for x in branch_currents_grid(branch, epsilons, tau, temperature,
-                                                           strengths))
+    epsilons, strengths = np.linspace(0.1, 3.0, 9), np.linspace(0.0, 1.0, 11)
+    _, grid = branch_points(branch, epsilons[:, None], tau, temperature, strengths)
+    qh, qc, w = (np.broadcast_to(x, (9, 11)) for x in grid)
     zero_tol = abs(float(qc[4, 5]))  # that cell's Qc sits exactly on the tolerance
     above = np.nextafter(zero_tol, np.inf)
     cases = [(qh, qc, w)]

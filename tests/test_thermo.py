@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from dqdcycle import channels, thermo
+from dqdcycle import channels, thermo, verify
 from dqdcycle.qdot import DotParams, check_dot, hamiltonian, internal_energy
 from dqdcycle.thermo import (
     LEDGER_FIELDS,
@@ -22,7 +22,7 @@ from dqdcycle.thermo import (
     run_cycle_matrix,
     run_cycle_matrix_batch,
 )
-from reference import outcome, same
+from reference import bits, outcome, same
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 cycle_inputs = st.builds(
@@ -349,3 +349,39 @@ def test_batches_validate_columns_like_cycle_inputs(batch_ledger, column, value,
 def test_batches_take_n_by_5_arrays_only(batch_ledger, shape):
     with pytest.raises(ValueError, match=r"\(n, 5\)"):
         batch_ledger(np.full(shape, 0.5))
+
+
+def cycle_rows(k: int, n: int = 2000) -> np.ndarray:
+    """``n`` rows drawn as verify's cycle pass draws them, with epsilon, tau and T
+    multiplied by 2^k."""
+    rows = np.random.default_rng(9).uniform(verify._CYCLE_LOW, verify._CYCLE_HIGH, (n, 5))
+    rows[:, :3] = np.ldexp(rows[:, :3], k)
+    return rows
+
+
+@pytest.mark.parametrize("batch_ledger, k", [
+    *((run_cycle_closed_form_batch, k) for k in (-60, -30, 20, 700, 900)),
+    *((run_cycle_matrix_batch, k) for k in (-60, -40, 40, 700)),
+])
+def test_ledger_energies_scale_exactly(batch_ledger, k):
+    """Multiplying epsilon, tau and T by 2^k multiplies every dU by 2^k and leaves every
+    dS as it is, bit for bit: scaling by a power of two is exact, and so is every + - * /
+    after it, while hypot scales and E/T does not change."""
+    base, scaled = batch_ledger(cycle_rows(0)), batch_ledger(cycle_rows(k))
+    for f in LEDGER_FIELDS:
+        want = getattr(base, f)
+        if f.startswith("dU"):
+            want = np.ldexp(want, k)
+        assert np.array_equal(bits(getattr(scaled, f)), bits(want)), f
+
+
+@pytest.mark.parametrize("batch_ledger", [run_cycle_closed_form_batch, run_cycle_matrix_batch])
+def test_ledgers_ignore_the_sign_of_tau(batch_ledger):
+    """tau enters only through E = hypot(epsilon, tau), so -tau gives every ledger field's
+    bits."""
+    rows = cycle_rows(0)
+    flipped = rows.copy()
+    flipped[:, 1] = -rows[:, 1]
+    ledger, mirrored = batch_ledger(rows), batch_ledger(flipped)
+    for f in LEDGER_FIELDS:
+        assert np.array_equal(bits(getattr(mirrored, f)), bits(getattr(ledger, f))), f

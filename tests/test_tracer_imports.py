@@ -1,9 +1,11 @@
-"""Imports kept only for the benchmark's tracer must be ones that the tracer rebinds.
+"""Every import of ``dqdcycle`` is used, or kept for the benchmark's tracer.
 
 A module of ``dqdcycle`` may import a name it never calls, marked
 ``# noqa: F401``, so that ``perfbench/spans.py`` can rebind that name in the
 module and time the calls that reach it. An import kept that way which no
-span patches is dead code, and this test fails on it.
+span patches is dead code, and so is an unmarked import that the module
+never uses; these tests fail on either. No linter is needed: the scan reads
+each module's syntax tree.
 """
 
 import ast
@@ -16,6 +18,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import spans  # noqa: E402
 
 
+def marked(lines: list[str], node: ast.stmt) -> bool:
+    """Whether an import statement carries ``# noqa: F401`` on one of its lines."""
+    return any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+
+
 def kept_imports() -> set[tuple[str, str]]:
     """(module, name) of every import marked ``# noqa: F401`` under ``src/dqdcycle``."""
     kept = set()
@@ -25,7 +32,7 @@ def kept_imports() -> set[tuple[str, str]]:
         for node in ast.walk(ast.parse("\n".join(lines))):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            if marked(lines, node):
                 kept |= {(module, alias.asname or alias.name.split(".")[0])
                          for alias in node.names}
     return kept
@@ -41,3 +48,27 @@ def test_every_import_kept_for_the_tracer_is_rebound_by_it():
     kept = kept_imports()
     assert ("dqdcycle.sweep", "ThreadPoolExecutor") in kept  # the scan sees them
     assert sorted(kept - rebound) == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that the module at ``path`` imports without a ``# noqa: F401`` mark and
+    never reads: not as a name, as the base of an attribute, nor in ``__all__``."""
+    source = path.read_text(encoding="utf-8")
+    lines, tree = source.splitlines(), ast.parse(source)
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and not marked(lines, node)
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_unmarked_import_is_used():
+    paths = sorted((ROOT / "src" / "dqdcycle").glob("*.py"))
+    assert paths
+    assert [(path.name, name) for path in paths for name in unused_imports(path)] == []

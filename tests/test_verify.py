@@ -33,12 +33,17 @@ def scaled_kraus(channel: MeasurementChannel):
 
 
 def uneven_kraus(channel: MeasurementChannel):
-    """Three operators for channel A, five (one of them zero) for channel B, so a
-    block holding both orientations must pad."""
+    """Three operators for channel A, five (one of them zero) for channel B: a set's
+    size depends on the orientation, so a block holding both has sets of two sizes."""
     ops = kraus_operators(channel)
     if channel.orientation is Orientation.A:
         return ops[:3]
     return ops + [0.0 * ops[0]]
+
+
+def empty_kraus(channel: MeasurementChannel):
+    """No operators at all: every output is 0 and every completeness residual 1."""
+    return []
 
 
 def nan_kraus(channel: MeasurementChannel):
@@ -182,10 +187,11 @@ def test_threshold_check_runs_no_scalar_route_and_no_per_trial_draw(oracle_verif
 
 
 def test_run_all_makes_one_pass_per_shared_intermediate(monkeypatch):
-    """In one block, the channel checks share one draw, one Kraus stack, one completeness
-    residual and one channel application, and the ledger checks one ``uniform`` draw and
-    one run of each ledger batch. So the Kraus source is called 4 times: once per
-    orientation in the channel pass, and for channels A and B in the matrix ledger."""
+    """In one block, the channel checks share one draw and, per orientation, one Kraus
+    set, one completeness residual and one channel application, and the ledger checks
+    one ``uniform`` draw and one run of each ledger batch. So the Kraus source is called
+    4 times: once per orientation in the channel pass, and for channels A and B in the
+    matrix ledger."""
     expected = verify.run_all(0, 100)
     calls = Counter()
 
@@ -199,7 +205,7 @@ def test_run_all_makes_one_pass_per_shared_intermediate(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in [(channels, "kraus_operators"), (channels, "apply_kraus"),
-                         (verify, "kraus_stack"), (verify, "completeness_residual"),
+                         (verify, "completeness_residual"),
                          (verify, "apply_kraus"), (verify, "run_cycle_closed_form_batch"),
                          (verify, "run_cycle_matrix_batch"), (thermo, "gibbs_state")]:
         count(module, name)
@@ -215,10 +221,60 @@ def test_run_all_makes_one_pass_per_shared_intermediate(monkeypatch):
     assert [g.calls for g in generators] == [["spawn", "uniform", "random"]]
     assert calls == {
         "dqdcycle.channels.kraus_operators": 4, "dqdcycle.channels.apply_kraus": 2,
-        "dqdcycle.verify.kraus_stack": 1, "dqdcycle.verify.completeness_residual": 1,
-        "dqdcycle.verify.apply_kraus": 1, "dqdcycle.verify.run_cycle_closed_form_batch": 1,
+        "dqdcycle.verify.completeness_residual": 2,
+        "dqdcycle.verify.apply_kraus": 2, "dqdcycle.verify.run_cycle_closed_form_batch": 1,
         "dqdcycle.verify.run_cycle_matrix_batch": 1, "dqdcycle.thermo.gibbs_state": 1,
     }
+
+
+class PlantedChannels:
+    """Stands in for the generator of the channel pass: its channel draws (r, p) are
+    ``draws``, and its random states come from a real generator."""
+
+    def __init__(self, draws):
+        self.draws, self.states = np.asarray(draws, dtype=float), np.random.default_rng(0)
+
+    def spawn(self, n):
+        return [self, self.states]
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws
+
+
+@pytest.mark.parametrize("is_a", [[True, False, True, False], [True] * 4, [False] * 4,
+                                  [False, True, True, False, True]])
+def test_channel_pass_calls_the_source_once_per_orientation_present(monkeypatch, is_a):
+    """A block calls the Kraus source once per orientation that has a trial in it, A
+    before B, with that orientation's strengths in trial order: blocks that hold only A,
+    only B, and both."""
+    strength = np.linspace(0.1, 0.9, len(is_a))
+    draws = np.column_stack([np.where(is_a, 0.25, 0.75), strength])
+    calls = []
+
+    def counted(ch):
+        calls.append((ch.orientation, ch.strength.tolist()))
+        return kraus_operators(ch)
+
+    monkeypatch.setattr(channels, "kraus_operators", counted)
+    results = verify._channel_pass(PlantedChannels(draws), len(is_a))
+    is_a = np.array(is_a)
+    assert calls == [(o, strength[mask].tolist())
+                     for o, mask in ((Orientation.A, is_a), (Orientation.B, ~is_a)) if mask.any()]
+    assert all(r.passed for r in results)
+
+
+def test_uneven_kraus_sets_give_trial_loop_results(oracle_verify, monkeypatch):
+    """Sets whose size depends on the orientation, or that are empty, give the trial
+    loops' results, in one block or in many."""
+    for source in (uneven_kraus, empty_kraus):
+        monkeypatch.setattr(channels, "kraus_operators", source)
+        for trials, block in ((1, verify.BLOCK), (2, verify.BLOCK), (37, verify.BLOCK), (37, 7)):
+            monkeypatch.setattr(verify, "BLOCK", block)
+            for seed in range(20):
+                got = verify.run_all(seed, trials)
+                assert got == oracle_verify(seed, trials), (source, trials, block, seed)
+        assert not got[0].passed  # kraus_completeness
 
 
 @pytest.mark.parametrize("block", [1, 7, 16])
