@@ -213,13 +213,31 @@ def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None
 
 
 def _report(doc: dict, fmt: str) -> str:
-    """Render a flat-ish report dict as JSON or as quantity,value CSV rows."""
+    """Render a flat-ish report dict as JSON or as quantity,value CSV rows.
+
+    A NaN or infinite number anywhere in ``doc`` raises ``ValueError`` naming its key,
+    in either format, so that no report holds a value that strict JSON cannot.
+    """
+    _check_finite(doc)
     if fmt == "json":
-        return json.dumps(doc, indent=2, allow_nan=False)
+        return json.dumps(doc, indent=2)
     buf = io.StringIO()
     for key, value in _flatten(doc):
         buf.write(f"{key},{value}\n")
     return buf.getvalue()
+
+
+def _check_finite(value, name: str = "") -> None:
+    """Refuse a NaN or infinite float in ``value``, a report or any dict or list in it;
+    the message names its dotted key, with [i] for a list item."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{name}.{key}" if name else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{name}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} is {value}: a report holds finite numbers only")
 
 
 def _flatten(doc: dict, prefix: str = ""):

@@ -34,9 +34,6 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 _GAP_LIMIT = sys.float_info.max / 4.0  # the largest E = hypot(epsilon, tau) check_dot admits
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class DotParams:

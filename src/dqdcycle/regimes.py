@@ -32,11 +32,10 @@ and tanh(E/T) from ``qdot.thermal_factors``; a sweep passes it an epsilon
 column and a strength row); ``expected_mode_codes`` and ``mode_codes``, which
 give a mode as its index in ``MODES`` (-1 where no interval holds); and
 ``classify_grid``, which adds the figures of merit.
-``branch_currents``, ``branch_thresholds``, ``expected_mode``,
-``classify_from_signs`` and ``classify`` are one-row calls of them, and the
-per-branch functions below are thin wrappers that keep their historical
-return orders. ``tests/reference.py`` holds the scalar forms that the tests
-compare them with, bit for bit.
+``branch_currents``, ``branch_thresholds`` and ``classify`` are one-row
+calls of them, and the per-branch functions below are thin wrappers that
+keep their historical return orders. ``tests/reference.py`` holds the
+scalar forms that the tests compare them with, bit for bit.
 
 * ``engine`` branch, b = a: work stroke W = dU3 = 2 epsilon (1 - 2a), hot
   stroke Qh = dU2, cold stroke Qc = dU1. Interval structure over a in [0, 1]:
@@ -139,11 +138,6 @@ def _check_zero_tol(zero_tol: float) -> None:
 def _row(*values) -> tuple[np.ndarray, ...]:
     """Each value as a one-element float64 array: the input of a one-row kernel call."""
     return tuple(np.array([v], dtype=float) for v in values)
-
-
-def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Mode:
-    """Sign-pattern lookup; currents within ``zero_tol`` of zero are ambiguous."""
-    return MODES[mode_codes(*_row(Qh, Qc, W), zero_tol)[0]]
 
 
 def kappa(cop: float) -> float:
@@ -307,12 +301,6 @@ def _intervals_held(branch: Branch, strength, thresholds) -> list:
     return [((strength < bound) if side == "<" else (strength > bound), mode)
             for name, side, mode in BRANCHES[branch].intervals
             for bound in (getattr(thresholds, name),)]
-
-
-def expected_mode(branch: Branch, strength: float, thresholds) -> Mode | None:
-    """Mode the thresholds predict at ``strength``; None outside the cataloged windows."""
-    code = expected_mode_codes(branch, *_row(strength), thresholds)[0]
-    return None if code < 0 else MODES[code]
 
 
 def expected_mode_codes(branch: Branch, strength: np.ndarray, thresholds) -> np.ndarray:

@@ -26,11 +26,11 @@ ledger discrepancy between them is the package's standing self-check. Only
 the matrix ledger carries the states rho1..rho3; a closed-form ledger leaves
 them as None. Each route has one kernel over an (n, 5) array of epsilon, tau,
 T, a, b (``run_cycle_matrix_batch``, ``run_cycle_closed_form_batch``), and
-``run_cycle_matrix``, ``run_cycle_closed_form`` and ``binary_entropy`` are
-one-row calls of them. The matrix kernel is the one-point pipeline run on
-stacks: ``qdot.hamiltonian`` and ``qdot.gibbs_state``, then ``apply_channel``
-for channel A and for channel B. ``tests/reference.py`` holds the scalar
-forms that the tests compare them with, bit for bit.
+``run_cycle_matrix`` and ``run_cycle_closed_form`` are one-row calls of them.
+The matrix kernel is the one-point pipeline run on stacks:
+``qdot.hamiltonian`` and ``qdot.gibbs_state``, then ``apply_channel`` for
+channel A and for channel B. ``tests/reference.py`` holds the scalar forms
+that the tests compare them with, bit for bit.
 
 Sign convention: dU_i > 0 means energy flows *into* the dot during stroke i.
 """
@@ -91,13 +91,6 @@ class StrokeLedger:
     @property
     def entropy_closure(self) -> float:
         return self.dS1 + self.dS2 + self.dS3
-
-
-def binary_entropy(p: float) -> float:
-    """h(p) = -p ln p - (1-p) ln(1-p), with h(0) = h(1) = 0."""
-    math.isfinite(p)  # what is not a float raises math's TypeError or OverflowError
-    check_unit("p", p)
-    return _binary_entropy_columns(np.array([p], dtype=float)).item()
 
 
 def _one_row(batch_ledger, inputs: CycleInputs) -> StrokeLedger:

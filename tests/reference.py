@@ -5,11 +5,13 @@ Each function here is the step-by-step scalar form of one computation: plain
 array of inputs. ``dqdcycle`` itself has one implementation of each
 computation, an array kernel, and its scalar names (``spectrum``,
 ``gibbs_state``, ``run_cycle_matrix``, ``run_cycle_closed_form``,
-``binary_entropy``, ``branch_currents``, ``branch_thresholds``,
-``expected_mode``, ``classify_from_signs`` and ``classify``) are one-row
+``branch_currents``, ``branch_thresholds`` and ``classify``) are one-row
 calls of those kernels; ``hamiltonian`` and ``gibbs_state`` also take
-parameters of (n,) arrays, and ``matmul2`` a stack. The tests hold the kernels
-and the one-row calls to these references with ``==``, signed zeros, types,
+parameters of (n,) arrays, and ``matmul2`` a stack. ``binary_entropy``,
+``expected_mode`` and ``classify_from_signs`` have no one-row name in the
+package: they are the oracles of the closed form's entropy columns, of
+``expected_mode_codes`` and of ``mode_codes``. The tests hold the kernels and
+the one-row calls to these references with ``==``, signed zeros, types,
 warnings and error messages included, and the ``oracle_sweep`` and
 ``oracle_verify`` fixtures run on them. ``grid_cells`` turns a list of cells,
 such as the oracle's, into the arrays that the sweep writers read.

@@ -1,15 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dqdcycle import channels, cli, verify
 from dqdcycle.channels import kraus_operators
+from dqdcycle.regimes import Branch
 from dqdcycle.sweep import AxisSpec
 
 
@@ -64,14 +70,94 @@ def test_spectrum_reports_a_finite_log_partition_function(capsys):
     assert strict_json(capsys.readouterr().out)["log_partition_function"] == math.log(2.0)
 
 
+INFINITE_LN_Z = ("spectrum", "--epsilon", "1", "--tau", "0", "--temperature", "1e-310")
+NOT_FINITE = "error: log_partition_function is inf: a report holds finite numbers only\n"
+
+
 def test_spectrum_refuses_json_it_cannot_write(capsys):
     """E/T overflows at T = 1e-310, so ln Z is inf: no valid JSON holds it, and the
-    command exits 2 and prints nothing."""
-    argv = ("spectrum", "--epsilon", "1", "--tau", "0", "--temperature", "1e-310")
-    assert run_cli(*argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: Out of range float values are not JSON compliant")
+    command exits 2, prints nothing and names the key."""
+    assert run_cli(*INFINITE_LN_Z) == 2
+    assert capsys.readouterr() == ("", NOT_FINITE)
+
+
+def test_spectrum_refuses_csv_with_a_non_finite_number(tmp_path, capsys):
+    """The CSV report of the same point is refused in the same words, on stdout and as a
+    file, which is then not made."""
+    assert run_cli(*INFINITE_LN_Z, "--format", "csv") == 2
+    assert capsys.readouterr() == ("", NOT_FINITE)
+    out = tmp_path / "spectrum.csv"
+    assert run_cli(*INFINITE_LN_Z, "--format", "csv", "--output", str(out)) == 2
+    assert capsys.readouterr() == ("", NOT_FINITE)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("doc, message", [
+    ({"a": 1.0, "b": {"c": [0.5, -math.inf]}}, "b.c[1] is -inf"),
+    ({"states": {"rho1": [[1.0, 0.0], [0.0, math.nan]]}}, "states.rho1[1][1] is nan"),
+    ({"x": (1.0, 2.0), "y": {"z": math.inf}}, "y.z is inf"),
+])
+def test_report_names_the_first_non_finite_number(doc, message, fmt):
+    """Dicts give dotted keys and list items [i], nested lists too, in both formats."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}: a report holds finite"):
+        cli._report(doc, fmt)
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """(exit code, stdout) of ``cli.main(argv)``, with stdout and stderr captured, for
+    property tests that cannot take the function-scoped ``capsys``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # kappa's warning on an infinite COP
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+GAP_BOUND = sys.float_info.max / 4.0  # qdot.check_dot admits E = hypot(epsilon, tau) up to it
+energy = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                   st.floats(min_value=-GAP_BOUND, max_value=GAP_BOUND),
+                   st.sampled_from([GAP_BOUND, -GAP_BOUND, GAP_BOUND / math.sqrt(2.0),
+                                    5e-324, 0.0]))
+temperature = st.one_of(st.floats(min_value=0.5, max_value=6.0),
+                        st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                        st.sampled_from([5e-324, 1e-310, 1e-300, sys.float_info.max]))
+unit_strength = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(command=st.sampled_from(["spectrum", "cycle", "classify"]),
+       branch=st.sampled_from([b.value for b in Branch]),
+       epsilon=energy, tau=energy, temperature=temperature, a=unit_strength,
+       b=unit_strength, zero_tol=st.sampled_from([None, 0.0]))
+@example("spectrum", "engine", 1.0, 0.0, 1e-310, 0.5, 0.5, None)  # ln Z = inf: exit 2
+@example("classify", "engine", 5e-324, 1.0, 1.0, 0.1, 0.5, 0.0)  # COP = inf: exit 2
+@example("cycle", "engine", GAP_BOUND, 0.0, 5e-324, 0.3, 0.6, None)
+@settings(max_examples=120, deadline=None)
+def test_reports_are_strict_json_or_refused(command, branch, epsilon, tau, temperature, a,
+                                            b, zero_tol):
+    """``spectrum``, ``cycle`` and ``classify`` at any admitted point (E up to the bound
+    of ``qdot.check_dot``, T from the smallest subnormal to the largest float) exit 0
+    with strict JSON, with no NaN or Infinity token, or exit 2 with nothing on stdout;
+    the CSV report exits with the same code. ``sweep --format json`` is left out:
+    ``sweep.write_json`` still writes a non-finite float as Infinity or NaN (ROADMAP
+    item 11)."""
+    argv = [command, f"--epsilon={epsilon!r}", f"--tau={tau!r}",
+            f"--temperature={temperature!r}"]
+    if command == "cycle":
+        argv += [f"--a={a!r}", f"--b={b!r}"]
+    elif command == "classify":
+        strength = "--a" if branch == "engine" else "--b"
+        argv += [f"--branch={branch}", f"{strength}={a!r}"]
+        if zero_tol is not None:
+            argv.append(f"--zero-tol={zero_tol!r}")
+    code, out = run_quietly(argv)
+    assert code in (0, 2)
+    if code == 0:
+        strict_json(out)
+    else:
+        assert out == ""
+    assert run_quietly([*argv, "--format=csv"])[0] == code
 
 
 def test_spectrum_csv_format(capsys):

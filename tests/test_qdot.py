@@ -12,8 +12,6 @@ from scipy.linalg import expm
 import reference
 from dqdcycle.qdot import (
     DotParams,
-    SIGMA_X,
-    SIGMA_Z,
     dagger,
     eigenbases,
     gibbs_state,
@@ -42,8 +40,10 @@ def test_hamiltonian_matrix():
 
 
 def test_hamiltonian_pauli_decomposition():
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     p = DotParams(0.7, 0.3)
-    np.testing.assert_array_equal(hamiltonian(p), -p.epsilon * SIGMA_Z + p.tau * SIGMA_X)
+    np.testing.assert_array_equal(hamiltonian(p), -p.epsilon * sigma_z + p.tau * sigma_x)
 
 
 @given(epsilon=finite, tau=finite)
@@ -263,7 +263,7 @@ def test_entropy_of_thermal_state():
 
 
 def test_matrix_predicates():
-    assert is_hermitian(SIGMA_X)
+    assert is_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert is_density_matrix(np.diag([0.25, 0.75]).astype(complex))
     assert not is_density_matrix(np.diag([0.5, 0.75]).astype(complex))  # trace 1.25

@@ -20,11 +20,9 @@ from dqdcycle.regimes import (
     branch_points,
     branch_thresholds,
     classify,
-    classify_from_signs,
     constrained_strength,
     engine_branch_quantities,
     engine_branch_thresholds,
-    expected_mode,
     expected_mode_codes,
     kappa,
     mode_codes,
@@ -35,6 +33,11 @@ from dqdcycle.regimes import (
 from reference import bits, outcome, same
 
 TANH1 = math.tanh(1.0)
+
+
+def code_of(mode):
+    """A mode's index in ``MODES``, and -1 for None: the codes of the mode kernels."""
+    return -1 if mode is None else MODES.index(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +59,18 @@ TANH1 = math.tanh(1.0)
 )
 def test_sign_table(signs, mode):
     qh, qc, w = (0.3 * s for s in signs)
-    assert classify_from_signs(qh, qc, w) is mode
+    assert classify(qh, qc, w).mode is mode
+    assert mode_codes(np.array([qh]), np.array([qc]), np.array([w])).tolist() == [code_of(mode)]
 
 
 def test_near_zero_current_is_undefined():
-    assert classify_from_signs(1.0, -1.0, 5e-13) is Mode.UNDEFINED
-    assert classify_from_signs(1.0, -1.0, -2e-3, zero_tol=1e-2) is Mode.UNDEFINED
+    assert classify(1.0, -1.0, 5e-13).mode is Mode.UNDEFINED
+    assert classify(1.0, -1.0, -2e-3, zero_tol=1e-2).mode is Mode.UNDEFINED
+    qh, qc, w = np.array([1.0, 1.0]), np.array([-1.0, -1.0]), np.array([5e-13, -2e-3])
+    assert mode_codes(qh, qc, w).tolist() == [code_of(Mode.UNDEFINED), code_of(Mode.ENGINE)]
+    assert mode_codes(qh, qc, w, zero_tol=1e-2).tolist() == [code_of(Mode.UNDEFINED)] * 2
     with pytest.raises(ValueError, match="zero_tol"):
-        classify_from_signs(1.0, -1.0, -1.0, zero_tol=-1e-3)
+        classify(1.0, -1.0, -1.0, zero_tol=-1e-3)
 
 
 def test_kappa_normalization():
@@ -153,7 +160,7 @@ def test_engine_scan_matches_thresholds():
         if min(abs(a - x) for x in th) < 1e-9:
             continue
         qc, qh, w = engine_branch_quantities(p, temperature, a)
-        mode = classify_from_signs(qh, qc, w)
+        mode = classify(qh, qc, w).mode
         if a < th.heater_max:
             assert mode is Mode.HEATER
         elif a < th.engine_min:
@@ -246,7 +253,7 @@ def test_refrigerator_scan_matches_thresholds():
             if min(abs(b - x) for x in th) < 1e-9:
                 continue
             qc, w, qh = quantities(p, temperature, b)
-            mode = classify_from_signs(qh, qc, w)
+            mode = classify(qh, qc, w).mode
             if b < th.accelerator_max:
                 assert mode is Mode.ACCELERATOR
             elif b > th.refrigerator_min:
@@ -314,7 +321,7 @@ def test_branch_thresholds_match_wrappers():
 )
 def test_expected_mode_engine_boundaries(strength, mode):
     th = EngineThresholds(heater_max=0.2, engine_min=0.5, engine_max=0.8)
-    assert expected_mode(Branch.ENGINE, strength, th) is mode
+    assert expected_mode_codes(Branch.ENGINE, np.array([strength]), th).tolist() == [code_of(mode)]
 
 
 @pytest.mark.parametrize("branch", [Branch.REFRIGERATOR_PLUS, Branch.REFRIGERATOR_MINUS])
@@ -330,11 +337,7 @@ def test_expected_mode_engine_boundaries(strength, mode):
 )
 def test_expected_mode_refrigerator_boundaries(branch, strength, mode):
     th = RefrigeratorThresholds(accelerator_max=0.3, refrigerator_min=0.7)
-    assert expected_mode(branch, strength, th) is mode
-
-
-def code_of(mode):
-    return -1 if mode is None else MODES.index(mode)
+    assert expected_mode_codes(branch, np.array([strength]), th).tolist() == [code_of(mode)]
 
 
 @pytest.mark.parametrize("branch", list(Branch))
@@ -391,7 +394,8 @@ SEED32_POINT = (
 def test_seed32_point_is_predicted_accelerator():
     params, temperature, strength = SEED32_POINT
     th = branch_thresholds(Branch.REFRIGERATOR_MINUS, params, temperature)
-    assert expected_mode(Branch.REFRIGERATOR_MINUS, strength, th) is Mode.ACCELERATOR
+    assert expected_mode_codes(Branch.REFRIGERATOR_MINUS, np.array([strength]), th).tolist() == [
+        code_of(Mode.ACCELERATOR)]
 
 
 @pytest.mark.xfail(strict=True, reason="absolute zero_tol; ROADMAP item 3")
@@ -400,13 +404,16 @@ def test_seed32_point_signs_agree_with_thresholds():
     branch = Branch.REFRIGERATOR_MINUS
     th = branch_thresholds(branch, params, temperature)
     qh, qc, w = branch_currents(branch, params, temperature, strength)
-    assert classify_from_signs(qh, qc, w) is expected_mode(branch, strength, th)
+    assert code_of(classify(qh, qc, w).mode) == expected_mode_codes(
+        branch, np.array([strength]), th)[0]
 
 
 @pytest.mark.parametrize("zero_tol", [math.nan, math.inf])
 def test_classify_rejects_non_finite_zero_tol(zero_tol):
     with pytest.raises(ValueError, match="zero_tol"):
-        classify_from_signs(1.0, -1.0, -1.0, zero_tol=zero_tol)
+        classify(1.0, -1.0, -1.0, zero_tol=zero_tol)
+    with pytest.raises(ValueError, match="zero_tol"):
+        mode_codes(np.array([1.0]), np.array([-1.0]), np.array([-1.0]), zero_tol=zero_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +465,11 @@ def test_branch_points_require_finite_epsilon_and_tau():
 
 
 # ---------------------------------------------------------------------------
-# the scalar names are one-row calls that return what the references return
+# the scalar names are one-row calls that return what the references return, and the
+# mode kernels at one point raise what the references raise
 
 P = DotParams(1.0, 0.5)
+# (the name of a reference, bad arguments); ``PACKAGE`` holds the call it is the oracle for
 BAD_CALLS = [
     # branch_currents checks epsilon, then temperature, then the strength
     *[("branch_currents", (branch, DotParams(epsilon, 0.5), temperature, strength))
@@ -487,11 +496,22 @@ BAD_CALLS = [
 ]
 
 
+PACKAGE = {
+    "branch_currents": branch_currents,
+    "branch_thresholds": branch_thresholds,
+    "classify": classify,
+    "expected_mode": lambda branch, strength, thresholds: expected_mode_codes(
+        branch, np.array([strength]), thresholds),
+    "classify_from_signs": lambda qh, qc, w, zero_tol: mode_codes(
+        np.array([qh]), np.array([qc]), np.array([w]), zero_tol),
+}
+
+
 @pytest.mark.parametrize("name, args", BAD_CALLS)
 def test_scalar_names_raise_as_the_reference(name, args):
     """Every bad input raises the reference's exception with its message, also when two
     or three inputs are bad at once (the first check that fails wins)."""
-    got = outcome(getattr(regimes, name), *args)
+    got = outcome(PACKAGE[name], *args)
     assert got[0] == "raises", got
     assert same(got, outcome(getattr(reference, name), *args))
 
@@ -520,10 +540,10 @@ positive = st.one_of(st.floats(min_value=0.05, max_value=3.0),
 @settings(max_examples=100, deadline=None)
 def test_one_row_branch_calls_equal_the_reference(branch, epsilon, tau, temperature, strength,
                                                   zero_tol):
-    """``branch_currents``, ``branch_thresholds``, ``expected_mode``,
-    ``classify_from_signs`` and ``classify`` return the reference's values (Python
-    floats with its bits and signed zeros, a ``Mode`` or None, the same named tuple)
-    and warnings, or raise its exception."""
+    """``branch_currents``, ``branch_thresholds`` and ``classify`` return the reference's
+    values (Python floats with its bits and signed zeros, the same named tuple or
+    ``Classification``) and warnings, or raise its exception; ``expected_mode_codes``
+    gives the code of the reference's ``expected_mode``."""
     params = DotParams(epsilon, tau)
     currents = outcome(regimes.branch_currents, branch, params, temperature, strength)
     assert same(currents, outcome(reference.branch_currents, branch, params, temperature,
@@ -531,15 +551,13 @@ def test_one_row_branch_calls_equal_the_reference(branch, epsilon, tau, temperat
     thresholds = outcome(regimes.branch_thresholds, branch, params, temperature)
     assert same(thresholds, outcome(reference.branch_thresholds, branch, params, temperature))
     if thresholds[0] == "returns":
-        args = (branch, strength, thresholds[1])
-        assert same(outcome(regimes.expected_mode, *args),
-                    outcome(reference.expected_mode, *args))
+        codes = expected_mode_codes(branch, np.array([strength]), thresholds[1])
+        assert codes.tolist() == [code_of(reference.expected_mode(branch, strength,
+                                                                 thresholds[1]))]
     if currents[0] == "returns":
         assert all(type(x) is float for x in currents[1])
-        for name in ("classify_from_signs", "classify"):
-            args = (*currents[1], zero_tol)
-            assert same(outcome(getattr(regimes, name), *args),
-                        outcome(getattr(reference, name), *args)), name
+        args = (*currents[1], zero_tol)
+        assert same(outcome(classify, *args), outcome(reference.classify, *args))
 
 
 @given(qh=st.floats(), qc=st.floats(), w=st.floats(),
@@ -551,9 +569,8 @@ def test_one_row_branch_calls_equal_the_reference(branch, epsilon, tau, temperat
 @example(0.0, -0.0, 1.0, 0.0)  # zero currents are undefined at zero_tol = 0
 @settings(max_examples=100, deadline=None)
 def test_one_row_classification_equals_the_reference(qh, qc, w, zero_tol):
-    for name in ("classify_from_signs", "classify"):
-        got = outcome(getattr(regimes, name), qh, qc, w, zero_tol)
-        assert same(got, outcome(getattr(reference, name), qh, qc, w, zero_tol)), name
+    got = outcome(classify, qh, qc, w, zero_tol)
+    assert same(got, outcome(reference.classify, qh, qc, w, zero_tol))
 
 
 def test_infinite_cop_warns_as_the_reference():

@@ -15,7 +15,6 @@ from dqdcycle.qdot import DotParams, check_dot, hamiltonian, internal_energy
 from dqdcycle.thermo import (
     LEDGER_FIELDS,
     CycleInputs,
-    binary_entropy,
     ledger_discrepancy,
     run_cycle_closed_form,
     run_cycle_closed_form_batch,
@@ -44,28 +43,46 @@ def as_columns(batch):
                     dtype=float).reshape(-1, 5)
 
 
+def entropy_gap(a, b) -> np.ndarray:
+    """dS3 = h(b) - h(a) of the closed-form batch, one row per element of a and b (at
+    epsilon = 1, tau = 0, T = 1)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    ones, zeros = np.ones(a.shape), np.zeros(a.shape)
+    return run_cycle_closed_form_batch(np.column_stack((ones, zeros, ones, a, b))).dS3
+
+
+def entropy(p: float) -> float:
+    """h(p) as the closed-form batch computes it: dS3 at a = 0, where h(0) is 0.0, so
+    that h(b) - h(a) is h(b) bit for bit."""
+    return entropy_gap(0.0, p).item()
+
+
 def test_binary_entropy_values():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == pytest.approx(math.log(2), abs=1e-15)
+    assert entropy(0.0) == 0.0
+    assert entropy(1.0) == 0.0
+    assert entropy(0.5) == pytest.approx(math.log(2), abs=1e-15)
     g = 0.5 * (1.0 - math.tanh(1.0))
-    assert binary_entropy(g) == pytest.approx(0.36533385508720767, abs=1e-15)
+    assert entropy(g) == pytest.approx(0.36533385508720767, abs=1e-15)
 
 
 @given(p=unit)
 def test_binary_entropy_symmetric(p):
-    assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-14)
+    """h(p) = h(1 - p), so dS3 vanishes at b = p, a = 1 - p."""
+    assert entropy_gap(1.0 - p, p).item() == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, math.inf, -math.inf, -5e-324, None])
 def test_binary_entropy_domain(bad):
-    """A bad p raises what the reference raises: ValueError for a number outside [0, 1]."""
-    got = outcome(binary_entropy, bad)
-    if bad is None:
-        assert got[:2] == ("raises", TypeError)
-    else:
-        assert got == ("raises", ValueError, "p must be in [0, 1]")
-    assert same(got, outcome(reference.binary_entropy, bad))
+    """A p that the reference h refuses never reaches the batch's entropy columns: the
+    batch refuses it as a or as b, with ``CycleInputs``' message (None is a NaN entry of
+    a float batch)."""
+    for column, name in ((3, "a"), (4, "b")):
+        row = [1.0, 0.0, 1.0, 0.5, 0.5]
+        row[column] = bad
+        got = outcome(run_cycle_closed_form_batch, np.array([row], dtype=float))
+        assert got == ("raises", ValueError, f"{name} must be in [0, 1]")
+    assert outcome(reference.binary_entropy, bad)[:2] == (
+        "raises", TypeError if bad is None else ValueError)
 
 
 @given(p=unit)
@@ -76,10 +93,9 @@ def test_binary_entropy_domain(bad):
 @example(p=5e-324)
 @example(p=1.0 - 2.0 ** -53)
 def test_binary_entropy_equals_the_reference(p):
-    """The one-row call gives the reference's float, bit for bit and as a Python float."""
-    got = outcome(binary_entropy, p)
-    assert got[0] == "returns" and type(got[1]) is float
-    assert same(got, outcome(reference.binary_entropy, p))
+    """The batch's h(p) is the reference's float, bit for bit, signed zeros included."""
+    got = entropy(p)
+    assert type(got) is float and same(got, reference.binary_entropy(p))
 
 
 def test_cycle_inputs_validation():

@@ -176,8 +176,7 @@ def test_threshold_check_runs_no_scalar_route_and_no_per_trial_draw(oracle_verif
         raise AssertionError("scalar route called")
 
     with monkeypatch.context() as patch:
-        for name in ("branch_currents", "branch_thresholds", "expected_mode",
-                     "classify_from_signs"):
+        for name in ("branch_currents", "branch_thresholds"):
             patch.setattr(regimes, name, scalar_route)
         patch.setattr(verify, "BLOCK", 256)
         for s in range(3):
