@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dqdcycle.cli import emit
+from dqdcycle.cli import EXIT_INPUT_ERROR, EXIT_IO_ERROR, EXIT_OK, emit
 from dqdcycle.regimes import Branch
 from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
 
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc} (--steps {args.steps}; epsilon runs from {EPSILON_MIN} to "
               f"--epsilon-max {args.epsilon_max})", file=sys.stderr)
-        return 2
+        return EXIT_INPUT_ERROR
 
     summary = []
     try:  # an --outdir that cannot be made or written to
@@ -78,9 +78,9 @@ def main(argv=None) -> int:
              str(args.outdir / "summary.json"))
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_IO_ERROR
     print(f"\n{len(summary)} maps -> {args.outdir}/ (+ summary.json)")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

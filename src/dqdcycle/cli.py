@@ -8,9 +8,10 @@ Subcommands::
     sweep      (strength, epsilon) grid -> CSV/JSON regime + performance map
     verify     randomized self-check suites
 
-Every number printed here is produced by a library call that the test suite
-exercises directly; the CLI only parses, dispatches and serializes. Options
-may come from flags or from a JSON config file (``--config``); flags win.
+Every number printed here comes from a library call that the test suite
+exercises directly, save ``spectrum``'s ln Z and populations, formed here from
+E/T and tanh(E/T); the CLI otherwise parses, dispatches and serializes.
+Options may come from flags or from a JSON config file (``--config``); flags win.
 Flags are not abbreviated. Config keys are the subcommand's flag names, with
 dashes or underscores; each value is read by that flag's own type and
 choices, and an axis may also be given as ``[min, max, steps]``. A config

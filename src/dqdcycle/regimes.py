@@ -20,8 +20,9 @@ cooling", Phys. Rev. Lett. 122, 070603 (2019):
 
 W < 0 means net work is extracted. Any other sign pattern, or any current
 indistinguishable from zero at ``zero_tol``, is Undefined. COP-type figures
-are mapped onto the compact scale kappa = COP / (1 + COP) in (0, 1] so the
-three COP regimes can share one color bar; efficiency stays as eta.
+are mapped onto the compact scale kappa = COP / (1 + COP) in [0, 1] so the
+three COP regimes can share one color bar; efficiency stays as eta. kappa is
+exact at its limits: 0 for a COP that underflows to 0, 1 for an infinite COP.
 
 Three one-parameter branches slice the (a, b) square. ``BRANCHES`` holds
 one ``BranchRule`` per ``Branch``: the free strength, the pinned a (or
@@ -58,7 +59,6 @@ the regime geometry is stated for positive detuning.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -140,14 +140,15 @@ def _row(*values) -> tuple[np.ndarray, ...]:
     return tuple(np.array([v], dtype=float) for v in values)
 
 
-def kappa(cop: float) -> float:
-    """Compress a coefficient of performance onto (0, 1]: kappa = COP/(1+COP)."""
-    if math.isnan(cop) or cop <= 0.0:
-        raise ValueError("cop must be positive")
-    if math.isinf(cop):
-        warnings.warn("infinite COP mapped to kappa = 1.0", RuntimeWarning, stacklevel=2)
-        return 1.0
-    return cop / (1.0 + cop)
+def kappa(cop):
+    """Compress a coefficient of performance onto [0, 1]: kappa = COP/(1+COP) in float64,
+    a float for a float and an array for an array. The limits are exact and silent: a COP
+    of 0.0 gives 0.0 and inf gives 1.0. A negative or NaN COP raises ``ValueError``."""
+    if not np.all(cop >= 0.0):  # NaN fails the comparison too
+        raise ValueError("cop must be nonnegative")
+    c = np.asarray(cop, dtype=float)
+    k = np.divide(c, 1.0 + c, out=np.ones_like(c), where=c < math.inf)
+    return k if isinstance(cop, np.ndarray) else float(k)
 
 
 def classify(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Classification:
@@ -177,21 +178,17 @@ def classify_grid(
     with ``np.bincount`` and look up their text by index instead of hashing a
     ``Mode`` per cell. Performance and raw COP are object arrays of Python
     floats, with None where a point is undefined (and raw COP None for an
-    engine). ``kappa``'s warning or error is raised as ``kappa`` raises it.
+    engine). A COP cell's performance is ``kappa`` of its raw COP, with no warning.
     """
     codes = mode_codes(Qh, Qc, W, zero_tol)
-    hits = {mode: codes == MODES.index(mode) for mode in SIGN_PATTERNS}
-    engine = hits[Mode.ENGINE]
-    cop = hits[Mode.REFRIGERATOR] | hits[Mode.ACCELERATOR] | hits[Mode.HEATER]
-    numerator = np.where(engine, W, np.where(hits[Mode.REFRIGERATOR], Qc, Qh))
+    engine = codes == MODES.index(Mode.ENGINE)
+    cop = ~engine & (codes != MODES.index(Mode.UNDEFINED))
+    numerator = np.where(engine, W, np.where(codes == MODES.index(Mode.REFRIGERATOR), Qc, Qh))
     denominator = np.where(engine, Qh, W)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as float division is
         ratio = np.abs(np.divide(numerator, denominator, out=np.zeros(Qh.shape),
                                  where=engine | cop))
-        compressed = ratio / (1.0 + ratio)
-    odd = cop & ~(np.isfinite(ratio) & (ratio > 0.0))
-    if odd.any():  # kappa's own warning (infinite COP) or error (NaN or zero COP)
-        compressed[odd] = [kappa(r) for r in ratio[odd].tolist()]
+    compressed = kappa(np.where(cop, ratio, 1.0))  # 1.0: a cell with no COP
     performance = np.where(engine, ratio, np.where(cop, compressed, None))
     return codes, performance, np.where(cop, ratio, None)
 

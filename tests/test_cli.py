@@ -3,11 +3,14 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,7 +113,7 @@ def run_quietly(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # kappa's warning on an infinite COP
+        warnings.simplefilter("error")  # a warning is a fault, to be mended at its source
         code = cli.main(list(argv))
     return code, out.getvalue()
 
@@ -132,6 +135,7 @@ unit_strength = st.floats(min_value=0.0, max_value=1.0)
        b=unit_strength, zero_tol=st.sampled_from([None, 0.0]))
 @example("spectrum", "engine", 1.0, 0.0, 1e-310, 0.5, 0.5, None)  # ln Z = inf: exit 2
 @example("classify", "engine", 5e-324, 1.0, 1.0, 0.1, 0.5, 0.0)  # COP = inf: exit 2
+@example("classify", "refrigerator-minus", 5e-324, 2.39, 1.0, 0.5, 0.5, 0.0)  # COP = 0
 @example("cycle", "engine", GAP_BOUND, 0.0, 5e-324, 0.3, 0.6, None)
 @settings(max_examples=120, deadline=None)
 def test_reports_are_strict_json_or_refused(command, branch, epsilon, tau, temperature, a,
@@ -139,9 +143,8 @@ def test_reports_are_strict_json_or_refused(command, branch, epsilon, tau, tempe
     """``spectrum``, ``cycle`` and ``classify`` at any admitted point (E up to the bound
     of ``qdot.check_dot``, T from the smallest subnormal to the largest float) exit 0
     with strict JSON, with no NaN or Infinity token, or exit 2 with nothing on stdout;
-    the CSV report exits with the same code. ``sweep --format json`` is left out:
-    ``sweep.write_json`` still writes a non-finite float as Infinity or NaN (ROADMAP
-    item 11)."""
+    the CSV report exits with the same code. ``sweep --format json`` has its own
+    property below."""
     argv = [command, f"--epsilon={epsilon!r}", f"--tau={tau!r}",
             f"--temperature={temperature!r}"]
     if command == "cycle":
@@ -158,6 +161,38 @@ def test_reports_are_strict_json_or_refused(command, branch, epsilon, tau, tempe
     else:
         assert out == ""
     assert run_quietly([*argv, "--format=csv"])[0] == code
+
+
+positive_energy = st.one_of(st.floats(min_value=5e-324, max_value=3.0),
+                            st.floats(min_value=5e-324, max_value=GAP_BOUND),
+                            st.sampled_from([5e-324, 1e-310, GAP_BOUND]))
+
+
+@given(branch=st.sampled_from([b.value for b in Branch]),
+       epsilons=st.lists(positive_energy, min_size=2, max_size=2, unique=True).map(sorted),
+       tau=energy, temperature=temperature, zero_tol=st.sampled_from([None, 0.0]))
+@example("refrigerator-minus", [5e-324, 2e-323], 2.39, 1.0, 0.0)  # COPs that underflow
+@example("engine", [5e-324, 2e-323], 1.0, 1.0, 0.0)  # COPs that overflow
+@example("engine", [1e307, GAP_BOUND], 0.0, 5e-324, None)
+@settings(max_examples=120, deadline=None)
+def test_sweeps_are_strict_json_or_refused(branch, epsilons, tau, temperature, zero_tol):
+    """``sweep --format json`` on a 3x3 grid at any admitted point (epsilon from the
+    smallest subnormal to the bound of ``qdot.check_dot``, extreme tau and T) exits 0
+    with a file of strict JSON, with no NaN or Infinity token, or exits 2 and makes
+    no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "map.json"
+        argv = ["sweep", f"--branch={branch}", "--grid-strength=0:1:3",
+                f"--grid-epsilon={epsilons[0]!r}:{epsilons[1]!r}:3", f"--tau={tau!r}",
+                f"--temperature={temperature!r}", "--format=json", f"--output={out}"]
+        if zero_tol is not None:
+            argv.append(f"--zero-tol={zero_tol!r}")
+        code, _ = run_quietly(argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert len(strict_json(out.read_text())["cells"]) == 9
+        else:
+            assert list(Path(tmp).iterdir()) == []
 
 
 def test_spectrum_csv_format(capsys):
@@ -542,6 +577,43 @@ def test_classify_minus_zero_tunneling(capsys):
     assert doc["mode"] == "undefined"
     assert doc["performance"] is None
     assert doc["reason"] == "W=0 at zero tunneling"
+
+
+UNDERFLOW = ("--branch", "refrigerator-minus", "--tau", "2.39", "--temperature", "1",
+             "--zero-tol", "0")
+
+
+def test_classify_reports_a_cop_that_underflows_as_zero(capsys):
+    """At epsilon = 5e-324, Qh is the smallest subnormal and |Qh/W| underflows to 0: an
+    accelerator with performance and raw COP 0.0, not a refusal."""
+    assert run_cli("classify", *UNDERFLOW, "--epsilon", "5e-324", "--b", "0.5") == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert (doc["mode"], doc["Qh"]) == ("accelerator", 5e-324)
+    assert doc["performance"] == 0.0 and doc["raw_cop"] == 0.0
+
+
+def test_sweep_maps_a_cop_that_underflows_to_zero(tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    assert run_cli("sweep", *UNDERFLOW, "--grid-strength", "0.1:0.9:3",
+                   "--grid-epsilon", "5e-324:2e-323:3", "--output", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    underflowed = [row for row in rows if float(row[4]) == 5e-324]
+    assert len(underflowed) == 3
+    for row in underflowed:
+        assert row[2:4] == ["accelerator", "0.000000000000e+00"]
+
+
+def test_classify_refuses_an_infinite_cop_in_one_line():
+    """W = 2 epsilon (1 - 2a) is subnormal, so |Qh/W| overflows: the report is refused,
+    and stderr holds the refusal alone, with no warning."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dqdcycle.cli", "classify", "--branch", "engine",
+         "--epsilon", "5e-324", "--tau", "1", "--temperature", "1", "--a", "0.1",
+         "--zero-tol", "0"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: raw_cop is inf: a report holds finite numbers only\n"
 
 
 def test_classify_rejects_nonpositive_detuning(capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -76,11 +78,46 @@ def test_near_zero_current_is_undefined():
 def test_kappa_normalization():
     assert kappa(1.0) == 0.5
     assert kappa(3.0) == pytest.approx(0.75)
-    for bad in (0.0, -2.0, math.nan):
-        with pytest.raises(ValueError, match="cop"):
+    for bad in (-2.0, math.nan):
+        with pytest.raises(ValueError, match="^cop must be nonnegative$"):
             kappa(bad)
-    with pytest.warns(RuntimeWarning):
-        assert kappa(math.inf) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kappa(0.0) == 0.0  # a COP that underflows to 0
+        assert kappa(math.inf) == 1.0  # and one that overflows: both limits, exact and silent
+
+
+# around 2^53, where 1 + COP stops being exact
+NEAR_2_53 = [math.nextafter(2.0**53, 0.0), 2.0**53, math.nextafter(2.0**53, math.inf)]
+COPS = np.concatenate([np.logspace(-6.0, 20.0, 261), [5e-324, 1e-320, 2.2250738585072009e-308],
+                       NEAR_2_53, [sys.float_info.max, 0.0, math.inf]])
+
+
+def test_kappa_of_an_array_is_kappa_of_each_element():
+    """Bit for bit, and each finite COP keeps the bits of Python's cop / (1.0 + cop)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kappa(COPS)
+        each = [kappa(float(c)) for c in COPS]
+    assert got.dtype == np.float64 and got.shape == COPS.shape
+    assert all(type(k) is float for k in each)
+    assert np.array_equal(bits(got), bits(each))
+    finite = [c / (1.0 + c) for c in COPS[:-1].tolist()]
+    assert np.array_equal(bits(got[:-1]), bits(finite))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, -math.inf, math.nan])
+def test_kappa_refuses_an_array_with_one_bad_cop(bad):
+    cops = COPS.copy()
+    cops[7] = bad
+    with pytest.raises(ValueError, match="^cop must be nonnegative$"):
+        kappa(cops)
+
+
+@pytest.mark.parametrize("bad", ["1.0", None, [1.0]])
+def test_kappa_refuses_a_non_number(bad):
+    with pytest.raises(TypeError):
+        kappa(bad)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1e-6, max_value=1e6))
@@ -491,7 +528,7 @@ BAD_CALLS = [
       for zero_tol in (-1e-3, math.nan, math.inf, -math.inf)],
     *[(name, (math.nan, 1.0, math.nan, math.nan)) for name in ("classify_from_signs", "classify")],
     ("classify", (math.inf, -1.0, math.inf, 0.0)),  # accelerator with a NaN COP
-    ("classify", (1e-300, -1.0, 1e300, 0.0)),  # accelerator with a COP that underflows to 0
+    ("classify", (-math.inf, -1.0, math.inf, 0.0)),  # heater with a NaN COP
     ("classify", (-1.0, math.inf, math.inf, 0.0)),  # refrigerator with a NaN COP
 ]
 
@@ -562,7 +599,7 @@ def test_one_row_branch_calls_equal_the_reference(branch, epsilon, tau, temperat
 
 @given(qh=st.floats(), qc=st.floats(), w=st.floats(),
        zero_tol=st.one_of(st.just(regimes.ZERO_TOL), st.floats()))
-@example(1e300, -1.0, 1e-300, 0.0)  # accelerator with an infinite COP: kappa's warning
+@example(1e300, -1.0, 1e-300, 0.0)  # accelerator with an infinite COP: kappa = 1.0
 @example(-1e300, 1e300, 1e-300, 0.0)  # refrigerator with an infinite COP
 @example(2.0, -1.2, -0.8, regimes.ZERO_TOL)  # engine
 @example(-1.0, -1.0, 2.0, regimes.ZERO_TOL)  # heater
@@ -573,11 +610,19 @@ def test_one_row_classification_equals_the_reference(qh, qc, w, zero_tol):
     assert same(got, outcome(reference.classify, qh, qc, w, zero_tol))
 
 
-def test_infinite_cop_warns_as_the_reference():
+def test_infinite_cop_gives_no_warning_as_the_reference():
     got = outcome(classify, 1e300, -1.0, 1e-300, 0.0)
     assert got[1].performance == 1.0 and got[1].raw_cop == math.inf
-    assert got[2:] == ((RuntimeWarning, "infinite COP mapped to kappa = 1.0"),)
+    assert got[2:] == ()
     assert same(got, outcome(reference.classify, 1e300, -1.0, 1e-300, 0.0))
+
+
+def test_cop_that_underflows_gives_zero_as_the_reference():
+    got = outcome(classify, 1e-300, -1.0, 1e300, 0.0)
+    assert got[1].mode is Mode.ACCELERATOR
+    assert got[1].performance == 0.0 and got[1].raw_cop == 0.0
+    assert got[2:] == ()
+    assert same(got, outcome(reference.classify, 1e-300, -1.0, 1e300, 0.0))
 
 
 def threshold_points(k: int, n: int = 3000) -> tuple[np.ndarray, ...]:
