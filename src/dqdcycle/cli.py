@@ -182,14 +182,15 @@ def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None
 
     ``content`` is a text, or a writer that writes to the stream it is given,
     so that a large document goes straight into the file with no second copy
-    in memory. A file is written to a temporary sibling of ``output`` and
+    in memory. A text that does not end in a newline gets one, in a file as on
+    stdout. A file is written to a temporary sibling of ``output`` and
     renamed onto it once complete; if anything fails, the temporary file is
     removed, ``output`` keeps its old contents, and an ``OSError`` about the
     temporary file names ``output`` instead.
     """
     write = content
     if isinstance(content, str):
-        text = content if output is not None or content.endswith("\n") else content + "\n"
+        text = content if content.endswith("\n") else content + "\n"
 
         def write(stream):
             stream.write(text)

@@ -17,8 +17,10 @@ strength axis is float64 + - * / and abs, which are correctly rounded.
 otherwise ignored.
 
 ``run_sweep`` keeps the cells as ``SweepCells``: the spec's two axis
-vectors and six (ne, ns) arrays over them, which read as the row-major list
-of ``SweepCell`` they stand for. ``write_csv`` emits the exact column set
+vectors and six (ne, ns) arrays over them. The grid has a ``len``, iterates
+its ``SweepCell`` in row-major order and takes an integer index; the tests
+compare two grids with ``reference.same``, array by array. ``write_csv``
+emits the exact column set
 
     strength,epsilon,mode,performance,Qh,Qc,W
 
@@ -41,7 +43,6 @@ branches), once per row. Before anything is written they raise
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import IO
@@ -116,16 +117,17 @@ class SweepCell:
 
 
 @dataclass(frozen=True, eq=False)
-class SweepCells(Sequence):
+class SweepCells:
     """The cells of a grid sweep: the two axis vectors and six (ne, ns) arrays.
 
     Row ``i`` holds the cells at ``epsilons[i]``, column ``j`` those at
     ``strengths[j]``. ``mode`` holds ``classify_grid``'s codes, indices into
     ``MODES``; ``performance`` and ``raw_cop`` are its object arrays of floats
     and None; ``Qh``, ``Qc`` and ``W`` are float64 (a broadcast view will do).
-    Reads as the row-major list of ``SweepCell`` it stands for (``len``,
-    indexing, slicing, iteration and ``==`` against a plain list, either
-    side), and builds each ``SweepCell`` only when it is read.
+    ``len`` is the cell count; iteration yields each ``SweepCell`` in row-major
+    order and an integer index (negative ones too) reads one, each built only
+    when it is read. ``==`` is identity: tests compare grids with
+    ``reference.same``.
     """
 
     strengths: np.ndarray
@@ -143,9 +145,7 @@ class SweepCells(Sequence):
     def __len__(self) -> int:
         return self.mode.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index: int) -> SweepCell:
         row, column = divmod(range(len(self))[index], len(self.strengths))
         return _cell(self.strengths.item(column), self.epsilons.item(row),
                      *(field.item(row, column) for field in self._fields()))
@@ -156,11 +156,6 @@ class SweepCells(Sequence):
             yield from map(_cell, strengths, repeat(epsilon),
                            *(field[row].tolist() for field in self._fields()))
 
-    def __eq__(self, other):
-        if not isinstance(other, (list, SweepCells)):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 def _cell(strength, epsilon, mode, performance, raw_cop, qh, qc, w) -> SweepCell:
     return SweepCell(strength, epsilon,
@@ -170,7 +165,7 @@ def _cell(strength, epsilon, mode, performance, raw_cop, qh, qc, w) -> SweepCell
 @dataclass(frozen=True)
 class SweepResult:
     spec: GridSpec
-    cells: Sequence[SweepCell]
+    cells: SweepCells
     counts: dict[Mode, int]
 
 

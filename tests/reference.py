@@ -25,7 +25,10 @@ the one-matrix channels and traces of ``qdot`` and ``channels``.
 or cycle input, for the acceptance criteria and the ``oracle_verify`` loops.
 
 ``outcome`` and ``same`` at the end are how the tests compare a call with its
-reference: the value, its type, every warning and any exception.
+reference: the value, its type, every warning and any exception. ``same``
+compares an object array element by element, so that None and the bits of
+each float count; ``same(result.cells, oracle.cells)`` is how the tests
+compare two sweep grids, both axes and all six arrays.
 """
 
 from __future__ import annotations
@@ -266,15 +269,19 @@ def bits(x) -> np.ndarray:
 
 def same(x, y) -> bool:
     """Whether x and y are the same value: of the same type, floats equal with == and
-    with the same sign bit (or both NaN), arrays of the same dtype, shape and bytes, and
-    tuples and dataclasses field by field."""
+    with the same sign bit (or both NaN), arrays of the same dtype, shape and bytes
+    (object arrays element by element), and tuples and dataclasses field by field."""
     if type(x) is not type(y):
         return False
     if isinstance(x, float):
         return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
                 or math.isnan(x) and math.isnan(y))
     if isinstance(x, np.ndarray):
-        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        if x.dtype != y.dtype or x.shape != y.shape:
+            return False
+        if x.dtype == object:
+            return all(map(same, x.ravel().tolist(), y.ravel().tolist()))
+        return x.tobytes() == y.tobytes()
     if isinstance(x, tuple):
         return len(x) == len(y) and all(map(same, x, y))
     if dataclasses.is_dataclass(x):

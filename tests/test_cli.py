@@ -828,10 +828,27 @@ def test_emit_streams_a_writer_to_the_file_or_stdout(tmp_path, capsys):
     cli.emit(writer, None)
     assert capsys.readouterr().out == "a\nb\r\n\u00e9"
     cli.emit("text", str(out))
-    assert out.read_bytes() == b"text"
+    assert out.read_bytes() == b"text\n"
     cli.emit("text", None)
     assert capsys.readouterr().out == "text\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--epsilon", "1", "--tau", "0.5", "--temperature", "2"),
+    ("cycle", *CYCLE_ARGS_GENERIC),
+    ("classify", "--branch", "refrigerator-plus", "--epsilon", "1", "--tau", "0.1",
+     "--temperature", "2", "--b", "0.9"),
+], ids=["spectrum", "cycle", "classify"])
+def test_report_file_has_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    """A report written with --output ends with the newline that stdout ends with."""
+    assert run_cli(*argv, "--format", fmt) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert run_cli(*argv, "--format", fmt, "--output", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout.endswith("\n") and out.read_bytes() == stdout.encode()
 
 
 def test_sweep_replaces_existing_output(tmp_path):

@@ -16,7 +16,7 @@ import pytest
 from dqdcycle import cli
 from dqdcycle.regimes import MODES, Mode, branch_points, classify_grid
 from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
-from reference import classify
+from reference import classify, same
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_maps.py"
 
@@ -184,4 +184,4 @@ def test_mode_codes_index_the_scalar_modes(branch, tau, temperature, oracle_swee
     assert list(result.counts) == list(Mode)
     oracle_counts = Counter(c.result.mode for c in oracle.cells)
     assert result.counts == {m: oracle_counts[m] for m in Mode} == oracle.counts
-    assert result.cells == oracle.cells
+    assert same(result.cells, oracle.cells)
