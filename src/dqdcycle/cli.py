@@ -41,13 +41,13 @@ import numpy as np
 from . import verify as verify_mod
 from .qdot import DotParams, check_temperature, spectrum, thermal_factors
 from .regimes import BRANCHES, Branch, branch_currents, branch_thresholds, classify
-from .regimes import ZERO_TOL, constrained_strength
+from .regimes import PERFORMANCE_CONVENTION, ZERO_TOL, constrained_strength
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from .regimes import engine_branch_quantities, engine_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_branch_thresholds  # noqa: F401
 from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities  # noqa: F401
 from .sweep import to_json_document  # noqa: F401
-from .sweep import PERFORMANCE_CONVENTION, AxisSpec, GridSpec, _fmt, mode_area_fractions
+from .sweep import FLOAT_FORMAT, AxisSpec, GridSpec, mode_area_fractions
 from .sweep import run_sweep, write_csv, write_json
 from .thermo import LEDGER_FIELDS, CycleInputs, ledger_discrepancy, run_cycle_closed_form
 from .thermo import run_cycle_matrix
@@ -248,13 +248,14 @@ def _flatten(doc: dict, prefix: str = ""):
         if isinstance(value, dict):
             yield from _flatten(value, name + ".")
         elif isinstance(value, (list, tuple)):
-            yield name, ";".join(_fmt(v) if isinstance(v, float) else str(v) for v in value)
+            yield name, ";".join(FLOAT_FORMAT % v if isinstance(v, float) else str(v)
+                                 for v in value)
         elif value is None:
             yield name, ""
         elif isinstance(value, bool):
             yield name, "true" if value else "false"
         elif isinstance(value, float):
-            yield name, _fmt(value)
+            yield name, FLOAT_FORMAT % value
         else:
             yield name, value
 

@@ -130,7 +130,8 @@ SIGN_PATTERNS = {
 ZERO_TOL = 1e-12
 
 
-def _check_zero_tol(zero_tol: float) -> None:
+def check_zero_tol(zero_tol: float) -> None:
+    """Refuse a zero tolerance that is negative, NaN or infinite."""
     if not (0.0 <= zero_tol < math.inf):
         raise ValueError("zero_tol must be finite and nonnegative")
 
@@ -161,12 +162,16 @@ def mode_codes(Qh: np.ndarray, Qc: np.ndarray, W: np.ndarray,
                zero_tol: float = ZERO_TOL) -> np.ndarray:
     """Each point's mode as its index in ``MODES``, from the signs of its currents;
     a current within ``zero_tol`` of zero makes the point undefined."""
-    _check_zero_tol(zero_tol)
+    check_zero_tol(zero_tol)
     defined = (np.abs(Qh) > zero_tol) & (np.abs(Qc) > zero_tol) & (np.abs(W) > zero_tol)
     codes = np.full(np.shape(Qh), MODES.index(Mode.UNDEFINED))
     for mode, (sh, sc, sw) in SIGN_PATTERNS.items():
         codes[defined & (sh * Qh > 0) & (sc * Qc > 0) & (sw * W > 0)] = MODES.index(mode)
     return codes
+
+
+# The figure of merit that ``classify_grid`` gives each defined mode, by the mode's value.
+PERFORMANCE_CONVENTION = {m.value: "eta" if m is Mode.ENGINE else "kappa" for m in SIGN_PATTERNS}
 
 
 def classify_grid(

@@ -24,13 +24,10 @@ emits the exact column set
 
     strength,epsilon,mode,performance,Qh,Qc,W
 
-with floats in scientific notation at 13 significant digits and an empty
-performance field for undefined cells. ``write_json`` emits a versioned
-document with the grid spec, per-mode counts and area fractions, a note on
-which figure-of-merit convention each mode uses, then the same rows.
-``to_json_document`` builds that document as a dict, cell by cell; its
-``json.dumps(..., indent=2)`` text is the reference ``write_json`` matches
-byte for byte.
+with floats as ``FLOAT_FORMAT`` writes them and an empty performance field
+for undefined cells. ``write_json`` emits a versioned document: the grid
+spec, per-mode counts and area fractions from the mode codes, each mode's
+figure of merit, then the same rows, as ``to_json_document`` builds them.
 
 Both writers read the arrays row by row and never build a cell: each
 strength is formatted once per grid, and each epsilon, and each current
@@ -50,8 +47,8 @@ from typing import IO
 import numpy as np
 
 from .qdot import check_dot, check_temperature
-from .regimes import MODES, Branch, Classification, Mode, branch_points
-from .regimes import ZERO_TOL, _check_zero_tol, classify_grid
+from .regimes import MODES, PERFORMANCE_CONVENTION, Branch, Classification, Mode
+from .regimes import ZERO_TOL, branch_points, check_zero_tol, classify_grid
 # Not called here; imported so that perfbench/spans.py can rebind them in this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from .regimes import classify  # noqa: F401
@@ -60,12 +57,8 @@ from .regimes import refrigerator_minus_quantities, refrigerator_plus_quantities
 
 CSV_COLUMNS = ("strength", "epsilon", "mode", "performance", "Qh", "Qc", "W")
 
-PERFORMANCE_CONVENTION = {
-    "engine": "eta",
-    "refrigerator": "kappa",
-    "accelerator": "kappa",
-    "heater": "kappa",
-}
+# The text of every float in a sweep CSV and in a CSV report: 13 significant digits.
+FLOAT_FORMAT = "%.12e"
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ class GridSpec:
             raise ValueError("epsilon axis must be positive")
         check_temperature(self.temperature)
         check_dot(self.epsilon_axis.stop, self.tau)  # the axis bounds are finite by now
-        _check_zero_tol(self.zero_tol)
+        check_zero_tol(self.zero_tol)
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,11 @@ def _cell(strength, epsilon, mode, performance, raw_cop, qh, qc, w) -> SweepCell
 class SweepResult:
     spec: GridSpec
     cells: SweepCells
-    counts: dict[Mode, int]
+
+    @property
+    def counts(self) -> dict[Mode, int]:
+        """The number of cells in each mode, counted from the grid's mode codes."""
+        return dict(zip(MODES, np.bincount(_grid(self).mode.flat, minlength=len(MODES)).tolist()))
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
@@ -182,19 +179,13 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
                                 strengths)
     qh, qc, w = (np.broadcast_to(x, (len(epsilons), len(strengths))) for x in currents)
     codes, perf, raw = classify_grid(qh, qc, w, spec.zero_tol)
-    counts = np.bincount(codes.ravel(), minlength=len(MODES)).tolist()
-    return SweepResult(spec, SweepCells(strengths, epsilons, codes, perf, raw, qh, qc, w),
-                       dict(zip(MODES, counts)))
+    return SweepResult(spec, SweepCells(strengths, epsilons, codes, perf, raw, qh, qc, w))
 
 
 def mode_area_fractions(result: SweepResult) -> dict[Mode, float]:
     """Fraction of grid cells in each mode (equal cell weighting)."""
     total = len(result.cells)
-    return {m: result.counts[m] / total for m in Mode}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+    return {m: n / total for m, n in result.counts.items()}
 
 
 # One CSV row and one element of the JSON "cells" array as
@@ -268,8 +259,9 @@ def write_csv(result: SweepResult, stream: IO[str]) -> None:
     if ``result.cells`` fails the writers' shape check.
     """
     rows = _format_cells(  # a current that varies is formatted by its slot as it is
-        result, _CSV_CELL, "", _fmt, "%.12e", iter, tuple(m.value for m in MODES),
-        lambda row: ["" if p is None else "%.12e" % p for p in row])
+        result, _CSV_CELL, "", FLOAT_FORMAT.__mod__, FLOAT_FORMAT, iter,
+        tuple(m.value for m in MODES),
+        lambda row: ["" if p is None else FLOAT_FORMAT % p for p in row])
     _write(stream, [",".join(CSV_COLUMNS) + "\n", *rows])
 
 
@@ -279,8 +271,10 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
     Each row of a field is encoded by one call of the C encoder, which writes
     floats as ``repr`` does and non-finite floats as ``Infinity``,
     ``-Infinity`` and ``NaN``; no token it writes for a float or None
-    contains ``", "``, so splitting on it gives one token per cell. Every
-    row is formatted before the first is written; nothing is written if
+    contains ``", "``, so splitting on it gives one token per cell. No finite
+    check is needed: a ``GridSpec``'s axes are finite, ``qdot.check_dot`` bounds
+    each current by 2E, engine eta <= 2 and kappa lies in [0, 1]. Every row is
+    formatted before the first is written; nothing is written if
     ``result.cells`` fails the writers' shape check.
     """
     import json  # here, not at the top, so that importing the package loads no json
@@ -303,7 +297,7 @@ def _write(stream: IO[str], texts: list[str]) -> None:
 
 def _document(result: SweepResult, cells: list) -> dict:
     spec = result.spec
-    fractions = mode_area_fractions(result)
+    counts, fractions = result.counts, mode_area_fractions(result)
     return {
         "schema": 1,
         "grid": {
@@ -316,7 +310,7 @@ def _document(result: SweepResult, cells: list) -> dict:
         },
         "performance_convention": dict(PERFORMANCE_CONVENTION),
         "summary": {
-            "counts": {m.value: result.counts[m] for m in Mode},
+            "counts": {m.value: counts[m] for m in Mode},
             "area_fractions": {m.value: fractions[m] for m in Mode},
         },
         "cells": cells,

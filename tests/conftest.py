@@ -6,7 +6,6 @@ checklist of the package's headline guarantees.
 """
 
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import reference
 from dqdcycle import channels, verify
 from dqdcycle.channels import MeasurementChannel, Orientation, apply_kraus, completeness_residual
 from dqdcycle.qdot import DotParams, is_density_matrix, max_abs
-from dqdcycle.regimes import Branch, Mode
+from dqdcycle.regimes import Branch
 from dqdcycle.sweep import SweepResult
 from reference import branch_currents, branch_thresholds, evaluate_cell, expected_mode
 from reference import grid_cells, random_cycle_inputs, random_density_matrix
@@ -54,8 +53,7 @@ def oracle_sweep():
         cells = [evaluate_cell(spec, s, e)
                  for e in spec.epsilon_axis.points().tolist()
                  for s in spec.strength_axis.points().tolist()]
-        counts = Counter(cell.result.mode for cell in cells)
-        return SweepResult(spec, grid_cells(spec, cells), {m: counts.get(m, 0) for m in Mode})
+        return SweepResult(spec, grid_cells(spec, cells))
 
     return sweep
 

@@ -43,7 +43,7 @@ from dqdcycle.channels import MeasurementChannel, Orientation, apply_channel
 from dqdcycle.qdot import DotParams, internal_energy, von_neumann_entropy
 from dqdcycle.regimes import BRANCHES, MODES, SIGN_PATTERNS, ZERO_TOL, Branch, Classification
 from dqdcycle.regimes import Currents, EngineThresholds, Mode, RefrigeratorThresholds
-from dqdcycle.regimes import _check_zero_tol, _intervals_held, kappa
+from dqdcycle.regimes import _intervals_held, check_zero_tol, kappa
 from dqdcycle.sweep import GridSpec, SweepCell, SweepCells
 from dqdcycle.thermo import CycleInputs, StrokeLedger, _closed_form_ledger, stroke_energies
 
@@ -148,7 +148,7 @@ def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
 
 def classify_from_signs(Qh: float, Qc: float, W: float, zero_tol: float = ZERO_TOL) -> Mode:
     """Sign-pattern lookup; currents within ``zero_tol`` of zero are ambiguous."""
-    _check_zero_tol(zero_tol)
+    check_zero_tol(zero_tol)
     if min(abs(Qh), abs(Qc), abs(W)) <= zero_tol:
         return Mode.UNDEFINED
     for mode, (sh, sc, sw) in SIGN_PATTERNS.items():

@@ -17,11 +17,13 @@ from dqdcycle.regimes import (
     EngineThresholds,
     MODES,
     Mode,
+    PERFORMANCE_CONVENTION,
     RefrigeratorThresholds,
     branch_currents,
     branch_points,
     branch_thresholds,
     classify,
+    classify_grid,
     constrained_strength,
     engine_branch_quantities,
     engine_branch_thresholds,
@@ -73,6 +75,25 @@ def test_near_zero_current_is_undefined():
     assert mode_codes(qh, qc, w, zero_tol=1e-2).tolist() == [code_of(Mode.UNDEFINED)] * 2
     with pytest.raises(ValueError, match="zero_tol"):
         classify(1.0, -1.0, -1.0, zero_tol=-1e-3)
+
+
+def test_performance_convention_is_what_classify_grid_computes():
+    """``PERFORMANCE_CONVENTION`` names exactly the modes that get a performance: an eta
+    mode has no raw COP and performance |W/Qh|, a kappa mode has kappa of its raw COP."""
+    signs = np.array([(sh, sc, sw) for sh in (1, -1) for sc in (1, -1) for sw in (1, -1)])
+    for magnitudes in ((0.3, 0.7, 1.1), (2.5, 1e-3, 0.4), (1e-9, 3.0, 1e9)):
+        qh, qc, w = (signs * magnitudes).T
+        codes, performance, raw_cop = classify_grid(qh, qc, w)
+        rated = {MODES[c].value for c, p in zip(codes, performance) if p is not None}
+        assert rated == set(PERFORMANCE_CONVENTION) == {m.value for m in Mode} - {"undefined"}
+        for i, code in enumerate(codes.tolist()):
+            convention = PERFORMANCE_CONVENTION.get(MODES[code].value)
+            if convention == "eta":
+                assert raw_cop[i] is None and performance[i] == abs(w[i] / qh[i])
+            elif convention == "kappa":
+                assert performance[i] == kappa(raw_cop[i])
+            else:
+                assert convention is None and performance[i] is None and raw_cop[i] is None
 
 
 def test_kappa_normalization():

@@ -11,12 +11,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dqdcycle import sweep
+from dqdcycle import cli, sweep
 from dqdcycle.qdot import DotParams
-from dqdcycle.regimes import Branch, Mode, classify, engine_branch_quantities
+from dqdcycle.regimes import MODES, Branch, Mode, classify, engine_branch_quantities
 from dqdcycle.sweep import (
     AxisSpec,
     CSV_COLUMNS,
+    FLOAT_FORMAT,
     GridSpec,
     SweepCells,
     mode_area_fractions,
@@ -64,7 +65,7 @@ def csv_reference(result):
 
 def with_cells(result, cells):
     """``result`` with a list of ``cells`` on its grid, as ``reference.grid_cells`` arrays;
-    its counts are left as they were."""
+    its counts follow, as they are read from the new mode codes."""
     return dataclasses.replace(result, cells=grid_cells(result.spec, list(cells)))
 
 
@@ -154,6 +155,45 @@ def test_fractions_sum_to_one():
 def test_workers_must_be_positive():
     with pytest.raises(ValueError, match="workers"):
         run_sweep(small_spec(), workers=0)
+
+
+def test_counts_follow_an_edited_mode():
+    """The counts are read from the mode codes, so flipping one cell's mode moves one
+    count in ``result.counts`` and in the JSON summary alike."""
+    result = run_sweep(small_spec(steps=4))
+    cells = list(result.cells)
+    old = cells[5].result.mode
+    new = Mode.ACCELERATOR if old is Mode.HEATER else Mode.HEATER
+    cells[5] = edited(cells[5], mode=new)
+    changed = with_cells(result, cells)
+    bincount = np.bincount(changed.cells.mode.ravel(), minlength=len(MODES)).tolist()
+    assert changed.counts == dict(zip(MODES, bincount))
+    assert changed.counts[new] == result.counts[new] + 1
+    assert changed.counts[old] == result.counts[old] - 1
+    tally = {m.value: sum(c.result.mode is m for c in cells) for m in Mode}
+    summary = json.loads(json_text(changed))["summary"]
+    assert summary["counts"] == tally
+    assert summary["area_fractions"] == {m: n / 16 for m, n in tally.items()}
+    assert mode_area_fractions(changed) == {m: n / 16 for m, n in changed.counts.items()}
+
+
+@pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf])
+def test_sweep_csv_and_cli_reports_write_a_float_alike(x):
+    """``FLOAT_FORMAT`` is the one float text of sweep CSV columns and CSV reports: for a
+    current constant along a row, one that varies, the performance and a report value."""
+    result = run_sweep(small_spec(steps=2))
+    values = [x, x, x, 2.0]  # row 0 is constant, row 1 is not
+    cells = [edited(c, performance=v, Qh=v, Qc=v, W=v) for c, v in zip(result.cells, values)]
+    rows = [row.split(",") for row in csv_text(with_cells(result, cells)).splitlines()[1:]]
+    text = FLOAT_FORMAT % x
+    assert text == f"{x:.12e}"
+    assert [row[3:] for row in rows] == [[FLOAT_FORMAT % v] * 4 for v in values]
+    assert [row[:2] for row in rows] == [[FLOAT_FORMAT % c.strength, FLOAT_FORMAT % c.epsilon]
+                                         for c in cells]
+    assert dict(cli._flatten({"x": x, "list": [x, 2.0]})) == {
+        "x": text, "list": f"{text};{FLOAT_FORMAT % 2.0}"}
+    if math.isfinite(x):  # a report refuses inf
+        assert cli._report({"x": x, "list": [x]}, "csv") == f"x,{text}\nlist,{text}\n"
 
 
 def test_csv_shape_and_header():
@@ -416,11 +456,16 @@ def unwritable_cases():
     }
 
 
-@pytest.mark.parametrize("writer", [write_csv, write_json])
+def read_counts(result, stream):
+    return result.counts
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_json, read_counts])
 @pytest.mark.parametrize("name", ["plain list", "empty", "transposed spec", "missing", "extra",
                                   "epsilon inner"])
 def test_writers_refuse_cells_off_the_grid(writer, name):
-    """Cells that are not ``SweepCells`` of ``result.spec``'s shape write nothing."""
+    """Cells that are not ``SweepCells`` of ``result.spec``'s shape write nothing, and
+    have no counts: those are read from the grid's mode codes."""
     buf = io.StringIO()
     with pytest.raises(ValueError, match=r"^result.cells must be the SweepCells of a \d+ x \d+ "):
         writer(unwritable_cases()[name], buf)

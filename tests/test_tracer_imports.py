@@ -1,11 +1,14 @@
-"""Every import of ``dqdcycle`` is used, or kept for the benchmark's tracer.
+"""Every import of ``dqdcycle`` is used, or kept for the benchmark's tracer, and
+none reaches into another module's private names.
 
 A module of ``dqdcycle`` may import a name it never calls, marked
 ``# noqa: F401``, so that ``perfbench/spans.py`` can rebind that name in the
 module and time the calls that reach it. An import kept that way which no
 span patches is dead code, and so is an unmarked import that the module
-never uses; these tests fail on either. No linter is needed: the scan reads
-each module's syntax tree.
+never uses; these tests fail on either. A name with a leading underscore
+belongs to its module: another module of the package that imports it, or
+reads it off an imported module, fails too. No linter is needed: the scans
+read each module's syntax tree.
 """
 
 import ast
@@ -72,3 +75,37 @@ def test_every_unmarked_import_is_used():
     paths = sorted((ROOT / "src" / "dqdcycle").glob("*.py"))
     assert paths
     assert [(path.name, name) for path in paths for name in unused_imports(path)] == []
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_names(source: str) -> list[str]:
+    """The private names that a module of the package, given by its ``source``, takes
+    from another of its modules: by ``from`` import, or as an attribute of an imported
+    module."""
+    tree = ast.parse(source)
+    ours = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "dqdcycle")]
+    modules = {alias.asname or alias.name for node in ours for alias in node.names
+               if node.module in (None, "dqdcycle")}  # the package's own modules
+    modules |= {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names
+                if alias.name.split(".")[0] == "dqdcycle"}
+    imported = [alias.name for node in ours for alias in node.names if private(alias.name)]
+    read = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and private(node.attr)]
+    return imported + read
+
+
+def test_no_module_takes_another_modules_private_name():
+    sample = ("from .regimes import _row, kappa\nfrom . import verify as v\n"
+              "import dqdcycle.qdot\nimport numpy as np\n"
+              "v._x, np._y, dqdcycle._z, v.__doc__, kappa._w\n")
+    assert foreign_private_names(sample) == ["_row", "v._x", "dqdcycle._z"]  # the scan sees them
+    paths = sorted((ROOT / "src" / "dqdcycle").glob("*.py"))
+    assert paths
+    assert [(path.name, name) for path in paths
+            for name in foreign_private_names(path.read_text(encoding="utf-8"))] == []
