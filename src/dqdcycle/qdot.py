@@ -74,9 +74,7 @@ def check_dot(epsilon, tau) -> None:
         return
     if not _holds((e < math.inf) & (t < math.inf)):
         raise ValueError("epsilon and tau must be finite")
-    if small.__class__ is not bool:  # hypot of the large elements alone
-        e, t = (np.broadcast_to(x, small.shape)[~small] for x in (e, t))
-    if not _holds(map_math(math.hypot, e, t) <= _GAP_LIMIT):
+    if not _holds(map_math(math.hypot, *np.broadcast_arrays(e, t)) <= _GAP_LIMIT):
         raise ValueError("epsilon and tau too large: the cycle ledgers need"
                          f" hypot(epsilon, tau) <= {_GAP_LIMIT:.6g}")
 

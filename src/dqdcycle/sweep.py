@@ -29,12 +29,13 @@ for undefined cells. ``write_json`` emits a versioned document: the grid
 spec, per-mode counts and area fractions from the mode codes, each mode's
 figure of merit, then the same rows, as ``to_json_document`` builds them.
 
-Both writers read the arrays row by row and never build a cell: each
-strength is formatted once per grid, and each epsilon, and each current
-whose float64 bits are the same all along a row (W on the refrigerator
-branches), once per row. Before anything is written they raise
+Both writers read the arrays row by row, never build a cell, and write each
+grid row's text as soon as it is formatted, so a write holds one row of text
+at a time: each strength is formatted once per grid, and each epsilon, and
+each current whose float64 bits are the same all along a row (W on the
+refrigerator branches), once per row. Before anything is written they raise
 ``ValueError`` unless ``result.cells`` is a ``SweepCells`` of the shape
-(ne, ns) that ``result.spec`` gives.
+(ne, ns) that ``result.spec`` gives. A stream only has to have ``write``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class GridSpec:
         for axis, name in ((self.strength_axis, "strength"), (self.epsilon_axis, "epsilon")):
             if axis.steps < 2:
                 raise ValueError(f"{name} axis needs at least 2 steps")
+            if not isinstance(axis.steps, (int, np.integer)):  # a bool is < 2, refused above
+                raise ValueError(f"{name} axis steps must be an integer")
             if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
                 raise ValueError(f"{name} axis bounds must be finite")
             if not (axis.start < axis.stop):
@@ -192,16 +195,8 @@ def mode_area_fractions(result: SweepResult) -> dict[Mode, float]:
 # json.dumps(..., indent=2) lays it out, with a %s slot per field of
 # CSV_COLUMNS. No CSV field can hold a comma, quote or newline, so the rows
 # are exactly what csv.writer would write: no field is ever quoted.
-_CSV_CELL = "%s,%s,%s,%s,%s,%s,%s\n"
-_JSON_CELL = ("    {\n"
-              '      "strength": %s,\n'
-              '      "epsilon": %s,\n'
-              '      "mode": %s,\n'
-              '      "performance": %s,\n'
-              '      "Qh": %s,\n'
-              '      "Qc": %s,\n'
-              '      "W": %s\n'
-              "    }")
+_CSV_CELL = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
+_JSON_CELL = "    {\n" + ",\n".join(f'      "{c}": %s' for c in CSV_COLUMNS) + "\n    }"
 
 
 def _grid(result: SweepResult) -> SweepCells:
@@ -214,32 +209,32 @@ def _grid(result: SweepResult) -> SweepCells:
     return cells
 
 
-def _format_cells(result: SweepResult, cell: str, sep: str, text, slot: str, feed,
-                  mode_text: tuple, performance) -> list[str]:
-    """The text of ``result``'s cells laid out by ``cell``, one string per grid row.
+def _format_cells(c: SweepCells, cell: str, sep: str, slot: str, feed, mode_text: tuple,
+                  performance):
+    """Yield the text of grid ``c``'s cells laid out by ``cell``, one string per grid row.
 
     Cells are joined by ``sep``, so every row after the first starts with it.
-    The rows are left unjoined: writers write them one at a time rather than
-    hold a second copy of the whole text. ``text`` formats one value. Every
-    strength is formatted once, each row's epsilon once, and so is each
-    current whose bits are the same across a row; those texts are built into
-    one ``%`` template per row. The other currents take ``slot``, which
-    formats the items of ``feed(row)``; the mode is its code's ``mode_text``
-    and the performance is ``performance(row)``, each row a list of floats
-    (and None).
+    ``feed`` turns a list of floats into the items that ``slot`` formats, one
+    per float, so a float's text is ``slot % tuple(feed([x]))``. Every strength
+    is formatted once, each row's epsilon once, and so is each current whose
+    bits are the same across a row; those texts are built into one ``%``
+    template per row. The other currents take ``slot`` and the items of
+    ``feed(row)``; the mode is its code's ``mode_text`` and the performance is
+    ``performance(row)``, each row a list of floats (and None).
     """
-    c = _grid(result)
+    def text(x: float) -> str:
+        return slot % tuple(feed([x]))
+
     pre, post = cell.split("%s", 1)  # pre leads up to the strength
-    strengths = [text(s) for s in c.strengths.tolist()]
+    strengths = [slot % (s,) for s in feed(c.strengths.tolist())]
     currents = (c.Qh, c.Qc, c.W)
     # Bit patterns, not ==, decide: 0.0 and -0.0 stay apart, and only NaNs with one bits merge.
     constant = [(b == b[:, :1]).all(axis=1).tolist()
                 for b in (current.view(np.int64) for current in currents)]
-    rows = []
-    for row, (epsilon, modes, performances) in enumerate(zip(
-            c.epsilons.tolist(), c.mode.tolist(), c.performance.tolist())):
+    for row, epsilon in enumerate(c.epsilons.tolist()):
         slots = []
-        fields = [map(mode_text.__getitem__, modes), performance(performances)]
+        fields = [map(mode_text.__getitem__, c.mode[row].tolist()),
+                  performance(c.performance[row].tolist())]
         for current, same in zip(currents, constant):
             if same[row]:
                 slots.append(text(current.item(row, 0)))
@@ -248,21 +243,19 @@ def _format_cells(result: SweepResult, cell: str, sep: str, text, slot: str, fee
                 fields.append(feed(current[row].tolist()))
         tail = post % (text(epsilon), "%s", "%s", *slots)
         template = (sep if row else "") + pre + (tail + sep + pre).join(strengths) + tail
-        rows.append(template % tuple(chain.from_iterable(zip(*fields))))
-    return rows
+        yield template % tuple(chain.from_iterable(zip(*fields)))
 
 
 def write_csv(result: SweepResult, stream: IO[str]) -> None:
-    """Write the header and one ``CSV_COLUMNS`` row per cell.
-
-    Every row is formatted before the first is written; nothing is written
-    if ``result.cells`` fails the writers' shape check.
+    """Write the header and one ``CSV_COLUMNS`` row per cell, each grid row as soon as
+    it is formatted; nothing is written if ``result.cells`` fails the shape check.
     """
-    rows = _format_cells(  # a current that varies is formatted by its slot as it is
-        result, _CSV_CELL, "", FLOAT_FORMAT.__mod__, FLOAT_FORMAT, iter,
-        tuple(m.value for m in MODES),
+    rows = _format_cells(
+        _grid(result), _CSV_CELL, "", FLOAT_FORMAT, iter, tuple(m.value for m in MODES),
         lambda row: ["" if p is None else FLOAT_FORMAT % p for p in row])
-    _write(stream, [",".join(CSV_COLUMNS) + "\n", *rows])
+    stream.write(",".join(CSV_COLUMNS) + "\n")
+    for text in rows:
+        stream.write(text)
 
 
 def write_json(result: SweepResult, stream: IO[str]) -> None:
@@ -273,26 +266,22 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
     ``-Infinity`` and ``NaN``; no token it writes for a float or None
     contains ``", "``, so splitting on it gives one token per cell. No finite
     check is needed: a ``GridSpec``'s axes are finite, ``qdot.check_dot`` bounds
-    each current by 2E, engine eta <= 2 and kappa lies in [0, 1]. Every row is
-    formatted before the first is written; nothing is written if
-    ``result.cells`` fails the writers' shape check.
+    each current by 2E, engine eta <= 2 and kappa lies in [0, 1]. As in
+    ``write_csv``, each grid row is written as soon as it is formatted.
     """
     import json  # here, not at the top, so that importing the package loads no json
 
     def tokens(values: list) -> list[str]:
         return json.dumps(values)[1:-1].split(", ")
 
-    rows = _format_cells(result, _JSON_CELL, ",\n", json.dumps, "%s", tokens,
+    rows = _format_cells(_grid(result), _JSON_CELL, ",\n", "%s", tokens,
                          tuple(json.dumps(m.value) for m in MODES), tokens)
     head = json.dumps(_document(result, []), indent=2)
     # head ends with '"cells": []\n}'; the rows go between the brackets.
-    _write(stream, [head[:-len("[]\n}")] + "[\n", *rows, "\n  ]\n}\n"])
-
-
-def _write(stream: IO[str], texts: list[str]) -> None:
-    """Write each text in turn; a stream only has to have ``write``."""
-    for text in texts:
+    stream.write(head[:-len("[]\n}")] + "[\n")
+    for text in rows:
         stream.write(text)
+    stream.write("\n  ]\n}\n")
 
 
 def _document(result: SweepResult, cells: list) -> dict:

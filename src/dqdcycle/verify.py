@@ -125,12 +125,12 @@ class CheckResult:
     trials: int
     max_residual: float
     tolerance: float
-    passed: bool
     worst_case: dict | None = None
 
-
-def _result(name, trials, residual, tol, worst) -> CheckResult:
-    return CheckResult(name, trials, residual, tol, residual <= tol, worst)
+    @property
+    def passed(self) -> bool:
+        """Whether the residual is within the tolerance; a NaN residual fails."""
+        return self.max_residual <= self.tolerance
 
 
 def _scan(trials, block, describe, *checks) -> list[CheckResult]:
@@ -149,7 +149,7 @@ def _scan(trials, block, describe, *checks) -> list[CheckResult]:
             i = int(np.argmax(r))  # the first maximum, or the first NaN
             if r[i] > worst[c] or (math.isnan(r[i]) and not math.isnan(worst[c])):
                 worst[c], worst_case[c] = float(r[i]), describe(draws[i])
-    return [_result(name, trials, w, tol, case)
+    return [CheckResult(name, trials, w, tol, case)
             for (name, tol), w, case in zip(checks, worst, worst_case)]
 
 
@@ -263,7 +263,7 @@ def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckR
                 "strength": float(strength[i]), "expected": MODES[expected[i]].value,
                 "got": MODES[got[j]].value,
             }
-    return _result("threshold_consistency", trials, float(mismatches), 0.0, worst_case)
+    return CheckResult("threshold_consistency", trials, float(mismatches), 0.0, worst_case)
 
 
 def _is_int(x) -> bool:

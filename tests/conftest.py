@@ -16,6 +16,7 @@ from dqdcycle.channels import MeasurementChannel, Orientation, apply_kraus, comp
 from dqdcycle.qdot import DotParams, is_density_matrix, max_abs
 from dqdcycle.regimes import Branch
 from dqdcycle.sweep import SweepResult
+from dqdcycle.verify import CheckResult
 from reference import branch_currents, branch_thresholds, evaluate_cell, expected_mode
 from reference import grid_cells, random_cycle_inputs, random_density_matrix
 from reference import run_cycle_closed_form, run_cycle_matrix
@@ -98,9 +99,6 @@ def oracle_verify(oracle_runs):
         return {"epsilon": inputs.params.epsilon, "tau": inputs.params.tau,
                 "temperature": inputs.temperature, "a": inputs.a, "b": inputs.b}
 
-    def result(name, trials, residual, tol, worst):
-        return verify.CheckResult(name, trials, residual, tol, residual <= tol, worst)
-
     def channel_checks(rng, trials):
         """kraus_completeness, channel_cptp and channel_reset, each trial's three residuals
         from one channel and one state."""
@@ -122,9 +120,9 @@ def oracle_verify(oracle_runs):
             for k, r in enumerate((completeness_residual(kraus), cptp, max_abs(out - target))):
                 if r > worst[k]:
                     worst[k], cases[k] = r, {"strength": p, "orientation": ch.orientation.value}
-        return [result("kraus_completeness", trials, worst[0], verify.COMPLETENESS_TOL, cases[0]),
-                result("channel_cptp", trials, worst[1], verify.MATRIX_TOL, cases[1]),
-                result("channel_reset", trials, worst[2], verify.MATRIX_TOL, cases[2])]
+        tolerances = (verify.COMPLETENESS_TOL, verify.MATRIX_TOL, verify.MATRIX_TOL)
+        return [CheckResult(name, trials, w, tol, case) for name, w, tol, case in zip(
+            ("kraus_completeness", "channel_cptp", "channel_reset"), worst, tolerances, cases)]
 
     def cycle_checks(rng, trials):
         """path_agreement and cycle_closure, both from each row's two ledgers."""
@@ -137,8 +135,8 @@ def oracle_verify(oracle_runs):
             for k, r in enumerate((ledger_discrepancy(closed, matrix), closure)):
                 if r > worst[k]:
                     worst[k], cases[k] = r, inputs_dict(inputs)
-        return [result("path_agreement", trials, worst[0], verify.PATH_TOL, cases[0]),
-                result("cycle_closure", trials, worst[1], verify.CLOSURE_TOL, cases[1])]
+        return [CheckResult("path_agreement", trials, worst[0], verify.PATH_TOL, cases[0]),
+                CheckResult("cycle_closure", trials, worst[1], verify.CLOSURE_TOL, cases[1])]
 
     def threshold_consistency(rng, trials):
         mismatches = 0
@@ -168,7 +166,7 @@ def oracle_verify(oracle_runs):
                         "temperature": temperature, "strength": strength,
                         "expected": expected.value, "got": got.value,
                     }
-        return result("threshold_consistency", trials, float(mismatches), 0.0, worst_case)
+        return CheckResult("threshold_consistency", trials, float(mismatches), 0.0, worst_case)
 
     def run_all(seed, trials):
         key = (seed, trials, channels.kraus_operators, reference.classify_from_signs,

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -106,6 +107,9 @@ def test_axis_points_inclusive():
         (dict(epsilon_axis=AxisSpec(0.5, math.inf, 3)), "epsilon axis"),
         (dict(epsilon_axis=AxisSpec(math.nan, 2.0, 3)), "epsilon axis"),
         (dict(strength_axis=AxisSpec(math.nan, 1.0, 3)), "strength axis"),
+        (dict(strength_axis=AxisSpec(0.0, 1.0, 5.0)), "strength axis steps must be an integer"),
+        (dict(epsilon_axis=AxisSpec(0.5, 2.0, np.float64(3))),
+         "epsilon axis steps must be an integer"),
     ],
 )
 def test_grid_spec_validation(kwargs, message):
@@ -484,6 +488,34 @@ def test_writers_never_read_a_cell(branch, monkeypatch):
     monkeypatch.setattr(SweepCells, "__iter__", no_cell)
     monkeypatch.setattr(SweepCells, "__getitem__", no_cell)
     assert (csv_text(result), json_text(result)) == expected
+
+
+class CountingSink:
+    """A stream that keeps no text, only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_json])
+def test_writers_hold_a_row_not_the_file(writer):
+    """Writing a 401 x 101 map takes less than a tenth of its text in traced memory:
+    each grid row is written as soon as it is formatted."""
+    result = run_sweep(GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 101),
+                                AxisSpec(0.05, 3.0, 401), 0.2, 1.0))
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        writer(result, sink)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 4_000_000  # every character is ASCII, so one byte
+    assert peak < sink.size / 10, (peak, sink.size)
 
 
 # 51 x 51 maps over epsilon in [0.1, 3], one per branch at one of its standard (tau, T).
