@@ -16,9 +16,9 @@ Flags are not abbreviated. Config keys are the subcommand's flag names, with
 dashes or underscores; each value is read by that flag's own type and
 choices, and an axis may also be given as ``[min, max, steps]``. A config
 error names the file, and the key when one entry is at fault.
-Outputs are formatted in full before the first byte is written, written to a
-temporary sibling of the destination and renamed onto it, so a failed run
-leaves the old file or none.
+Outputs go to a temporary sibling of the ``--output`` file, sweep rows as they
+are formatted, and are renamed onto it once complete, so a failed run leaves
+the old file or none; ``emit`` says how symlinks, modes and FIFOs are handled.
 
 Exit codes: 0 success, 1 verification failure, 2 input/domain error,
 3 I/O error.
@@ -27,10 +27,10 @@ Exit codes: 0 success, 1 verification failure, 2 input/domain error,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Callable
 from functools import partial
@@ -83,8 +83,10 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, allow_abbrev=False, exit_on_error=exit_on_error, **kwargs)
+    def add(name, handler, **kwargs):
+        p = sub.add_parser(name, allow_abbrev=False, exit_on_error=exit_on_error, **kwargs)
+        p.set_defaults(func=handler)
+        return p
 
     point = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     point.add_argument("--epsilon", type=float)
@@ -95,22 +97,24 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default=fmt)
         p.add_argument("--output", help="write the report here instead of stdout")
 
-    p = add("spectrum", parents=[point], help="eigenstructure and thermal populations")
+    p = add("spectrum", cmd_spectrum, parents=[point],
+            help="eigenstructure and thermal populations")
     common(p)
 
-    p = add("cycle", parents=[point], help="stroke energetics of one cycle, both computation paths")
+    p = add("cycle", cmd_cycle, parents=[point],
+            help="stroke energetics of one cycle, both computation paths")
     p.add_argument("--a", type=float, help="channel-A strength")
     p.add_argument("--b", type=float, help="channel-B strength")
     common(p)
 
-    p = add("classify", parents=[point], help="operating regime of one branch point")
+    p = add("classify", cmd_classify, parents=[point], help="operating regime of one branch point")
     p.add_argument("--branch", choices=[b.value for b in Branch])
     p.add_argument("--a", type=float, help="strength on the engine branch")
     p.add_argument("--b", type=float, help="strength on the refrigerator branches")
     p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
     common(p)
 
-    p = add("sweep", help="regime/performance map over a (strength, epsilon) grid")
+    p = add("sweep", cmd_sweep, help="regime/performance map over a (strength, epsilon) grid")
     p.add_argument("--branch", choices=[b.value for b in Branch])
     p.add_argument("--grid-strength", type=_axis, metavar="MIN:MAX:STEPS")
     p.add_argument("--grid-epsilon", type=_axis, metavar="MIN:MAX:STEPS")
@@ -121,7 +125,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
                    help="accepted for compatibility and ignored (must be >= 1)")
     common(p, fmt="csv")
 
-    p = add("verify", help="run the randomized self-check suites")
+    p = add("verify", cmd_verify, help="run the randomized self-check suites")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=1000)
     for p in sub.choices.values():
@@ -146,7 +150,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
         raise ValueError(f"malformed config file {args.config}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {args.config} must contain a JSON object")
-    known = set(vars(args)) - {"command", "config"}
+    known = set(vars(args)) - {"command", "config", "func"}
     keys = {}  # flag -> the key it came from
     flags = []
     for key, value in data.items():
@@ -183,10 +187,12 @@ def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None
     ``content`` is a text, or a writer that writes to the stream it is given,
     so that a large document goes straight into the file with no second copy
     in memory. A text that does not end in a newline gets one, in a file as on
-    stdout. A file is written to a temporary sibling of ``output`` and
-    renamed onto it once complete; if anything fails, the temporary file is
-    removed, ``output`` keeps its old contents, and an ``OSError`` about the
-    temporary file names ``output`` instead.
+    stdout. A file is written to a temporary sibling of the file that ``output``
+    names, symlinks followed, and renamed onto it once complete, keeping its
+    permission bits; if anything fails, the temporary file is removed, the file
+    keeps its old contents, and an ``OSError`` about the temporary file names
+    ``output`` instead. A FIFO or a device is written in place, as stdout is,
+    so "whole or not at all" cannot hold there.
     """
     write = content
     if isinstance(content, str):
@@ -198,11 +204,19 @@ def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None
     if output is None:
         write(sys.stdout)
         return
-    tmp = f"{output}.{os.getpid()}.tmp"
+    target = os.path.realpath(output)
+    mode = os.stat(target).st_mode if os.path.exists(target) else None
+    if mode is not None and not stat.S_ISREG(mode):  # a directory fails to open here
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             write(fh)
-        os.replace(tmp, output)
+        os.replace(tmp, target)
     except BaseException as exc:
         try:
             os.remove(tmp)
@@ -223,10 +237,7 @@ def _report(doc: dict, fmt: str) -> str:
     _check_finite(doc)
     if fmt == "json":
         return json.dumps(doc, indent=2)
-    buf = io.StringIO()
-    for key, value in _flatten(doc):
-        buf.write(f"{key},{value}\n")
-    return buf.getvalue()
+    return "".join(f"{key},{value}\n" for key, value in _flatten(doc))
 
 
 def _check_finite(value, name: str = "") -> None:
@@ -387,15 +398,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "cycle": cmd_cycle,
-    "classify": cmd_classify,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
-
-
 def _is_float(text: str) -> bool:
     try:
         float(text)
@@ -424,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:  # file entries first, so that flags win
             args = parser.parse_args([*argv[:1], *_config_flags(args), *argv[1:]])
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
     except ValueError as exc:

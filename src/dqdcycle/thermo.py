@@ -158,13 +158,6 @@ def stroke_energies(epsilon, gap, t, a, b):
     )
 
 
-def _closed_form_ledger(epsilon, gap, t, a, b, h_g, h_a, h_b) -> StrokeLedger:
-    """The closed-form ledger from its terms, on (n,) arrays; + - * only."""
-    du1, du2, du3 = stroke_energies(epsilon, gap, t, a, b)
-    return StrokeLedger(dU1=du1, dU2=du2, dU3=du3,
-                        dS1=h_g - h_b, dS2=h_a - h_g, dS3=h_b - h_a)
-
-
 def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
     """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
     return _one_row(run_cycle_closed_form_batch, inputs)
@@ -195,7 +188,8 @@ def run_cycle_closed_form_batch(batch: np.ndarray) -> StrokeLedger:
     eps, a, b = x.params.epsilon, x.a, x.b
     gap, t = thermal_factors(eps, x.params.tau, x.temperature)
     h_g, h_a, h_b = (_binary_entropy_columns(p) for p in (0.5 * (1.0 - t), a, b))
-    return _closed_form_ledger(eps, gap, t, a, b, h_g, h_a, h_b)
+    return StrokeLedger(*stroke_energies(eps, gap, t, a, b),
+                        dS1=h_g - h_b, dS2=h_a - h_g, dS3=h_b - h_a)
 
 
 def ledger_discrepancy(x: StrokeLedger, y: StrokeLedger):

@@ -231,8 +231,8 @@ def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckR
     """Interval prediction from the analytic thresholds vs. sign classification.
 
     Points within ``THRESHOLD_MARGIN`` of a boundary are skipped: there the
-    currents legitimately straddle zero. A disagreement counts as residual 1,
-    and the first one is the worst case.
+    currents legitimately straddle zero. The residual counts the disagreements,
+    so any one fails the check, and the first one is the worst case.
     """
     mismatches = 0
     worst_case = None

@@ -18,9 +18,9 @@ such as the oracle's, into the arrays that the sweep writers read.
 
 The references share only the package's data and formulas: the branch table
 ``regimes.BRANCHES`` (with its clamp ``regimes._mid``), ``thermo.stroke_energies``
-and ``thermo._closed_form_ledger`` (+ - * only, so a float gives the bits of an
-array element), the interval reader ``regimes._intervals_held``, ``kappa``, and
-the one-matrix channels and traces of ``qdot`` and ``channels``.
+(+ - * only, so a float gives the bits of an array element), the interval reader
+``regimes._intervals_held``, ``kappa``, and the one-matrix channels and traces
+of ``qdot`` and ``channels``.
 ``random_density_matrix`` and ``random_cycle_inputs`` draw one trial's state
 or cycle input, for the acceptance criteria and the ``oracle_verify`` loops.
 
@@ -45,7 +45,7 @@ from dqdcycle.regimes import BRANCHES, MODES, SIGN_PATTERNS, ZERO_TOL, Branch, C
 from dqdcycle.regimes import Currents, EngineThresholds, Mode, RefrigeratorThresholds
 from dqdcycle.regimes import _intervals_held, check_zero_tol, kappa
 from dqdcycle.sweep import GridSpec, SweepCell, SweepCells
-from dqdcycle.thermo import CycleInputs, StrokeLedger, _closed_form_ledger, stroke_energies
+from dqdcycle.thermo import CycleInputs, StrokeLedger, stroke_energies
 
 # ---------------------------------------------------------------------------
 # qdot
@@ -128,18 +128,14 @@ def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:
     )
 
 
-def _closed_form_terms(inputs: CycleInputs) -> tuple[float, ...]:
-    """(epsilon, E, t, a, b, h(g), h(a), h(b)): every transcendental of the closed form."""
+def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
+    """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
     gap = math.hypot(inputs.params.epsilon, inputs.params.tau)
     t = math.tanh(gap / inputs.temperature)
     a, b = inputs.a, inputs.b
-    return (inputs.params.epsilon, gap, t, a, b,
-            binary_entropy(0.5 * (1.0 - t)), binary_entropy(a), binary_entropy(b))
-
-
-def run_cycle_closed_form(inputs: CycleInputs) -> StrokeLedger:
-    """Ledger from the analytic stroke formulas; builds no matrix and carries no states."""
-    return _closed_form_ledger(*_closed_form_terms(inputs))
+    h_g, h_a, h_b = binary_entropy(0.5 * (1.0 - t)), binary_entropy(a), binary_entropy(b)
+    return StrokeLedger(*stroke_energies(inputs.params.epsilon, gap, t, a, b),
+                        dS1=h_g - h_b, dS2=h_a - h_g, dS3=h_b - h_a)
 
 
 # ---------------------------------------------------------------------------

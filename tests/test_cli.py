@@ -6,9 +6,11 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -859,6 +861,70 @@ def test_sweep_replaces_existing_output(tmp_path):
     assert list(tmp_path.iterdir()) == [out]
 
 
+SPECTRUM_ARGS = ("spectrum", "--epsilon", "1", "--tau", "0.5", "--temperature", "2")
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "dangling"])
+def test_output_through_a_symlink_replaces_the_file_it_points_to(tmp_path, capsys, existing):
+    assert run_cli(*SPECTRUM_ARGS) == 0
+    stdout = capsys.readouterr().out
+    real = tmp_path / "real"
+    real.mkdir()
+    if existing:
+        (real / "map.csv").write_text("old contents\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real / "map.csv")
+    assert run_cli(*SPECTRUM_ARGS, "--output", str(link)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real / "map.csv")
+    assert (real / "map.csv").read_bytes() == stdout.encode()
+    assert sorted(tmp_path.iterdir()) == [link, real]
+    assert list(real.iterdir()) == [real / "map.csv"]
+
+
+def test_replaced_output_keeps_its_mode_and_a_new_one_gets_the_default(tmp_path):
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    default = stat.S_IMODE(probe.stat().st_mode)  # what the umask gives a new file
+    new, private = tmp_path / "new.csv", tmp_path / "private.csv"
+    private.write_text("old contents\n")
+    private.chmod(0o600)
+    for out in (new, private):
+        assert run_cli(*sweep_args(out)) == 0
+        assert out.read_text().startswith("strength,epsilon,")
+    assert stat.S_IMODE(new.stat().st_mode) == default
+    assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    assert sorted(tmp_path.iterdir()) == [new, private, probe]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_fifo_destination_is_written_in_place(tmp_path, capsys, command):
+    """A FIFO gets the bytes a regular file would, and stays a FIFO: no temporary, no rename."""
+    def to(out):
+        return sweep_args(out) if command == "sweep" else [*SPECTRUM_ARGS, "--output", str(out)]
+
+    regular = tmp_path / "regular"
+    assert run_cli(*to(regular)) == 0
+    expected, stdout = regular.read_bytes(), capsys.readouterr().out
+    regular.unlink()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)  # blocks for good if no one writes
+    reader.start()
+    assert run_cli(*to(fifo)) == 0
+    reader.join(timeout=60)
+    assert received == [expected]
+    assert capsys.readouterr().out == stdout
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
 def test_sweep_bad_axis_syntax():
     assert run_cli("sweep", "--branch", "engine", "--grid-strength", "0:1",
                    "--grid-epsilon", "0.5:2:3", "--tau", "0", "--temperature", "1",
@@ -918,12 +984,12 @@ def write_config(tmp_path, entries) -> str:
 
 
 def parsed(monkeypatch, *argv):
-    """The options a subcommand receives for ``argv``, --config itself left out."""
+    """The options a subcommand receives for ``argv``, --config and the handler left out."""
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 0)
     assert run_cli(*argv) == 0
     (args,) = seen
-    return {k: v for k, v in vars(args).items() if k != "config"}
+    return {k: v for k, v in vars(args).items() if k not in ("config", "func")}
 
 
 @pytest.mark.parametrize("command, dest", list(subcommand_options()))
@@ -985,7 +1051,7 @@ def test_negative_infinite_flag_value_is_a_domain_error(capsys):
 @pytest.mark.parametrize("entry", [
     {"epsilon": None}, {"output": None}, {"epsilon": True}, {"output": False}, {"a": {}},
     {"b": [0, 1, 2]}, {"a": [0.5]}, {"epsilon": "one"},
-    {"frequency": 2.0}, {"temp": 1.0}, {"config": "other.json"},
+    {"frequency": 2.0}, {"temp": 1.0}, {"config": "other.json"}, {"func": "cmd_verify"},
 ])
 def test_bad_config_entry_is_input_error(tmp_path, monkeypatch, capsys, entry):
     monkeypatch.chdir(tmp_path)
