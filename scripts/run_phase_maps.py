@@ -46,14 +46,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:  # every grid is checked before anything is made on disk
-        maps = [(branch, tau, temperature, GridSpec(
-                    branch=branch,
-                    strength_axis=AxisSpec(0.0, 1.0, args.steps),
-                    epsilon_axis=AxisSpec(EPSILON_MIN, args.epsilon_max, args.steps),
-                    tau=tau,
-                    temperature=temperature,
-                ))
-                for branch, tau, temperatures in FAMILIES for temperature in temperatures]
+        specs = [GridSpec(branch=branch, strength_axis=AxisSpec(0.0, 1.0, args.steps),
+                          epsilon_axis=AxisSpec(EPSILON_MIN, args.epsilon_max, args.steps),
+                          tau=tau, temperature=temperature)
+                 for branch, tau, temperatures in FAMILIES for temperature in temperatures]
     except ValueError as exc:
         print(f"error: {exc} (--steps {args.steps}; epsilon runs from {EPSILON_MIN} to "
               f"--epsilon-max {args.epsilon_max})", file=sys.stderr)
@@ -62,15 +58,13 @@ def main(argv=None) -> int:
     summary = []
     try:  # an --outdir that cannot be made or written to
         args.outdir.mkdir(parents=True, exist_ok=True)
-        for branch, tau, temperature, spec in maps:
+        for spec in specs:
             result = run_sweep(spec)
-            name = f"{branch.value}_tau{tau:g}_T{temperature:g}.csv"
+            name = f"{spec.branch.value}_tau{spec.tau:g}_T{spec.temperature:g}.csv"
             emit(partial(write_csv, result), str(args.outdir / name))
             fractions = {m.value: f for m, f in mode_area_fractions(result).items()}
-            summary.append(
-                {"file": name, "branch": branch.value, "tau": tau,
-                 "temperature": temperature, "area_fractions": fractions}
-            )
+            summary.append({"file": name, "branch": spec.branch.value, "tau": spec.tau,
+                            "temperature": spec.temperature, "area_fractions": fractions})
             shares = "  ".join(f"{k}={v:.3f}" for k, v in fractions.items() if v > 0)
             print(f"{name:<40s} {shares}")
 

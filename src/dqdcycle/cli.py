@@ -13,9 +13,9 @@ exercises directly, save ``spectrum``'s ln Z and populations, formed here from
 E/T and tanh(E/T); the CLI otherwise parses, dispatches and serializes.
 Options may come from flags or from a JSON config file (``--config``); flags win.
 Flags are not abbreviated. Config keys are the subcommand's flag names, with
-dashes or underscores; each value is read by that flag's own type and
-choices, and an axis may also be given as ``[min, max, steps]``. A config
-error names the file, and the key when one entry is at fault.
+dashes or underscores, one key per option; each value is read by that flag's
+own type and choices, and an axis may also be given as ``[min, max, steps]``.
+A config error names the file, and the key when one entry is at fault.
 Outputs go to a temporary sibling of the ``--output`` file, sweep rows as they
 are formatted, and are renamed onto it once complete, so a failed run leaves
 the old file or none; ``emit`` says how symlinks, modes and FIFOs are handled.
@@ -93,9 +93,9 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     point.add_argument("--tau", type=float)
     point.add_argument("--temperature", type=float)
 
-    def common(p, fmt="json"):
+    def common(p, fmt="json", output="write the report here instead of stdout"):
         p.add_argument("--format", choices=["csv", "json"], default=fmt)
-        p.add_argument("--output", help="write the report here instead of stdout")
+        p.add_argument("--output", help=output)
 
     p = add("spectrum", cmd_spectrum, parents=[point],
             help="eigenstructure and thermal populations")
@@ -123,7 +123,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility and ignored (must be >= 1)")
-    common(p, fmt="csv")
+    common(p, fmt="csv", output="write the map here (required); the mode shares go to stdout")
 
     p = add("verify", cmd_verify, help="run the randomized self-check suites")
     p.add_argument("--seed", type=int, default=42)
@@ -141,11 +141,12 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     """The entries of the JSON file named by --config, as ``--flag=value`` arguments.
 
     Each entry is parsed here by its flag, so that every error names the file,
-    and a value the flag rejects also names its key.
+    and a value the flag rejects also names its key; two keys for one option name both.
     """
+    objects = []  # the (key, value) pairs of each JSON object as read, the outermost last
     try:
         with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=lambda p: objects.append(p) or dict(p))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed config file {args.config}: {exc}") from None
     if not isinstance(data, dict):
@@ -153,17 +154,20 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     known = set(vars(args)) - {"command", "config", "func"}
     keys = {}  # flag -> the key it came from
     flags = []
-    for key, value in data.items():
+    for key, value in objects[-1]:  # data's entries, a repeated key included
         dest = key.replace("-", "_")
         if dest not in known:
             raise ValueError(f"unknown key {key!r} in config file {args.config}")
+        flag = "--" + dest.replace("_", "-")
+        if flag in keys:
+            raise ValueError(f"keys {keys[flag]!r} and {key!r} in config file {args.config}"
+                             " set the same option")
+        keys[flag] = key
         if isinstance(value, list) and len(value) == 3:
             value = ":".join(map(str, value))
         elif value is None or isinstance(value, (bool, dict, list)):
             raise ValueError(f"key {key!r} in config file {args.config} must be a number,"
                              " a string or [min, max, steps]")
-        flag = "--" + dest.replace("_", "-")
-        keys[flag] = key
         # The = form keeps a value such as -0.4 from reading as a flag.
         flags.append(f"{flag}={value}")
     try:

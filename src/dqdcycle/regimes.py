@@ -297,19 +297,13 @@ def branch_thresholds(
     return type(thresholds)(*(np.ravel(x)[0].item() for x in thresholds))
 
 
-def _intervals_held(branch: Branch, strength, thresholds) -> list:
-    """(whether ``strength`` is in the interval, its mode) for each of the branch's
-    intervals, in order."""
-    return [((strength < bound) if side == "<" else (strength > bound), mode)
-            for name, side, mode in BRANCHES[branch].intervals
-            for bound in (getattr(thresholds, name),)]
-
-
 def expected_mode_codes(branch: Branch, strength: np.ndarray, thresholds) -> np.ndarray:
     """The index in ``MODES`` of the first of the branch's intervals that holds at each
     strength, and -1 where none holds."""
-    held = _intervals_held(branch, strength, thresholds)
-    return np.select([h for h, _ in held], [MODES.index(mode) for _, mode in held], -1)
+    intervals = BRANCHES[branch].intervals
+    held = [strength < getattr(thresholds, name) if side == "<"
+            else strength > getattr(thresholds, name) for name, side, _ in intervals]
+    return np.select(held, [MODES.index(mode) for _, _, mode in intervals], -1)
 
 
 # ---------------------------------------------------------------------------

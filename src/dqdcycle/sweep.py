@@ -87,6 +87,8 @@ class GridSpec:
     zero_tol: float = ZERO_TOL
 
     def __post_init__(self):
+        if not isinstance(self.branch, Branch):
+            raise ValueError(f"branch must be a Branch, got {self.branch!r}")
         for axis, name in ((self.strength_axis, "strength"), (self.epsilon_axis, "epsilon")):
             if axis.steps < 2:
                 raise ValueError(f"{name} axis needs at least 2 steps")

@@ -98,10 +98,8 @@ def _one_row(batch_ledger, inputs: CycleInputs) -> StrokeLedger:
     p = inputs.params
     ledger = batch_ledger(np.array([[p.epsilon, p.tau, inputs.temperature, inputs.a, inputs.b]],
                                    dtype=float))
-    states = (ledger.rho1, ledger.rho2, ledger.rho3)
-    return StrokeLedger(ledger.dU1.item(), ledger.dU2.item(), ledger.dU3.item(),
-                        ledger.dS1.item(), ledger.dS2.item(), ledger.dS3.item(),
-                        *(None if rho is None else rho[0] for rho in states))
+    states = (None if rho is None else rho[0] for rho in (ledger.rho1, ledger.rho2, ledger.rho3))
+    return StrokeLedger(*(getattr(ledger, f).item() for f in LEDGER_FIELDS), *states)
 
 
 def run_cycle_matrix(inputs: CycleInputs) -> StrokeLedger:

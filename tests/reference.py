@@ -18,9 +18,9 @@ such as the oracle's, into the arrays that the sweep writers read.
 
 The references share only the package's data and formulas: the branch table
 ``regimes.BRANCHES`` (with its clamp ``regimes._mid``), ``thermo.stroke_energies``
-(+ - * only, so a float gives the bits of an array element), the interval reader
-``regimes._intervals_held``, ``kappa``, and the one-matrix channels and traces
-of ``qdot`` and ``channels``.
+(+ - * only, so a float gives the bits of an array element), ``kappa``, and the
+one-matrix channels and traces of ``qdot`` and ``channels``. ``expected_mode``
+reads the branch table's intervals with its own scalar loop.
 ``random_density_matrix`` and ``random_cycle_inputs`` draw one trial's state
 or cycle input, for the acceptance criteria and the ``oracle_verify`` loops.
 
@@ -43,7 +43,7 @@ from dqdcycle.channels import MeasurementChannel, Orientation, apply_channel
 from dqdcycle.qdot import DotParams, internal_energy, von_neumann_entropy
 from dqdcycle.regimes import BRANCHES, MODES, SIGN_PATTERNS, ZERO_TOL, Branch, Classification
 from dqdcycle.regimes import Currents, EngineThresholds, Mode, RefrigeratorThresholds
-from dqdcycle.regimes import _intervals_held, check_zero_tol, kappa
+from dqdcycle.regimes import check_zero_tol, kappa
 from dqdcycle.sweep import GridSpec, SweepCell, SweepCells
 from dqdcycle.thermo import CycleInputs, StrokeLedger, stroke_energies
 
@@ -206,8 +206,11 @@ def branch_thresholds(
 
 def expected_mode(branch: Branch, strength: float, thresholds) -> Mode | None:
     """Mode the thresholds predict at ``strength``; None outside the cataloged windows."""
-    return next((mode for held, mode in _intervals_held(branch, strength, thresholds) if held),
-                None)
+    for name, side, mode in BRANCHES[branch].intervals:
+        bound = getattr(thresholds, name)
+        if (strength < bound) if side == "<" else (strength > bound):
+            return mode
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1066,6 +1066,28 @@ def test_bad_config_entry_is_input_error(tmp_path, monkeypatch, capsys, entry):
     assert f"key {key!r} in config file run.json" in err
 
 
+@pytest.mark.parametrize("command, text, first, second", [
+    ("sweep", '{"branch": "engine", "grid-strength": [0, 1, 3], "grid_strength": "0:1:5",'
+              ' "grid-epsilon": "0.5:2:3", "tau": 0, "temperature": 1, "output": "map.csv"}',
+     "grid-strength", "grid_strength"),
+    ("spectrum", '{"epsilon": 1, "tau": 0, "tau": 0.5, "temperature": 1, "output": "s.json"}',
+     "tau", "tau"),
+    ("classify", '{"branch": "engine", "epsilon": 1, "tau": 0, "temperature": 1, "a": 0.7,'
+                 ' "zero-tol": 1e-12, "zero_tol": 5, "output": "c.json"}',
+     "zero-tol", "zero_tol"),
+], ids=["sweep-two-spellings", "spectrum-repeated-key", "classify-two-spellings"])
+def test_config_that_sets_an_option_twice_is_input_error(tmp_path, monkeypatch, capsys,
+                                                         command, text, first, second):
+    """Two keys for one option, two spellings or one key repeated, exit 2 before any
+    work, naming the file and both keys, instead of the later one winning."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(text)
+    assert run_cli(command, "--config", "run.json") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    assert capsys.readouterr() == ("", f"error: keys {first!r} and {second!r} in config file"
+                                       " run.json set the same option\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--epsilon", "1", "--tau", "0", "--temp", "1"],
     ["cycle", "--eps", "1", "--tau", "0", "--temperature", "1", "--a", "0.2", "--b", "0.9"],
@@ -1240,6 +1262,18 @@ def test_help_exits_zero():
 def test_subcommand_help_exits_zero(capsys, command):
     assert run_cli(command, "--help") == 0
     assert "--config" in capsys.readouterr().out
+
+
+def test_sweep_help_says_output_is_required(capsys):
+    """A sweep writes its map only to --output and prints the mode shares; the other
+    subcommands print their report unless --output is given."""
+    assert run_cli("sweep", "--help") == 0
+    sweep_help = " ".join(capsys.readouterr().out.split())
+    assert run_cli("spectrum", "--help") == 0
+    spectrum_help = " ".join(capsys.readouterr().out.split())
+    assert "instead of stdout" not in sweep_help
+    assert "write the map here (required); the mode shares go to stdout" in sweep_help
+    assert "write the report here instead of stdout" in spectrum_help
 
 
 def test_missing_subcommand_is_usage_error():

@@ -110,6 +110,8 @@ def test_axis_points_inclusive():
         (dict(strength_axis=AxisSpec(0.0, 1.0, 5.0)), "strength axis steps must be an integer"),
         (dict(epsilon_axis=AxisSpec(0.5, 2.0, np.float64(3))),
          "epsilon axis steps must be an integer"),
+        (dict(branch="engine"), "branch must be a Branch, got 'engine'"),
+        (dict(branch=None), "branch must be a Branch, got None"),
     ],
 )
 def test_grid_spec_validation(kwargs, message):

@@ -7,8 +7,10 @@ module and time the calls that reach it. An import kept that way which no
 span patches is dead code, and so is an unmarked import that the module
 never uses; these tests fail on either. A name with a leading underscore
 belongs to its module: another module of the package that imports it, or
-reads it off an imported module, fails too. No linter is needed: the scans
-read each module's syntax tree.
+reads it off an imported module, fails too. So does the tests' scalar
+oracle, ``tests/reference.py``: it shares the package's public data and
+formulas, never a private helper of the kernels it checks. No linter is
+needed: the scans read each module's syntax tree.
 """
 
 import ast
@@ -107,5 +109,6 @@ def test_no_module_takes_another_modules_private_name():
     assert foreign_private_names(sample) == ["_row", "v._x", "dqdcycle._z"]  # the scan sees them
     paths = sorted((ROOT / "src" / "dqdcycle").glob("*.py"))
     assert paths
+    paths.append(ROOT / "tests" / "reference.py")
     assert [(path.name, name) for path in paths
             for name in foreign_private_names(path.read_text(encoding="utf-8"))] == []
