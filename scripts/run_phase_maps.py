@@ -57,9 +57,9 @@ def main(argv=None) -> int:
 
     summary = []
     try:  # an --outdir that cannot be made or written to
-        args.outdir.mkdir(parents=True, exist_ok=True)
         for spec in specs:
-            result = run_sweep(spec)
+            result = run_sweep(spec)  # first, so that a grid too large to hold makes nothing
+            args.outdir.mkdir(parents=True, exist_ok=True)
             name = f"{spec.branch.value}_tau{spec.tau:g}_T{spec.temperature:g}.csv"
             emit(partial(write_csv, result), str(args.outdir / name))
             fractions = {m.value: f for m, f in mode_area_fractions(result).items()}
@@ -73,6 +73,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'} (--steps {args.steps})", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     print(f"\n{len(summary)} maps -> {args.outdir}/ (+ summary.json)")
     return EXIT_OK
 

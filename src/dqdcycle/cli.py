@@ -19,9 +19,11 @@ A config error names the file, and the key when one entry is at fault.
 Outputs go to a temporary sibling of the ``--output`` file, sweep rows as they
 are formatted, and are renamed onto it once complete, so a failed run leaves
 the old file or none; ``emit`` says how symlinks, modes and FIFOs are handled.
+A destination that ``open`` refuses (a trailing separator, a symlink loop)
+exits 3 with nothing written.
 
-Exit codes: 0 success, 1 verification failure, 2 input/domain error,
-3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 input/domain error (a grid
+too large for memory too), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -196,7 +198,10 @@ def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None
     permission bits; if anything fails, the temporary file is removed, the file
     keeps its old contents, and an ``OSError`` about the temporary file names
     ``output`` instead. A FIFO or a device is written in place, as stdout is,
-    so "whole or not at all" cannot hold there.
+    so "whole or not at all" cannot hold there. A destination that ``open``
+    refuses (a directory, a name ending in a separator, a symlink loop) raises
+    the ``OSError`` that ``open(output, "w")`` raises, and nothing is created
+    or replaced.
     """
     write = content
     if isinstance(content, str):
@@ -208,9 +213,22 @@ def emit(content: str | Callable[[IO[str]], object], output: str | None) -> None
     if output is None:
         write(sys.stdout)
         return
-    target = os.path.realpath(output)
-    mode = os.stat(target).st_mode if os.path.exists(target) else None
-    if mode is not None and not stat.S_ISREG(mode):  # a directory fails to open here
+    try:
+        mode = os.stat(output).st_mode  # follows symlinks
+    except FileNotFoundError:  # a new file, perhaps named by a dangling symlink
+        mode = None
+    except OSError:  # a symlink loop, say
+        mode = 0
+    # The file that open writes, symlinks followed as open follows them (stat found no loop);
+    # realpath would drop the trailing "/" or "." that makes open refuse a name.
+    target = output
+    while (mode is None or stat.S_ISREG(mode)) and os.path.islink(target):
+        target = os.path.join(os.path.dirname(target), os.readlink(target))
+    if os.path.basename(target) in ("", os.curdir, os.pardir):  # "dir/", "new/." and the like
+        mode = 0
+    if mode is not None and not stat.S_ISREG(mode):
+        # A FIFO or a device is written in place; open refuses the rest with the error
+        # it gives anywhere, creating and replacing nothing.
         with open(output, "w", encoding="utf-8", newline="") as fh:
             write(fh)
         return
@@ -435,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # a grid too large to hold, say
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -211,9 +211,9 @@ def _grid(result: SweepResult) -> SweepCells:
     return cells
 
 
-def _format_cells(c: SweepCells, cell: str, sep: str, slot: str, feed, mode_text: tuple,
-                  performance):
-    """Yield the text of grid ``c``'s cells laid out by ``cell``, one string per grid row.
+def _format_cells(stream: IO[str], c: SweepCells, cell: str, sep: str, slot: str, feed,
+                  mode_text: tuple, performance) -> None:
+    """Write grid ``c``'s cells laid out by ``cell`` to ``stream``, one write per grid row.
 
     Cells are joined by ``sep``, so every row after the first starts with it.
     ``feed`` turns a list of floats into the items that ``slot`` formats, one
@@ -245,19 +245,17 @@ def _format_cells(c: SweepCells, cell: str, sep: str, slot: str, feed, mode_text
                 fields.append(feed(current[row].tolist()))
         tail = post % (text(epsilon), "%s", "%s", *slots)
         template = (sep if row else "") + pre + (tail + sep + pre).join(strengths) + tail
-        yield template % tuple(chain.from_iterable(zip(*fields)))
+        stream.write(template % tuple(chain.from_iterable(zip(*fields))))
 
 
 def write_csv(result: SweepResult, stream: IO[str]) -> None:
     """Write the header and one ``CSV_COLUMNS`` row per cell, each grid row as soon as
     it is formatted; nothing is written if ``result.cells`` fails the shape check.
     """
-    rows = _format_cells(
-        _grid(result), _CSV_CELL, "", FLOAT_FORMAT, iter, tuple(m.value for m in MODES),
-        lambda row: ["" if p is None else FLOAT_FORMAT % p for p in row])
+    cells = _grid(result)
     stream.write(",".join(CSV_COLUMNS) + "\n")
-    for text in rows:
-        stream.write(text)
+    _format_cells(stream, cells, _CSV_CELL, "", FLOAT_FORMAT, iter, tuple(m.value for m in MODES),
+                  lambda row: ["" if p is None else FLOAT_FORMAT % p for p in row])
 
 
 def write_json(result: SweepResult, stream: IO[str]) -> None:
@@ -276,13 +274,12 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
     def tokens(values: list) -> list[str]:
         return json.dumps(values)[1:-1].split(", ")
 
-    rows = _format_cells(_grid(result), _JSON_CELL, ",\n", "%s", tokens,
-                         tuple(json.dumps(m.value) for m in MODES), tokens)
+    cells = _grid(result)
     head = json.dumps(_document(result, []), indent=2)
     # head ends with '"cells": []\n}'; the rows go between the brackets.
     stream.write(head[:-len("[]\n}")] + "[\n")
-    for text in rows:
-        stream.write(text)
+    _format_cells(stream, cells, _JSON_CELL, ",\n", "%s", tokens,
+                  tuple(json.dumps(m.value) for m in MODES), tokens)
     stream.write("\n  ]\n}\n")
 
 

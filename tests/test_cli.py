@@ -780,6 +780,35 @@ def test_failed_write_keeps_old_output_and_leaves_no_temp_file(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == [out]
 
 
+ALLOCATE = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("stage, error, message", [
+    ("run_sweep", MemoryError(ALLOCATE), ALLOCATE),
+    ("run_sweep", MemoryError(), "out of memory"),
+    ("writer", MemoryError(), "out of memory"),
+], ids=["sweep-numpy-message", "sweep-no-message", "writer-no-message"])
+def test_grid_too_large_for_memory_exits_2_and_keeps_the_old_output(
+        tmp_path, monkeypatch, capsys, fmt, stage, error, message):
+    """A grid too large to hold is an input error, not a traceback, whether the sweep or
+    the writer runs out; the old file stays and no temporary file is left. The grid
+    is never allocated for real: run_sweep or the writer raises as numpy would."""
+    out = tmp_path / "map.csv"
+    out.write_text("old contents\n")
+
+    def run_out(*args, **kwargs):
+        if stage == "writer":
+            args[1].write("strength,epsilon\n")
+        raise error
+
+    monkeypatch.setattr(cli, "run_sweep" if stage == "run_sweep" else f"write_{fmt}", run_out)
+    assert run_cli(*sweep_args(out, format=fmt)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert out.read_text() == "old contents\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_missing_directory_exits_3_naming_the_destination(tmp_path, capsys, fmt):
     out = tmp_path / "no" / "such" / "dir" / f"map.{fmt}"
@@ -909,20 +938,128 @@ def test_fifo_destination_is_written_in_place(tmp_path, capsys, command):
     regular.unlink()
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    received = []
-
-    def read():
-        with open(fifo, "rb") as fh:
-            received.append(fh.read())
-
-    reader = threading.Thread(target=read, daemon=True)  # blocks for good if no one writes
-    reader.start()
+    reader, received = read_on_a_thread(fifo)
     assert run_cli(*to(fifo)) == 0
     reader.join(timeout=60)
     assert received == [expected]
     assert capsys.readouterr().out == stdout
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert list(tmp_path.iterdir()) == [fifo]
+
+
+def read_on_a_thread(fifo):
+    """Start a daemon thread that reads the FIFO ``fifo`` to its end; it blocks for good if
+    no one writes. Once the returned thread is joined, the returned list holds the bytes."""
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    return reader, received
+
+
+def make_destinations(root):
+    """A regular file, a directory, a FIFO and four kinds of symlink under ``root``."""
+    root.mkdir()
+    (root / "file").write_text("old contents\n")
+    (root / "dir").mkdir()
+    os.mkfifo(root / "fifo")
+    (root / "link").symlink_to("file")
+    (root / "dangling").symlink_to("gone")
+    (root / "dangling-slash").symlink_to("gone/")
+    (root / "la").symlink_to("lb")
+    (root / "lb").symlink_to("la")
+
+
+def paths(root):
+    """``root`` and every path under it, symlinks not followed, relative to ``root``."""
+    found = ["."]
+    for folder, dirs, files in os.walk(root):
+        found += [os.path.relpath(os.path.join(folder, n), root) for n in dirs + files]
+    return sorted(found)
+
+
+def lstats(root):
+    """What a write, a rename or a temporary file would change in each path's ``os.lstat``."""
+    return {p: (s.st_mode, s.st_ino, s.st_nlink, s.st_size, s.st_mtime_ns, s.st_ctime_ns)
+            for p, s in ((p, os.lstat(root / p)) for p in paths(root))}
+
+
+def contents(root):
+    """Each path's file type, permission bits, link target and, for a regular file, bytes."""
+    def content(path):
+        mode = os.lstat(path).st_mode
+        return (stat.S_IFMT(mode), stat.S_IMODE(mode),
+                os.readlink(path) if stat.S_ISLNK(mode) else None,
+                path.read_bytes() if stat.S_ISREG(mode) else None)
+
+    return {p: content(root / p) for p in paths(root)}
+
+
+OPEN_TABLE = {  # row id: the --output, relative to a tree that make_destinations made
+    "new-file": "new",
+    "regular-file": "file",
+    "directory": "dir",
+    "dir-slash": "dir/",
+    "file-slash": "file/",
+    "new-slash": "new/",
+    "new-slash-dot": "new/.",
+    "empty": "",
+    "missing-dotdot": "missing/..",
+    "missing-parent": "missing/new",
+    "symlink-to-file": "link",
+    "dangling-symlink": "dangling",
+    "dangling-symlink-slash": "dangling-slash",
+    "symlink-loop": "la",
+    "fifo": "fifo",
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+@pytest.mark.parametrize("output", OPEN_TABLE.values(), ids=OPEN_TABLE.keys())
+def test_output_fails_exactly_where_open_fails(tmp_path, monkeypatch, capsys, command, output):
+    """``--output`` leaves the tree as ``open(output, "w")`` and a write leave it. Where that
+    open fails, the run exits 3 with open's own error, which names the path as given, and
+    no path's lstat changes: nothing is created, replaced or left behind."""
+    def to(out):
+        return sweep_args(out) if command == "sweep" else [*SPECTRUM_ARGS, "--output", str(out)]
+
+    assert run_cli(*to(tmp_path / "expected")) == 0
+    text, stdout = (tmp_path / "expected").read_text(), capsys.readouterr().out
+    probe, run = tmp_path / "probe", tmp_path / "run"
+    make_destinations(probe)
+    make_destinations(run)
+
+    def attempt(root, action):
+        monkeypatch.chdir(root)
+        reader, received = read_on_a_thread(output) if output == "fifo" else (None, [])
+        result = action()
+        if reader is not None:
+            reader.join(timeout=60)
+        return result, received
+
+    def open_and_write():
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return exc
+
+    error, opened = attempt(probe, open_and_write)
+    before = lstats(run)
+    code, received = attempt(run, lambda: run_cli(*to(output)))
+    if error is None:
+        assert (code, capsys.readouterr(), received) == (0, (stdout, ""), opened)
+    else:
+        assert (code, capsys.readouterr()) == (3, ("", f"I/O error: {error}\n"))
+        assert error.filename == output
+        assert lstats(run) == before
+    assert contents(run) == contents(probe)
+    assert not [p for p in paths(run) if p.endswith(".tmp")]
 
 
 def test_sweep_bad_axis_syntax():

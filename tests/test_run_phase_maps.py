@@ -109,6 +109,31 @@ def test_bad_grid_flags_exit_2_before_making_anything(tmp_path, capsys, flags, m
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-outdir", "existing-outdir"])
+def test_grid_too_large_for_memory_exits_2_before_making_anything(tmp_path, monkeypatch,
+                                                                   capsys, existing):
+    """A --steps whose grid cannot be held exits 2 with numpy's message: no --outdir is made
+    and no map is replaced. run_sweep raises as numpy would; nothing is allocated for real."""
+    script = load_script()
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+    def run_sweep(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(script, "run_sweep", run_sweep)
+    outdir = tmp_path / "maps"
+    old = outdir / "engine_tau0_T1.csv"
+    if existing:
+        outdir.mkdir()
+        old.write_text("old contents\n")
+    assert script.main(["--steps", "3", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message} (--steps 3)\n")
+    if existing:
+        assert list(outdir.iterdir()) == [old] and old.read_text() == "old contents\n"
+    else:
+        assert not outdir.exists()
+
+
 def test_epsilon_max_is_bounded_by_the_ledger_scale(tmp_path, capsys):
     """Past the ledger bound the script exits 2 and leaves an existing --outdir empty; at
     the bound itself it writes every map with no warning."""
