@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dqdcycle.cli import EXIT_INPUT_ERROR, EXIT_IO_ERROR, EXIT_OK, emit
 from dqdcycle.regimes import Branch
-from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
+from dqdcycle.sweep import SCHEMA, AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
 
 FAMILIES = [
     (Branch.ENGINE, 0.0, (1.0, 2.0)),
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
             shares = "  ".join(f"{k}={v:.3f}" for k, v in fractions.items() if v > 0)
             print(f"{name:<40s} {shares}")
 
-        emit(json.dumps({"schema": 1, "maps": summary}, indent=2),
+        emit(json.dumps({"schema": SCHEMA, "maps": summary}, indent=2),
              str(args.outdir / "summary.json"))
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ Subcommands::
 Every number printed here comes from a library call that the test suite
 exercises directly, save ``spectrum``'s ln Z and populations, formed here from
 E/T and tanh(E/T); the CLI otherwise parses, dispatches and serializes.
+A report is walked once, in either format: each value is named, checked
+finite (exit 2 names the first that is not) and formatted as a CSV row.
 Options may come from flags or from a JSON config file (``--config``); flags win.
 Flags are not abbreviated. Config keys are the subcommand's flag names, with
 dashes or underscores, one key per option; each value is read by that flag's
@@ -256,41 +258,32 @@ def _report(doc: dict, fmt: str) -> str:
     A NaN or infinite number anywhere in ``doc`` raises ``ValueError`` naming its key,
     in either format, so that no report holds a value that strict JSON cannot.
     """
-    _check_finite(doc)
-    if fmt == "json":
-        return json.dumps(doc, indent=2)
-    return "".join(f"{key},{value}\n" for key, value in _flatten(doc))
+    rows = [f"{name},{text}\n" for name, text in _flatten(doc)]
+    return json.dumps(doc, indent=2) if fmt == "json" else "".join(rows)
 
 
-def _check_finite(value, name: str = "") -> None:
-    """Refuse a NaN or infinite float in ``value``, a report or any dict or list in it;
-    the message names its dotted key, with [i] for a list item."""
+def _flatten(value, name: str = ""):
+    """Yield the (name, text) CSV rows of ``value``, a report or any dict or list in it:
+    a dotted key per row, a list's items joined by ";". The first NaN or infinite float,
+    in a list item too, raises ``ValueError`` naming its key, with [i] for a list item."""
     if isinstance(value, dict):
         for key, item in value.items():
-            _check_finite(item, f"{name}.{key}" if name else str(key))
+            yield from _flatten(item, f"{name}.{key}" if name else str(key))
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _check_finite(item, f"{name}[{i}]")
+            list(_flatten(item, f"{name}[{i}]"))  # checked; the row's text is formatted below
+        yield name, ";".join(FLOAT_FORMAT % v if isinstance(v, float) else str(v)
+                             for v in value)
     elif isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} is {value}: a report holds finite numbers only")
-
-
-def _flatten(doc: dict, prefix: str = ""):
-    for key, value in doc.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            yield from _flatten(value, name + ".")
-        elif isinstance(value, (list, tuple)):
-            yield name, ";".join(FLOAT_FORMAT % v if isinstance(v, float) else str(v)
-                                 for v in value)
-        elif value is None:
-            yield name, ""
-        elif isinstance(value, bool):
-            yield name, "true" if value else "false"
-        elif isinstance(value, float):
-            yield name, FLOAT_FORMAT % value
-        else:
-            yield name, value
+    elif value is None:
+        yield name, ""
+    elif isinstance(value, bool):
+        yield name, "true" if value else "false"
+    elif isinstance(value, float):
+        yield name, FLOAT_FORMAT % value
+    else:
+        yield name, str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +455,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO_ERROR
 
 
-def app() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    app()
+    raise SystemExit(main())

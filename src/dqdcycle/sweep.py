@@ -61,6 +61,9 @@ CSV_COLUMNS = ("strength", "epsilon", "mode", "performance", "Qh", "Qc", "W")
 # The text of every float in a sweep CSV and in a CSV report: 13 significant digits.
 FLOAT_FORMAT = "%.12e"
 
+# The "schema" version of the sweep JSON document and of run_phase_maps.py's summary.json.
+SCHEMA = 1
+
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -287,7 +290,7 @@ def _document(result: SweepResult, cells: list) -> dict:
     spec = result.spec
     counts, fractions = result.counts, mode_area_fractions(result)
     return {
-        "schema": 1,
+        "schema": SCHEMA,
         "grid": {
             "branch": spec.branch.value,
             "strength": asdict(spec.strength_axis),

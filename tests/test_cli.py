@@ -1421,12 +1421,25 @@ def test_unknown_subcommand_is_usage_error():
     assert run_cli("explode") == 2
 
 
-def test_app_wraps_exit_code(monkeypatch):
-    monkeypatch.setattr("sys.argv", ["dqdcycle", "spectrum", "--epsilon", "1",
-                                     "--tau", "0", "--temperature", "1"])
-    with pytest.raises(SystemExit) as excinfo:
-        cli.app()
-    assert excinfo.value.code == 0
+def test_module_run_exits_with_the_code_main_returns():
+    """``python -m dqdcycle.cli`` exits with ``main``'s return value, as the console
+    script does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dqdcycle.cli", "spectrum", "--epsilon", "1", "--tau", "0",
+         "--temperature", "1"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["gap"] == 1.0
+
+
+def test_console_script_names_main():
+    """The installed ``dqdcycle`` command calls ``cli.main`` and exits with its return value,
+    which ``test_installed_entry_point`` can run only where the package is installed."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"dqdcycle": "dqdcycle.cli:main"}
 
 
 @pytest.mark.skipif(shutil.which("dqdcycle") is None, reason="entry point not on PATH")

@@ -15,7 +15,7 @@ import pytest
 
 from dqdcycle import cli
 from dqdcycle.regimes import MODES, Mode, branch_points, classify_grid
-from dqdcycle.sweep import AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
+from dqdcycle.sweep import SCHEMA, AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
 from reference import classify, same
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_maps.py"
@@ -39,7 +39,9 @@ def test_maps_and_summary_equal_the_oracle(tmp_path, oracle_sweep, capsys):
     assert script.main(["--steps", "7", "--outdir", str(tmp_path)]) == 0
     assert "14 maps" in capsys.readouterr().out
 
-    maps = json.loads((tmp_path / "summary.json").read_text())["maps"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["schema"] == SCHEMA == 1  # the sweep JSON's version too
+    maps = summary["maps"]
     expected = [(branch, tau, t) for branch, tau, temps in script.FAMILIES for t in temps]
     assert len(expected) == 14
     assert [(m["branch"], m["tau"], m["temperature"]) for m in maps] == [

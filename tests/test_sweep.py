@@ -20,6 +20,7 @@ from dqdcycle.sweep import (
     CSV_COLUMNS,
     FLOAT_FORMAT,
     GridSpec,
+    SCHEMA,
     SweepCells,
     mode_area_fractions,
     run_sweep,
@@ -196,10 +197,13 @@ def test_sweep_csv_and_cli_reports_write_a_float_alike(x):
     assert [row[3:] for row in rows] == [[FLOAT_FORMAT % v] * 4 for v in values]
     assert [row[:2] for row in rows] == [[FLOAT_FORMAT % c.strength, FLOAT_FORMAT % c.epsilon]
                                          for c in cells]
-    assert dict(cli._flatten({"x": x, "list": [x, 2.0]})) == {
-        "x": text, "list": f"{text};{FLOAT_FORMAT % 2.0}"}
-    if math.isfinite(x):  # a report refuses inf
+    if math.isfinite(x):
+        assert dict(cli._flatten({"x": x, "list": [x, 2.0]})) == {
+            "x": text, "list": f"{text};{FLOAT_FORMAT % 2.0}"}
         assert cli._report({"x": x, "list": [x]}, "csv") == f"x,{text}\nlist,{text}\n"
+    else:  # a report refuses inf as it formats it
+        with pytest.raises(ValueError, match="^x is inf: a report holds finite numbers only$"):
+            dict(cli._flatten({"x": x, "list": [x, 2.0]}))
 
 
 def test_csv_shape_and_header():
@@ -338,7 +342,7 @@ def test_json_document_layout():
     spec = small_spec(steps=4)
     result = run_sweep(spec)
     doc = to_json_document(result)
-    assert doc["schema"] == 1
+    assert doc["schema"] == SCHEMA == 1
     assert doc["grid"]["branch"] == "engine"
     assert doc["grid"]["strength"] == {"start": 0.0, "stop": 1.0, "steps": 4}
     assert doc["performance_convention"] == {
