@@ -264,16 +264,15 @@ def _report(doc: dict, fmt: str) -> str:
 
 def _flatten(value, name: str = ""):
     """Yield the (name, text) CSV rows of ``value``, a report or any dict or list in it:
-    a dotted key per row, a list's items joined by ";". The first NaN or infinite float,
-    in a list item too, raises ``ValueError`` naming its key, with [i] for a list item."""
+    a dotted key per row, and a list's items joined by ";", each written as the same value
+    would be outside a list. The first NaN or infinite float, in a list item too, raises
+    ``ValueError`` naming its key, with [i] for a list item."""
     if isinstance(value, dict):
         for key, item in value.items():
             yield from _flatten(item, f"{name}.{key}" if name else str(key))
     elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            list(_flatten(item, f"{name}[{i}]"))  # checked; the row's text is formatted below
-        yield name, ";".join(FLOAT_FORMAT % v if isinstance(v, float) else str(v)
-                             for v in value)
+        yield name, ";".join(text for i, item in enumerate(value)
+                             for _, text in _flatten(item, f"{name}[{i}]"))
     elif isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} is {value}: a report holds finite numbers only")
     elif value is None:

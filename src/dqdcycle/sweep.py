@@ -17,8 +17,8 @@ strength axis is float64 + - * / and abs, which are correctly rounded.
 otherwise ignored.
 
 ``run_sweep`` keeps the cells as ``SweepCells``: the spec's two axis
-vectors and six (ne, ns) arrays over them. The grid has a ``len``, iterates
-its ``SweepCell`` in row-major order and takes an integer index; the tests
+vectors and six (ne, ns) arrays over them. The grid iterates its
+``SweepCell`` in row-major order and takes an integer index; the tests
 compare two grids with ``reference.same``, array by array. ``write_csv``
 emits the exact column set
 
@@ -125,10 +125,9 @@ class SweepCells:
     ``strengths[j]``. ``mode`` holds ``classify_grid``'s codes, indices into
     ``MODES``; ``performance`` and ``raw_cop`` are its object arrays of floats
     and None; ``Qh``, ``Qc`` and ``W`` are float64 (a broadcast view will do).
-    ``len`` is the cell count; iteration yields each ``SweepCell`` in row-major
-    order and an integer index (negative ones too) reads one, each built only
-    when it is read. ``==`` is identity: tests compare grids with
-    ``reference.same``.
+    Iteration yields each ``SweepCell`` in row-major order and an integer index
+    (negative ones too) reads one, each built only when it is read. ``==`` is
+    identity: tests compare grids with ``reference.same``.
     """
 
     strengths: np.ndarray
@@ -143,11 +142,8 @@ class SweepCells:
     def _fields(self) -> tuple[np.ndarray, ...]:
         return self.mode, self.performance, self.raw_cop, self.Qh, self.Qc, self.W
 
-    def __len__(self) -> int:
-        return self.mode.size
-
     def __getitem__(self, index: int) -> SweepCell:
-        row, column = divmod(range(len(self))[index], len(self.strengths))
+        row, column = divmod(range(self.mode.size)[index], len(self.strengths))
         return _cell(self.strengths.item(column), self.epsilons.item(row),
                      *(field.item(row, column) for field in self._fields()))
 
@@ -192,8 +188,9 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
 
 def mode_area_fractions(result: SweepResult) -> dict[Mode, float]:
     """Fraction of grid cells in each mode (equal cell weighting)."""
-    total = len(result.cells)
-    return {m: n / total for m, n in result.counts.items()}
+    counts = result.counts
+    total = sum(counts.values())
+    return {m: n / total for m, n in counts.items()}
 
 
 # One CSV row and one element of the JSON "cells" array as

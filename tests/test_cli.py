@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from dqdcycle import channels, cli, verify
 from dqdcycle.channels import kraus_operators
 from dqdcycle.regimes import Branch
-from dqdcycle.sweep import AxisSpec
+from dqdcycle.sweep import FLOAT_FORMAT, AxisSpec
 
 
 def run_cli(*argv):
@@ -107,6 +107,18 @@ def test_report_names_the_first_non_finite_number(doc, message, fmt):
     """Dicts give dotted keys and list items [i], nested lists too, in both formats."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}: a report holds finite"):
         cli._report(doc, fmt)
+
+
+def test_list_items_are_written_as_the_same_values_outside_a_list():
+    """A CSV list item is formatted by the scalar rule: None empty, a bool in lower case,
+    a float in ``FLOAT_FORMAT``, a nested list's items joined into the same row."""
+    scalars = dict(cli._flatten({"n": None, "t": True, "f": 1.5, "g": 2.0, "h": 3.0, "s": "x"}))
+    assert dict(cli._flatten({"l": [None, True, 1.5, [2.0, 3.0], "x"]})) == {
+        "l": ";".join(scalars.values())}
+    assert ";".join(scalars.values()) == (
+        f";true;{FLOAT_FORMAT % 1.5};{FLOAT_FORMAT % 2.0};{FLOAT_FORMAT % 3.0};x")
+    with pytest.raises(ValueError, match=r"^l\[3\]\[1\] is nan: a report holds finite"):
+        dict(cli._flatten({"l": [None, True, 1.5, [2.0, math.nan], "x"]}))
 
 
 def run_quietly(argv) -> tuple[int, str]:
@@ -540,6 +552,14 @@ def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
                             " byte 0xff in position 0: invalid start byte\n")
 
 
+def test_config_that_is_not_an_object_names_the_file(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]")
+    assert run_cli("spectrum", "--config", str(config)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: config file {config} must contain a JSON object\n")
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"epsilon": 1.0, "frequency": 2.0}))
@@ -633,8 +653,14 @@ def test_classify_rejects_nan_zero_tol(capsys):
 def test_classify_rejects_wrong_strength_flag(capsys):
     assert run_cli("classify", "--branch", "engine", "--epsilon", "1", "--tau", "0",
                    "--temperature", "1", "--a", "0.7", "--b", "0.3") == 2
+    assert capsys.readouterr() == ("", "error: the engine branch fixes b = a; give --a only\n")
     assert run_cli("classify", "--branch", "refrigerator-plus", "--epsilon", "1",
                    "--tau", "0", "--temperature", "1", "--a", "0.7") == 2
+    capsys.readouterr()
+    assert run_cli("classify", "--branch", "refrigerator-plus", "--epsilon", "1",
+                   "--tau", "0", "--temperature", "1", "--a", "0.3", "--b", "0.5") == 2
+    assert capsys.readouterr() == (
+        "", "error: refrigerator branches fix a thermally; give --b only\n")
 
 
 # ---------------------------------------------------------------------------

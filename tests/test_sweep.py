@@ -131,7 +131,7 @@ def test_grid_spec_validation(kwargs, message):
 def test_minimal_grid_has_four_cells():
     spec = GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 2), AxisSpec(0.5, 2.0, 2), 0.0, 1.0)
     result = run_sweep(spec)
-    assert len(result.cells) == 4
+    assert result.cells.mode.size == 4
     assert sum(result.counts.values()) == 4
 
 
@@ -359,14 +359,14 @@ def test_json_document_layout():
 
 
 def test_cells_behave_as_the_oracle_list(oracle_sweep):
-    """The grid has the length, row-major iteration and integer indexing of the scalar
+    """The grid has the cell count, row-major iteration and integer indexing of the scalar
     route's plain list of cells, and so has the oracle's grid."""
     spec = small_spec(branch=Branch.REFRIGERATOR_PLUS, tau=0.2, temperature=2.0, steps=4)
     cells = run_sweep(spec).cells
     expected = [evaluate_cell(spec, s, e) for e in spec.epsilon_axis.points().tolist()
                 for s in spec.strength_axis.points().tolist()]
     assert type(cells) is SweepCells and list(oracle_sweep(spec).cells) == expected
-    assert len(cells) == len(expected) == 16
+    assert cells.mode.size == len(expected) == 16
     assert [cells[i] for i in range(16)] == expected
     assert [cells[-i] for i in range(1, 17)] == expected[::-1]
     for index in (16, -17):
@@ -424,7 +424,7 @@ def stress_results():
 @pytest.mark.parametrize("name", ["edited plus", "engine", "minus at tau 0"])
 def test_writers_equal_per_cell_references_under_stress(name):
     result = stress_results()[name]
-    assert len(result.cells) == 35
+    assert result.cells.mode.size == 35
     csv_out = csv_text(result)
     assert csv_out == csv_reference(result)
     assert json_text(result) == json_reference(result)
