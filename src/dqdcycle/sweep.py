@@ -27,7 +27,9 @@ emits the exact column set
 with floats as ``FLOAT_FORMAT`` writes them and an empty performance field
 for undefined cells. ``write_json`` emits a versioned document: the grid
 spec, per-mode counts and area fractions from the mode codes, each mode's
-figure of merit, then the same rows, as ``to_json_document`` builds them.
+figure of merit, then the same rows. ``to_json_document`` parses what
+``write_json`` writes, so the document has one encoder; the tests keep a
+per-cell build of it to check those bytes against.
 
 Both writers read the arrays row by row, never build a cell, and write each
 grid row's text as soon as it is formatted, so a write holds one row of text
@@ -40,6 +42,7 @@ refrigerator branches), once per row. Before anything is written they raise
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -212,7 +215,7 @@ def _grid(result: SweepResult) -> SweepCells:
 
 
 def _format_cells(stream: IO[str], c: SweepCells, cell: str, sep: str, slot: str, feed,
-                  mode_text: tuple, performance) -> None:
+                  performance) -> None:
     """Write grid ``c``'s cells laid out by ``cell`` to ``stream``, one write per grid row.
 
     Cells are joined by ``sep``, so every row after the first starts with it.
@@ -221,14 +224,15 @@ def _format_cells(stream: IO[str], c: SweepCells, cell: str, sep: str, slot: str
     is formatted once, each row's epsilon once, and so is each current whose
     bits are the same across a row; those texts are built into one ``%``
     template per row. The other currents take ``slot`` and the items of
-    ``feed(row)``; the mode is its code's ``mode_text`` and the performance is
-    ``performance(row)``, each row a list of floats (and None).
+    ``feed(row)``; the mode is its code's item of ``feed`` over the mode names,
+    and the performance is ``performance(row)``, each row a list of floats (and None).
     """
     def text(x: float) -> str:
         return slot % tuple(feed([x]))
 
     pre, post = cell.split("%s", 1)  # pre leads up to the strength
     strengths = [slot % (s,) for s in feed(c.strengths.tolist())]
+    mode_text = tuple(feed([m.value for m in MODES]))
     currents = (c.Qh, c.Qc, c.W)
     # Bit patterns, not ==, decide: 0.0 and -0.0 stay apart, and only NaNs with one bits merge.
     constant = [(b == b[:, :1]).all(axis=1).tolist()
@@ -254,12 +258,13 @@ def write_csv(result: SweepResult, stream: IO[str]) -> None:
     """
     cells = _grid(result)
     stream.write(",".join(CSV_COLUMNS) + "\n")
-    _format_cells(stream, cells, _CSV_CELL, "", FLOAT_FORMAT, iter, tuple(m.value for m in MODES),
+    _format_cells(stream, cells, _CSV_CELL, "", FLOAT_FORMAT, iter,
                   lambda row: ["" if p is None else FLOAT_FORMAT % p for p in row])
 
 
 def write_json(result: SweepResult, stream: IO[str]) -> None:
-    """Write exactly ``json.dumps(to_json_document(result), indent=2) + "\n"``.
+    """Write the sweep's JSON document as ``json.dumps(..., indent=2)`` lays it out, plus a
+    final newline: schema tag, grid spec, summary, then one object of ``CSV_COLUMNS`` per cell.
 
     Each row of a field is encoded by one call of the C encoder, which writes
     floats as ``repr`` does and non-finite floats as ``Infinity``,
@@ -275,18 +280,9 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
         return json.dumps(values)[1:-1].split(", ")
 
     cells = _grid(result)
-    head = json.dumps(_document(result, []), indent=2)
-    # head ends with '"cells": []\n}'; the rows go between the brackets.
-    stream.write(head[:-len("[]\n}")] + "[\n")
-    _format_cells(stream, cells, _JSON_CELL, ",\n", "%s", tokens,
-                  tuple(json.dumps(m.value) for m in MODES), tokens)
-    stream.write("\n  ]\n}\n")
-
-
-def _document(result: SweepResult, cells: list) -> dict:
     spec = result.spec
     counts, fractions = result.counts, mode_area_fractions(result)
-    return {
+    head = json.dumps({
         "schema": SCHEMA,
         "grid": {
             "branch": spec.branch.value,
@@ -301,25 +297,18 @@ def _document(result: SweepResult, cells: list) -> dict:
             "counts": {m.value: counts[m] for m in Mode},
             "area_fractions": {m.value: fractions[m] for m in Mode},
         },
-        "cells": cells,
-    }
+        "cells": [],
+    }, indent=2)
+    # head ends with '"cells": []\n}'; the rows go between the brackets.
+    stream.write(head[:-len("[]\n}")] + "[\n")
+    _format_cells(stream, cells, _JSON_CELL, ",\n", "%s", tokens, tokens)
+    stream.write("\n  ]\n}\n")
 
 
 def to_json_document(result: SweepResult) -> dict:
-    """JSON-ready document: schema tag, grid spec, summary, then the rows.
+    """The document that ``write_json`` writes, parsed back into a dict."""
+    import json
 
-    Built cell by cell; ``write_json`` must write exactly its
-    ``json.dumps(..., indent=2)`` text.
-    """
-    return _document(result, [
-        {
-            "strength": cell.strength,
-            "epsilon": cell.epsilon,
-            "mode": cell.result.mode.value,
-            "performance": cell.result.performance,
-            "Qh": cell.result.Qh,
-            "Qc": cell.result.Qc,
-            "W": cell.result.W,
-        }
-        for cell in result.cells
-    ])
+    buf = io.StringIO()
+    write_json(result, buf)
+    return json.loads(buf.getvalue())

@@ -1,5 +1,5 @@
-"""60-digit values of the ledger, the branch currents and kappa, for measuring the float
-kernels' rounding error.
+"""60-digit values of the ledger, the branch currents and thresholds, and kappa, for
+measuring the float kernels' rounding error.
 
 ``Decimal(x)`` reads a float's exact binary value, and ``decimal`` rounds
 each step here to 60 significant digits, so a value below is the true value
@@ -30,6 +30,15 @@ RULES = {
     Branch.ENGINE: (None, (1, 0, 2)),
     Branch.REFRIGERATOR_PLUS: (lambda t: (1 + t) / 2, (2, 0, 1)),
     Branch.REFRIGERATOR_MINUS: (lambda t: (1 - t) / 2, (2, 0, 1)),
+}
+
+
+# Per branch: each threshold is (1 + x)/2 clamped to [0, 1]; x as a function of t = tanh(E/T)
+# and r = (E/epsilon) t, in the order of the branch's thresholds tuple.
+THRESHOLDS = {
+    Branch.ENGINE: lambda t, r: (-r, Decimal(0), r),  # heater_max, engine_min, engine_max
+    Branch.REFRIGERATOR_PLUS: lambda t, r: (-t, r),  # accelerator_max, refrigerator_min
+    Branch.REFRIGERATOR_MINUS: lambda t, r: (t, r),  # accelerator_max, refrigerator_min
 }
 
 
@@ -66,6 +75,16 @@ def branch_currents(branch: Branch, epsilon: float, gap: Decimal, t: Decimal,
         a = s if pinned_a is None else pinned_a(t)
         du = stroke_energies(Decimal(epsilon), gap, t, a, s)
         return tuple(du[i] for i in strokes)
+
+
+def branch_thresholds(branch: Branch, epsilon: float, gap: Decimal,
+                      t: Decimal) -> tuple[Decimal, ...]:
+    """The critical strengths of ``branch`` at a float epsilon, from ``gap_and_tanh``'s E and
+    t, in the order of ``regimes``' thresholds tuples."""
+    with localcontext(CONTEXT):
+        r = gap / Decimal(epsilon) * t
+        return tuple(min(Decimal(1), max(Decimal(0), (1 + x) / 2))
+                     for x in THRESHOLDS[branch](t, r))
 
 
 @functools.cache

@@ -269,7 +269,8 @@ def bits(x) -> np.ndarray:
 def same(x, y) -> bool:
     """Whether x and y are the same value: of the same type, floats equal with == and
     with the same sign bit (or both NaN), arrays of the same dtype, shape and bytes
-    (object arrays element by element), and tuples and dataclasses field by field."""
+    (object arrays element by element), tuples, lists and dataclasses field by field, and
+    dicts key by key."""
     if type(x) is not type(y):
         return False
     if isinstance(x, float):
@@ -281,8 +282,10 @@ def same(x, y) -> bool:
         if x.dtype == object:
             return all(map(same, x.ravel().tolist(), y.ravel().tolist()))
         return x.tobytes() == y.tobytes()
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         return len(x) == len(y) and all(map(same, x, y))
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
     if dataclasses.is_dataclass(x):
         return all(same(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x))
     return x == y

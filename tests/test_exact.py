@@ -13,6 +13,9 @@ from dqdcycle.thermo import LEDGER_FIELDS, run_cycle_closed_form_batch, run_cycl
 # A current's largest admitted forward error, in units of u times the sum of its terms;
 # a ledger's, in units of u E for dU and of u for dS.
 BOUND = 16
+# A threshold's largest admitted forward error, in units of u: a threshold is a strength
+# in [0, 1], so its error is absolute.
+THRESHOLD_BOUND = 8
 SCALES = range(-60, 61)  # epsilon, tau and T are multiplied by 2^k
 # kappa's largest admitted forward error in ulps: COP/(1 + COP) rounds twice, so its
 # relative error is at most about 2u, which is 2 ulps of the result.
@@ -58,6 +61,24 @@ def test_branch_currents_are_within_16_u_of_their_terms_at_every_scale():
                            for c, (value, terms) in zip(currents, values)]
             worst[branch, k] = max(ratios)
     assert {key: float(r) for key, r in worst.items() if r > BOUND} == {}
+
+
+def test_branch_thresholds_are_within_8_u_at_every_scale():
+    """On every branch and at every scale 2^k, k in [-60, 60], each threshold that
+    ``branch_points`` gives is within 8 u of its 60-digit value."""
+    worst = {}  # (branch, threshold, k) -> the largest error / u
+    for k in SCALES:
+        scaled_points, factors = scaled(k)
+        eps = scaled_points[0].tolist()
+        for branch in Branch:
+            thresholds, _ = branch_points(branch, *scaled_points, 0.0)
+            columns = [np.broadcast_to(x, len(eps)).tolist() for x in thresholds]
+            for i, (gap, t) in enumerate(factors):
+                values = exact.branch_thresholds(branch, eps[i], gap, t)
+                for name, column, value in zip(thresholds._fields, columns, values):
+                    ratio = abs(Decimal(column[i]) - value) / exact.U
+                    worst[branch, name, k] = max(worst.get((branch, name, k), 0), ratio)
+    assert {key: float(r) for key, r in worst.items() if r > THRESHOLD_BOUND} == {}
 
 
 @pytest.mark.parametrize("batch_ledger", [run_cycle_closed_form_batch, run_cycle_matrix_batch])

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from dqdcycle import cli
-from dqdcycle.regimes import MODES, Mode, branch_points, classify_grid
-from dqdcycle.sweep import SCHEMA, AxisSpec, GridSpec, mode_area_fractions, run_sweep, write_csv
+from dqdcycle.regimes import MODES, Branch, Mode, branch_points, classify_grid
+from dqdcycle.sweep import SCHEMA, AxisSpec, GridSpec, SweepCells, mode_area_fractions, run_sweep
+from dqdcycle.sweep import to_json_document, write_csv
 from reference import classify, same
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_maps.py"
@@ -53,6 +54,38 @@ def test_maps_and_summary_equal_the_oracle(tmp_path, oracle_sweep, capsys):
         assert (tmp_path / entry["file"]).read_bytes() == csv_bytes(oracle)
         assert entry["area_fractions"] == {
             m.value: f for m, f in mode_area_fractions(oracle).items()}
+
+
+def test_no_program_path_builds_a_cell(tmp_path, monkeypatch, capsys):
+    """The sweep command in both formats, this script and ``to_json_document`` read a
+    sweep's arrays alone: with the per-cell view of ``SweepCells`` raising, each gives the
+    exit codes, text and files that it gives with the view in place."""
+    script = load_script()
+    sweep = ["sweep", "--branch", "refrigerator-plus", "--grid-strength", "0:1:7",
+             "--grid-epsilon", "0.5:2:5", "--tau", "0.2", "--temperature", "2"]
+    result = run_sweep(GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 7), AxisSpec(0.5, 2.0, 5),
+                                0.2, 1.0))
+
+    def run(outdir):
+        outdir.mkdir()
+        codes = [cli.main([*sweep, "--format", fmt, "--output", str(outdir / f"map.{fmt}")])
+                 for fmt in ("csv", "json")]
+        codes.append(script.main(["--steps", "7", "--outdir", str(outdir / "maps")]))
+        out, err = capsys.readouterr()
+        files = {str(p.relative_to(outdir)): p.read_bytes() for p in outdir.rglob("*")
+                 if p.is_file()}
+        return codes, out.replace(str(outdir), "OUT"), err, files, to_json_document(result)
+
+    expected = run(tmp_path / "view")
+
+    def no_cell(*args):
+        raise AssertionError("a program path built a cell")
+
+    monkeypatch.setattr(SweepCells, "__iter__", no_cell)
+    monkeypatch.setattr(SweepCells, "__getitem__", no_cell)
+    got = run(tmp_path / "none")
+    assert got[0] == [0, 0, 0] and len(got[3]) == 17  # two maps, 14 CSVs and summary.json
+    assert same(got, expected)
 
 
 @pytest.mark.parametrize("target", ["engine_tau0_T1.csv", "summary.json"])

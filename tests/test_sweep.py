@@ -46,8 +46,25 @@ def json_text(result):
 
 
 def json_reference(result):
-    """The bytes ``write_json`` must write: the dict form through the stock encoder."""
-    return json.dumps(to_json_document(result), indent=2) + "\n"
+    """The bytes ``write_json`` must write: the document built from the spec and one cell at
+    a time, through the stock encoder."""
+    spec, cells = result.spec, list(result.cells)
+    counts = {m.value: sum(c.result.mode is m for c in cells) for m in Mode}
+    document = {
+        "schema": SCHEMA,
+        "grid": {"branch": spec.branch.value,
+                 "strength": dataclasses.asdict(spec.strength_axis),
+                 "epsilon": dataclasses.asdict(spec.epsilon_axis),
+                 "tau": spec.tau, "temperature": spec.temperature, "zero_tol": spec.zero_tol},
+        "performance_convention": {"engine": "eta", "refrigerator": "kappa",
+                                   "accelerator": "kappa", "heater": "kappa"},
+        "summary": {"counts": counts,
+                    "area_fractions": {m: n / len(cells) for m, n in counts.items()}},
+        "cells": [{"strength": c.strength, "epsilon": c.epsilon, "mode": c.result.mode.value,
+                   "performance": c.result.performance,
+                   "Qh": c.result.Qh, "Qc": c.result.Qc, "W": c.result.W} for c in cells],
+    }
+    return json.dumps(document, indent=2) + "\n"
 
 
 def csv_reference(result):
@@ -428,6 +445,7 @@ def test_writers_equal_per_cell_references_under_stress(name):
     csv_out = csv_text(result)
     assert csv_out == csv_reference(result)
     assert json_text(result) == json_reference(result)
+    assert same(to_json_document(result), json.loads(json_reference(result)))
     rows = csv_out.splitlines()[1:]
     if name == "edited plus":
         assert [r.split(",")[6] for r in rows[7:14]] == [
@@ -470,12 +488,16 @@ def read_counts(result, stream):
     return result.counts
 
 
-@pytest.mark.parametrize("writer", [write_csv, write_json, read_counts])
+def read_document(result, stream):
+    return to_json_document(result)
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_json, read_counts, read_document])
 @pytest.mark.parametrize("name", ["plain list", "empty", "transposed spec", "missing", "extra",
                                   "epsilon inner"])
 def test_writers_refuse_cells_off_the_grid(writer, name):
     """Cells that are not ``SweepCells`` of ``result.spec``'s shape write nothing, and
-    have no counts: those are read from the grid's mode codes."""
+    have no counts (those are read from the grid's mode codes) and no document."""
     buf = io.StringIO()
     with pytest.raises(ValueError, match=r"^result.cells must be the SweepCells of a \d+ x \d+ "):
         writer(unwritable_cases()[name], buf)
@@ -484,9 +506,11 @@ def test_writers_refuse_cells_off_the_grid(writer, name):
 
 @pytest.mark.parametrize("branch", list(Branch))
 def test_writers_never_read_a_cell(branch, monkeypatch):
-    """Both writers format from the arrays alone, to the per-cell references' bytes."""
+    """Both writers and ``to_json_document`` format from the arrays alone, to the per-cell
+    references' bytes and document."""
     result = run_sweep(non_square_spec(branch, 0.1))
     expected = (csv_reference(result), json_reference(result))
+    document = json.loads(expected[1])
 
     def no_cell(*args):
         raise AssertionError("a writer read a cell")
@@ -494,6 +518,7 @@ def test_writers_never_read_a_cell(branch, monkeypatch):
     monkeypatch.setattr(SweepCells, "__iter__", no_cell)
     monkeypatch.setattr(SweepCells, "__getitem__", no_cell)
     assert (csv_text(result), json_text(result)) == expected
+    assert same(to_json_document(result), document)
 
 
 class CountingSink:
