@@ -13,7 +13,9 @@ exercises directly, save ``spectrum``'s ln Z and populations, formed here from
 E/T and tanh(E/T); the CLI otherwise parses, dispatches and serializes.
 A report is walked once, in either format: each value is named, checked
 finite (exit 2 names the first that is not) and formatted as a CSV row.
-Options may come from flags or from a JSON config file (``--config``); flags win.
+Options may come from flags or from a JSON config file (``--config``). The command
+line is parsed alone first, then together with the file's entries, the file's first,
+so flags win and a value that this second parse refuses comes from a file entry.
 Flags are not abbreviated. Config keys are the subcommand's flag names, with
 dashes or underscores, one key per option; each value is read by that flag's
 own type and choices, and an axis may also be given as ``[min, max, steps]``.
@@ -141,11 +143,12 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
 # config file
 
 
-def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The entries of the JSON file named by --config, as ``--flag=value`` arguments.
+def _config_flags(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed together with the entries of the JSON file named by --config.
 
-    Each entry is parsed here by its flag, so that every error names the file,
-    and a value the flag rejects also names its key; two keys for one option name both.
+    The file's entries come first, as ``--flag=value`` arguments, so that flags win.
+    ``args`` is ``argv`` parsed alone, so a value that this parse refuses comes from an entry:
+    every error names the file, that one its key too; two keys for one option name both.
     """
     objects = []  # the (key, value) pairs of each JSON object as read, the outermost last
     try:
@@ -175,11 +178,10 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
         # The = form keeps a value such as -0.4 from reading as a flag.
         flags.append(f"{flag}={value}")
     try:
-        build_parser(exit_on_error=False).parse_args([args.command, *flags])
+        return build_parser(exit_on_error=False).parse_args([argv[0], *flags, *argv[1:]])
     except argparse.ArgumentError as exc:
         raise ValueError(f"key {keys[exc.argument_name]!r} in config file {args.config}:"
                          f" {exc.message}") from None
-    return flags
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -438,8 +440,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config is not None:  # file entries first, so that flags win
-            args = parser.parse_args([*argv[:1], *_config_flags(args), *argv[1:]])
+        if args.config is not None:
+            args = _config_flags(args, argv)
         return args.func(args)
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)

@@ -36,10 +36,9 @@ as whole columns with public ``Generator`` calls, one row per trial:
   (``qdot.hamiltonian`` and ``qdot.gibbs_state``, then ``apply_channel`` for
   channel A and for channel B, all on stacks). Both checks read that one pair
   of ledgers.
-* ``threshold_consistency`` then draws ``random((n, 5))`` from the run's
-  generator, with epsilon, tau and T scaled from the first three columns, the
-  branch ``tuple(Branch)[int(3 u)]`` from the fourth and the strength the
-  fifth.
+* ``threshold_consistency`` then draws ``uniform(low, high, (n, 5))`` from the
+  run's generator, the rows epsilon, tau, T, the branch ``tuple(Branch)[int(u)]``
+  for u in [0, 3), and the strength.
 
 Each generator gives one kind of draw, so n rows in one call read the stream
 as n one-row calls do, and the results for a seed do not depend on
@@ -112,10 +111,9 @@ STREAM = 3
 _CYCLE_LOW = (1e-3, 0.0, 0.5, 0.0, 0.0)
 _CYCLE_HIGH = (3.0, 1.0, 6.0, 1.0, 1.0)
 
-# threshold_consistency's epsilon, tau and T are low + (high - low) u, as Generator.uniform
-# computes them.
-_THRESHOLD_LOW = np.array((0.05, 0.0, 0.5))
-_THRESHOLD_SPAN = np.array((3.0, 1.0, 6.0)) - _THRESHOLD_LOW
+# The bounds of the threshold check's five draws: epsilon, tau, T, branch index, strength.
+_THRESHOLD_LOW = (0.05, 0.0, 0.5, 0.0, 0.0)
+_THRESHOLD_HIGH = (3.0, 1.0, 6.0, 3.0, 1.0)
 _BRANCHES = tuple(Branch)
 
 
@@ -237,9 +235,8 @@ def check_threshold_consistency(rng: np.random.Generator, trials: int) -> CheckR
     mismatches = 0
     worst_case = None
     for start in range(0, trials, BLOCK):
-        u = rng.random((min(BLOCK, trials - start), 5))
-        epsilon, tau, temperature = (_THRESHOLD_LOW + _THRESHOLD_SPAN * u[:, :3]).T
-        branches, strength = (3.0 * u[:, 3]).astype(np.int64), u[:, 4]
+        u = rng.uniform(_THRESHOLD_LOW, _THRESHOLD_HIGH, (min(BLOCK, trials - start), 5))
+        (epsilon, tau, temperature, _, strength), branches = u.T, u[:, 3].astype(np.int64)
         currents = np.empty((3, len(strength)))
         expected = np.empty(len(strength), np.int64)  # a MODES index, or -1: skipped
         for k, branch in enumerate(_BRANCHES):

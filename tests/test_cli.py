@@ -1217,16 +1217,19 @@ def test_negative_infinite_flag_value_is_a_domain_error(capsys):
     {"frequency": 2.0}, {"temp": 1.0}, {"config": "other.json"}, {"func": "cmd_verify"},
 ])
 def test_bad_config_entry_is_input_error(tmp_path, monkeypatch, capsys, entry):
+    """A bad entry is refused, naming its key, also when a flag overrides its option."""
     monkeypatch.chdir(tmp_path)
     base = {"epsilon": 1.0, "tau": 0.0, "temperature": 1.0, "a": 0.2, "b": 0.9,
             "output": "cycle.json"}
     write_config(tmp_path, {**base, **entry})
-    assert run_cli("cycle", "--config", "run.json") == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
-    out, err = capsys.readouterr()
     (key,) = entry
-    assert out == ""
-    assert f"key {key!r} in config file run.json" in err
+    overrides = [[], [f"--{key}", "flag.json" if key == "output" else "0.5"]]
+    for override in overrides if key in base else overrides[:1]:
+        assert run_cli("cycle", "--config", "run.json", *override) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"key {key!r} in config file run.json" in err
 
 
 @pytest.mark.parametrize("command, text, first, second", [

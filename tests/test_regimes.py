@@ -658,9 +658,8 @@ def test_cop_that_underflows_gives_zero_as_the_reference():
 def threshold_points(k: int, n: int = 3000) -> tuple[np.ndarray, ...]:
     """epsilon, tau, T and strength of ``n`` points drawn as verify's threshold check
     draws them, with epsilon, tau and T multiplied by 2^k."""
-    u = np.random.default_rng(9).random((n, 5))
-    energies = np.ldexp(verify._THRESHOLD_LOW + verify._THRESHOLD_SPAN * u[:, :3], k)
-    return (*energies.T, u[:, 4])
+    u = np.random.default_rng(9).uniform(verify._THRESHOLD_LOW, verify._THRESHOLD_HIGH, (n, 5))
+    return (*np.ldexp(u[:, :3], k).T, u[:, 4])
 
 
 @pytest.mark.parametrize("k", [-60, -30, 20, 700, 900])

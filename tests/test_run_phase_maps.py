@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from dqdcycle import cli
+from dqdcycle.qdot import DotParams
 from dqdcycle.regimes import MODES, Branch, Mode, branch_points, classify_grid
 from dqdcycle.sweep import SCHEMA, AxisSpec, GridSpec, SweepCells, mode_area_fractions, run_sweep
 from dqdcycle.sweep import to_json_document, write_csv
-from reference import classify, same
+from reference import branch_thresholds, classify, same
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_maps.py"
 
@@ -245,3 +246,38 @@ def test_mode_codes_index_the_scalar_modes(branch, tau, temperature, oracle_swee
     oracle_counts = Counter(c.result.mode for c in oracle.cells)
     assert result.counts == {m: oracle_counts[m] for m in Mode} == oracle.counts
     assert same(result.cells, oracle.cells)
+
+
+def threshold_widths(branch, epsilon, tau, temperature) -> dict:
+    """Each mode's width on the strength axis [0, 1] from the branch's closed-form
+    thresholds, the two bands that no named interval covers written out."""
+    th = branch_thresholds(branch, DotParams(epsilon, tau), temperature)
+    if branch is Branch.ENGINE:
+        # above engine_max the signs are (+, +, -), which no mode has
+        return {Mode.HEATER: th.heater_max, Mode.ACCELERATOR: th.engine_min - th.heater_max,
+                Mode.ENGINE: th.engine_max - th.engine_min, Mode.UNDEFINED: 1.0 - th.engine_max}
+    # between accelerator_max and refrigerator_min the signs are (-, -, +): a heater
+    return {Mode.ACCELERATOR: th.accelerator_max,
+            Mode.HEATER: th.refrigerator_min - th.accelerator_max,
+            Mode.REFRIGERATOR: 1.0 - th.refrigerator_min}
+
+
+@pytest.mark.parametrize("steps", [51, 201])
+@pytest.mark.parametrize("branch, tau, temperature", STANDARD_MAPS)
+def test_mode_shares_are_the_threshold_widths(branch, tau, temperature, steps):
+    """Each mode's share of a standard map is its strength-interval width averaged over
+    the grid's epsilon rows, within 3/(steps - 1): tunneling and temperature shape the
+    maps as the closed-form phase diagram says.
+
+    An interval of width w holds w (steps - 1) +- 1 of a row's grid points, so a row's
+    share is within 2/steps of w; on the engine branch the a = 1/2 column adds 1/steps,
+    since W = 0 makes every cell there undefined."""
+    spec = GridSpec(branch, AxisSpec(0.0, 1.0, steps), AxisSpec(0.1, 3.0, steps), tau,
+                    temperature)
+    epsilons = spec.epsilon_axis.points().tolist()
+    widths = Counter()
+    for epsilon in epsilons:
+        widths.update(threshold_widths(branch, epsilon, tau, temperature))
+    shares = mode_area_fractions(run_sweep(spec))
+    for mode in Mode:
+        assert abs(shares[mode] - widths[mode] / len(epsilons)) <= 3 / (steps - 1), mode

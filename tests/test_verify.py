@@ -167,7 +167,7 @@ class CountingGenerator:
 
 
 def test_threshold_check_runs_no_scalar_route_and_no_per_trial_draw(oracle_verify, monkeypatch):
-    """The check calls none of the scalar branch functions and makes one ``random`` call
+    """The check calls none of the scalar branch functions and makes one ``uniform`` call
     per block; it still gives the trial loop's results."""
     expected = [oracle_verify.threshold_consistency(np.random.default_rng(s), 1000)
                 for s in range(3)]
@@ -182,7 +182,7 @@ def test_threshold_check_runs_no_scalar_route_and_no_per_trial_draw(oracle_verif
         for s in range(3):
             rng = CountingGenerator(np.random.default_rng(s))
             assert verify.check_threshold_consistency(rng, 1000) == expected[s]
-            assert rng.calls == ["random"] * 4
+            assert rng.calls == ["uniform"] * 4
 
 
 def test_run_all_makes_one_pass_per_shared_intermediate(monkeypatch):
@@ -217,7 +217,7 @@ def test_run_all_makes_one_pass_per_shared_intermediate(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     assert verify.run_all(0, 100) == expected
-    assert [g.calls for g in generators] == [["spawn", "uniform", "random"]]
+    assert [g.calls for g in generators] == [["spawn", "uniform", "uniform"]]
     assert calls == {
         "dqdcycle.channels.kraus_operators": 4, "dqdcycle.channels.apply_kraus": 2,
         "dqdcycle.verify.completeness_residual": 2,
