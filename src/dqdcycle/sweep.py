@@ -33,11 +33,12 @@ per-cell build of it to check those bytes against.
 
 Both writers read the arrays row by row, never build a cell, and write each
 grid row's text as soon as it is formatted, so a write holds one row of text
-at a time: each strength is formatted once per grid, and each epsilon, and
-each current whose float64 bits are the same all along a row (W on the
-refrigerator branches), once per row. Before anything is written they raise
-``ValueError`` unless ``result.cells`` is a ``SweepCells`` of the shape
-(ne, ns) that ``result.spec`` gives. A stream only has to have ``write``.
+at a time. One ``%`` template per grid holds each strength's text (no float's
+text holds a ``%``); each epsilon, and each current whose float64 bits are
+the same along every row (W on the refrigerator branches), is formatted once
+per row. Before anything is written they raise ``ValueError`` unless
+``result.cells`` is a ``SweepCells`` of the shape (ne, ns) that
+``result.spec`` gives. A stream only has to have ``write``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import IO
 
 import numpy as np
@@ -220,36 +221,33 @@ def _format_cells(stream: IO[str], c: SweepCells, cell: str, sep: str, slot: str
 
     Cells are joined by ``sep``, so every row after the first starts with it.
     ``feed`` turns a list of floats into the items that ``slot`` formats, one
-    per float, so a float's text is ``slot % tuple(feed([x]))``. Every strength
-    is formatted once, each row's epsilon once, and so is each current whose
-    bits are the same across a row; those texts are built into one ``%``
-    template per row. The other currents take ``slot`` and the items of
-    ``feed(row)``; the mode is its code's item of ``feed`` over the mode names,
-    and the performance is ``performance(row)``, each row a list of floats (and None).
+    per float, so a float's text is ``slot % tuple(feed([x]))``. One ``%``
+    template serves the grid, each strength's text baked in: no ``%.12e`` text
+    and no JSON token holds a ``%``. Each row's epsilon is formatted once, and
+    so is a current whose bits are the same along every row; the other
+    currents keep ``slot`` and take the items of ``feed(row)``. The mode is
+    its code's item of ``feed`` over the mode names, and the performance is
+    ``performance(row)``, each row a list of floats (and None).
     """
     def text(x: float) -> str:
         return slot % tuple(feed([x]))
 
-    pre, post = cell.split("%s", 1)  # pre leads up to the strength
-    strengths = [slot % (s,) for s in feed(c.strengths.tolist())]
     mode_text = tuple(feed([m.value for m in MODES]))
     currents = (c.Qh, c.Qc, c.W)
     # Bit patterns, not ==, decide: 0.0 and -0.0 stay apart, and only NaNs with one bits merge.
-    constant = [(b == b[:, :1]).all(axis=1).tolist()
-                for b in (current.view(np.int64) for current in currents)]
+    constant = [bool((b == b[:, :1]).all()) for b in (x.view(np.int64) for x in currents)]
+    slots = ["%s" if same else slot for same in constant]
+    template = sep.join(cell % (slot % (s,), "%s", "%s", "%s", *slots)
+                        for s in feed(c.strengths.tolist()))
+    ns, width = len(c.strengths), len(CSV_COLUMNS) - 1  # the fields after each strength
+    items = [None] * (ns * width)
     for row, epsilon in enumerate(c.epsilons.tolist()):
-        slots = []
-        fields = [map(mode_text.__getitem__, c.mode[row].tolist()),
-                  performance(c.performance[row].tolist())]
-        for current, same in zip(currents, constant):
-            if same[row]:
-                slots.append(text(current.item(row, 0)))
-            else:
-                slots.append(slot)
-                fields.append(feed(current[row].tolist()))
-        tail = post % (text(epsilon), "%s", "%s", *slots)
-        template = (sep if row else "") + pre + (tail + sep + pre).join(strengths) + tail
-        stream.write(template % tuple(chain.from_iterable(zip(*fields))))
+        items[0::width] = [text(epsilon)] * ns
+        items[1::width] = map(mode_text.__getitem__, c.mode[row].tolist())
+        items[2::width] = performance(c.performance[row].tolist())
+        for k, (x, same) in enumerate(zip(currents, constant), 3):
+            items[k::width] = [text(x.item(row, 0))] * ns if same else feed(x[row].tolist())
+        stream.write((sep if row else "") + template % tuple(items))
 
 
 def write_csv(result: SweepResult, stream: IO[str]) -> None:

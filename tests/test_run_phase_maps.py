@@ -18,7 +18,8 @@ from dqdcycle.qdot import DotParams
 from dqdcycle.regimes import MODES, Branch, Mode, branch_points, classify_grid
 from dqdcycle.sweep import SCHEMA, AxisSpec, GridSpec, SweepCells, mode_area_fractions, run_sweep
 from dqdcycle.sweep import to_json_document, write_csv
-from reference import branch_thresholds, classify, same
+from dqdcycle.verify import THRESHOLD_MARGIN
+from reference import branch_thresholds, classify, expected_mode, same
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_maps.py"
 
@@ -281,3 +282,30 @@ def test_mode_shares_are_the_threshold_widths(branch, tau, temperature, steps):
     shares = mode_area_fractions(run_sweep(spec))
     for mode in Mode:
         assert abs(shares[mode] - widths[mode] / len(epsilons)) <= 3 / (steps - 1), mode
+
+
+@pytest.mark.parametrize("steps", [51, 201])
+@pytest.mark.parametrize("branch, tau, temperature", STANDARD_MAPS)
+def test_every_cell_has_the_mode_its_thresholds_give(branch, tau, temperature, steps):
+    """Every cell of a standard map has the mode that its row's closed-form thresholds
+    give at its strength, the bands that no named interval covers as ``threshold_widths``
+    writes them out. A cell within ``verify.THRESHOLD_MARGIN`` of a threshold is skipped,
+    and a row skips at most one: on the engine branch, the a = 1/2 column."""
+    spec = GridSpec(branch, AxisSpec(0.0, 1.0, steps), AxisSpec(0.1, 3.0, steps), tau,
+                    temperature)
+    cells = run_sweep(spec).cells
+    band = Mode.UNDEFINED if branch is Branch.ENGINE else Mode.HEATER
+    strengths = cells.strengths.tolist()
+    mismatches = []
+    for epsilon, codes in zip(cells.epsilons.tolist(), cells.mode.tolist()):
+        th = branch_thresholds(branch, DotParams(epsilon, tau), temperature)
+        skipped = 0
+        for strength, code in zip(strengths, codes):
+            if min(abs(strength - x) for x in th) < THRESHOLD_MARGIN:
+                skipped += 1
+                continue
+            predicted = expected_mode(branch, strength, th) or band
+            if MODES[code] is not predicted:
+                mismatches.append((epsilon, strength, MODES[code], predicted))
+        assert skipped <= 1, epsilon
+    assert not mismatches, (len(mismatches), mismatches[:3])

@@ -531,12 +531,20 @@ class CountingSink:
         self.size += len(text)
 
 
-@pytest.mark.parametrize("writer", [write_csv, write_json])
-def test_writers_hold_a_row_not_the_file(writer):
+# The engine map keeps the plain writer ids; the refrigerator map's ids name it.
+@pytest.mark.parametrize("writer, branch, tau, temperature", [
+    pytest.param(writer, *grid, id=writer.__name__ + suffix)
+    for grid, suffix in [((Branch.ENGINE, 0.2, 1.0), ""),
+                         ((Branch.REFRIGERATOR_PLUS, 0.1, 2.0), "-refrigerator-plus")]
+    for writer in (write_csv, write_json)])
+def test_writers_hold_a_row_not_the_file(writer, branch, tau, temperature):
     """Writing a 401 x 101 map takes less than a tenth of its text in traced memory:
-    each grid row is written as soon as it is formatted."""
-    result = run_sweep(GridSpec(Branch.ENGINE, AxisSpec(0.0, 1.0, 101),
-                                AxisSpec(0.05, 3.0, 401), 0.2, 1.0))
+    each grid row is written as soon as it is formatted. On the refrigerator map W is
+    the same along every row, so it is formatted once per row."""
+    result = run_sweep(GridSpec(branch, AxisSpec(0.0, 1.0, 101),
+                                AxisSpec(0.05, 3.0, 401), tau, temperature))
+    w = result.cells.W.view(np.int64)
+    assert bool((w == w[:, :1]).all()) is (branch is Branch.REFRIGERATOR_PLUS)
     sink = CountingSink()
     tracemalloc.start()
     try:
