@@ -31,7 +31,8 @@ ordered intervals. Each computation has one kernel, on arrays:
 ``branch_points`` (thresholds and ``(Qh, Qc, W)`` at broadcast points, with E
 and tanh(E/T) from ``qdot.thermal_factors``; a sweep passes it an epsilon
 column and a strength row); ``expected_mode_codes`` and ``mode_codes``, which
-give a mode as its index in ``MODES`` (-1 where no interval holds); and
+give a mode as its index in ``MODES`` (-1 where no interval holds, which is
+only at a strength equal to the branch's last threshold, or NaN); and
 ``classify_grid``, which adds the figures of merit.
 ``branch_currents``, ``branch_thresholds`` and ``classify`` are one-row
 calls of them, and the per-branch functions below are thin wrappers that
@@ -149,6 +150,8 @@ def kappa(cop):
         raise ValueError("cop must be nonnegative")
     c = np.asarray(cop, dtype=float)
     k = np.divide(c, 1.0 + c, out=np.ones_like(c), where=c < math.inf)
+    # on [2^53, 2^54) 1 + c rounds half to even; the exact kappa rounds to 1 - 2^-53
+    k[(c >= 2.0**53) & (c < 2.0**54)] = 1.0 - 2.0**-53
     return k if isinstance(cop, np.ndarray) else float(k)
 
 
@@ -236,14 +239,15 @@ class BranchRule(NamedTuple):
 
 
 _REFRIGERATOR_INTERVALS = (("accelerator_max", "<", Mode.ACCELERATOR),
-                           ("refrigerator_min", ">", Mode.REFRIGERATOR))
+                           ("refrigerator_min", ">", Mode.REFRIGERATOR),
+                           ("refrigerator_min", "<", Mode.HEATER))
 
 BRANCHES = {
     Branch.ENGINE: BranchRule(
         free="a", pinned_a=None, strokes=(1, 0, 2),
         thresholds=lambda t, ratio: EngineThresholds(_mid(-ratio), 0.5, _mid(ratio)),
         intervals=(("heater_max", "<", Mode.HEATER), ("engine_min", "<", Mode.ACCELERATOR),
-                   ("engine_max", "<", Mode.ENGINE)),
+                   ("engine_max", "<", Mode.ENGINE), ("engine_max", ">", Mode.UNDEFINED)),
     ),
     Branch.REFRIGERATOR_PLUS: BranchRule(
         free="b", pinned_a=_mid, strokes=(2, 0, 1),
@@ -299,7 +303,8 @@ def branch_thresholds(
 
 def expected_mode_codes(branch: Branch, strength: np.ndarray, thresholds) -> np.ndarray:
     """The index in ``MODES`` of the first of the branch's intervals that holds at each
-    strength, and -1 where none holds."""
+    strength. The intervals cover [0, 1] but for a tie with the last threshold
+    (``engine_max``, ``refrigerator_min``), which gives -1, as NaN does."""
     intervals = BRANCHES[branch].intervals
     held = [strength < getattr(thresholds, name) if side == "<"
             else strength > getattr(thresholds, name) for name, side, _ in intervals]

@@ -205,7 +205,8 @@ def branch_thresholds(
 
 
 def expected_mode(branch: Branch, strength: float, thresholds) -> Mode | None:
-    """Mode the thresholds predict at ``strength``; None outside the cataloged windows."""
+    """Mode the thresholds predict at ``strength``: that of the first interval that holds.
+    None only at a strength equal to the branch's last threshold, or NaN."""
     for name, side, mode in BRANCHES[branch].intervals:
         bound = getattr(thresholds, name)
         if (strength < bound) if side == "<" else (strength > bound):

@@ -38,7 +38,7 @@ from dqdcycle.thermo import (
     run_cycle_closed_form,
     run_cycle_matrix,
 )
-from reference import random_density_matrix
+from reference import expected_mode, random_density_matrix
 
 import io
 
@@ -225,14 +225,7 @@ def test_criterion_10_engine_map_geometry():
             thresholds[cell.epsilon] = th
         if min(abs(cell.strength - x) for x in th) < margin:
             continue  # boundary cell: currents legitimately straddle zero
-        if cell.strength < th.heater_max:
-            expected = Mode.HEATER
-        elif cell.strength < th.engine_min:
-            expected = Mode.ACCELERATOR
-        elif cell.strength < th.engine_max:
-            expected = Mode.ENGINE
-        else:
-            expected = Mode.UNDEFINED  # triple (Qh>0, Qc>0, W<0): no named regime
+        expected = expected_mode(Branch.ENGINE, cell.strength, th)
         assert cell.result.mode is expected, (cell.strength, cell.epsilon)
 
     for cell in result.cells:

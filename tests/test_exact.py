@@ -107,7 +107,7 @@ def test_ledgers_are_within_16_u_at_every_scale(batch_ledger):
 
 def test_kappa_is_within_2_ulps_across_the_float_range():
     """kappa of COPs log-uniform over every binade, subnormal to the largest float, and
-    of COPs in [2^53, 2^54), where kappa is not monotone, is within ``KAPPA_BOUND`` ulps
+    of COPs in [2^53, 2^54), where 1 + COP rounds half to even, is within ``KAPPA_BOUND`` ulps
     of COP/(1 + COP)."""
     rng = np.random.default_rng(14)
     exponents = rng.integers(-1074, 1024, 20_000)

@@ -115,7 +115,8 @@ COPS = np.concatenate([np.logspace(-6.0, 20.0, 261), [5e-324, 1e-320, 2.22507385
 
 
 def test_kappa_of_an_array_is_kappa_of_each_element():
-    """Bit for bit, and each finite COP keeps the bits of Python's cop / (1.0 + cop)."""
+    """Bit for bit, and each finite COP keeps the bits of Python's cop / (1.0 + cop), but
+    on [2^53, 2^54): there 1.0 + cop rounds half to even, and kappa is 1 - 2^-53."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = kappa(COPS)
@@ -123,7 +124,8 @@ def test_kappa_of_an_array_is_kappa_of_each_element():
     assert got.dtype == np.float64 and got.shape == COPS.shape
     assert all(type(k) is float for k in each)
     assert np.array_equal(bits(got), bits(each))
-    finite = [c / (1.0 + c) for c in COPS[:-1].tolist()]
+    finite = [1.0 - 2.0**-53 if 2.0**53 <= c < 2.0**54 else c / (1.0 + c)
+              for c in COPS[:-1].tolist()]
     assert np.array_equal(bits(got[:-1]), bits(finite))
 
 
@@ -148,11 +150,9 @@ def test_kappa_monotone(x, y):
     assert kappa(lo) <= kappa(hi)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "CHANGES.md FOUND line on kappa, ROADMAP item 11: 1.0 + cop rounds half to even on "
-    "[2^53, 2^54), so kappa(2^53) is 1.0, kappa(2^53 + 2) is 1 - 2^-52, and kappa "
-    "alternates between the two up to 2^54; fixing it changes JSON bits"))
 def test_kappa_monotone_past_2_53():
+    """1.0 + cop rounds half to even on [2^53, 2^54), so cop / (1.0 + cop) alternates
+    between 1.0 and 1 - 2^-52 there; kappa gives the correctly rounded 1 - 2^-53."""
     got = [kappa(2.0**53 + 2 * k) for k in range(16)]
     assert got == sorted(got)
 
@@ -227,15 +227,7 @@ def test_engine_scan_matches_thresholds():
         if min(abs(a - x) for x in th) < 1e-9:
             continue
         qc, qh, w = engine_branch_quantities(p, temperature, a)
-        mode = classify(qh, qc, w).mode
-        if a < th.heater_max:
-            assert mode is Mode.HEATER
-        elif a < th.engine_min:
-            assert mode is Mode.ACCELERATOR
-        elif a < th.engine_max:
-            assert mode is Mode.ENGINE
-        else:
-            assert mode is Mode.UNDEFINED
+        assert classify(qh, qc, w).mode is reference.expected_mode(Branch.ENGINE, a, th), a
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +312,7 @@ def test_refrigerator_scan_matches_thresholds():
             if min(abs(b - x) for x in th) < 1e-9:
                 continue
             qc, w, qh = quantities(p, temperature, b)
-            mode = classify(qh, qc, w).mode
-            if b < th.accelerator_max:
-                assert mode is Mode.ACCELERATOR
-            elif b > th.refrigerator_min:
-                assert mode is Mode.REFRIGERATOR
-            else:
-                assert mode is Mode.HEATER  # the band between the thresholds
+            assert classify(qh, qc, w).mode is reference.expected_mode(branch, b, th), b
 
 
 def test_branch_thresholds_reject_engine():
@@ -382,8 +368,8 @@ def test_branch_thresholds_match_wrappers():
         (0.4, Mode.ACCELERATOR),
         (0.5, Mode.ENGINE),  # strict < engine_min
         (0.7, Mode.ENGINE),
-        (0.8, None),  # strict < engine_max
-        (0.9, None),
+        (0.8, None),  # a tie: both intervals at engine_max are strict
+        (0.9, Mode.UNDEFINED),
     ],
 )
 def test_expected_mode_engine_boundaries(strength, mode):
@@ -396,9 +382,9 @@ def test_expected_mode_engine_boundaries(strength, mode):
     "strength, mode",
     [
         (0.1, Mode.ACCELERATOR),
-        (0.3, None),  # strict < accelerator_max
-        (0.5, None),  # the heater band is not predicted
-        (0.7, None),  # strict > refrigerator_min
+        (0.3, Mode.HEATER),  # strict < accelerator_max: the tie is the heater's
+        (0.5, Mode.HEATER),
+        (0.7, None),  # a tie: both intervals at refrigerator_min are strict
         (0.9, Mode.REFRIGERATOR),
     ],
 )

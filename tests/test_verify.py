@@ -404,6 +404,23 @@ def test_corruption_hits_cptp_check(monkeypatch):
     assert not verify.check_channel_cptp(rng, trials=30).passed
 
 
+def test_mislabelled_band_fails_threshold_consistency(monkeypatch):
+    """A branch table that calls the engine branch's band above engine_max a heater is
+    flagged: there the signs (+, +, -) are no mode's, so the currents read undefined. The
+    same run passes with the table as it is, and no other check moves."""
+    before = verify.run_all(42, 1000)
+    rule = regimes.BRANCHES[regimes.Branch.ENGINE]
+    intervals = tuple((name, side, regimes.Mode.HEATER if side == ">" else mode)
+                      for name, side, mode in rule.intervals)
+    monkeypatch.setitem(regimes.BRANCHES, regimes.Branch.ENGINE,
+                        rule._replace(intervals=intervals))
+    after = verify.run_all(42, 1000)
+    assert all(r.passed for r in before) and after[:-1] == before[:-1]
+    assert after[-1].name == "threshold_consistency" and not after[-1].passed
+    assert after[-1].worst_case["expected"] == "heater"
+    assert after[-1].worst_case["got"] == "undefined"
+
+
 def test_check_result_records_worst_case():
     rng = np.random.default_rng(2)
     result = verify.check_path_agreement(rng, trials=50)
