@@ -39,10 +39,10 @@ from .qdot import check_unit, dagger, matmul2, max_abs
 KrausSet = list[np.ndarray]
 
 # The matrix units |i><j|; every Kraus operator is sqrt(1-p) or sqrt(p) times one of them.
-_E00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-_E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-_E10 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-_E11 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+_E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
+_E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+_E10 = np.array([[0.0, 0.0], [1.0, 0.0]])
+_E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 
 class Orientation(Enum):
@@ -88,10 +88,13 @@ def apply_kraus(kraus: KrausSet | np.ndarray, rho: np.ndarray) -> np.ndarray:
     of (M rho) M^dag has at most one nonzero term, and the sum equals
     ``m @ rho @ dagger(m)`` accumulated in the same order bit for bit. The
     states themselves are dense; products between dense operands (the energy
-    trace, the random states of ``verify``) keep ``@``.
+    trace, the random states of ``verify``) keep ``@``. The sum takes the dtype of
+    ``rho`` and the operators, float64 for a real state, and each operator is cast
+    to it once, so that no product mixes dtypes.
     """
-    out = np.zeros_like(rho, dtype=np.complex128)
+    out = np.zeros_like(rho, dtype=np.result_type(rho, *kraus))
     for m in kraus:
+        m = np.asarray(m, out.dtype)
         out += matmul2(matmul2(m, rho), dagger(m))
     return out
 
@@ -103,7 +106,7 @@ def apply_channel(channel: MeasurementChannel, rho: np.ndarray) -> np.ndarray:
 def completeness_residual(kraus: KrausSet | np.ndarray):
     """Max-norm deviation of sum_k M_k^dag M_k from the identity; one per channel of
     stacked operators. The products are ``qdot.matmul2``, as in ``apply_kraus``."""
-    acc = np.zeros(np.shape(kraus)[1:], dtype=np.complex128)
+    acc = np.zeros(np.shape(kraus)[1:], dtype=np.result_type(float, *kraus))
     for m in kraus:
         acc += matmul2(dagger(m), m)
     return max_abs(acc - np.eye(2))

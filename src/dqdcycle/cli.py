@@ -42,8 +42,6 @@ from collections.abc import Callable
 from functools import partial
 from typing import IO
 
-import numpy as np
-
 from . import verify as verify_mod
 from .qdot import DotParams, check_temperature, spectrum, thermal_factors
 from .regimes import BRANCHES, Branch, branch_currents, branch_thresholds, classify
@@ -329,7 +327,7 @@ def cmd_cycle(args) -> int:
     }
     if args.format == "json":
         doc["states"] = {
-            name: np.real(getattr(matrix, name)).tolist()
+            name: getattr(matrix, name).tolist()
             for name in ("rho1", "rho2", "rho3")
         }
     emit(_report(doc, args.format), args.output)

@@ -13,10 +13,10 @@ using the convention sigma_z|0> = +|0>, so the left dot sits at energy
     |phi_1> = cos(theta)|0> + sin(theta)|1>      (energy +E)
     |phi_2> = sin(theta)|0> - cos(theta)|1>      (energy -E)
 
-where theta is half the Bloch angle of the field (-epsilon, tau). The
-half-angle form theta = atan2(tau, -epsilon)/2 is used instead of the
-quotient arctan(tau / (E - epsilon)), which is 0/0 at tau = 0; the two agree
-wherever the quotient is defined.
+where theta is half the Bloch angle of the field (-epsilon, tau). The half-angle
+form theta = atan2(tau, -epsilon)/2 is used instead of the quotient
+arctan(tau / (E - epsilon)), which is 0/0 at tau = 0; the two agree wherever the
+quotient is defined. H and its eigenvectors are real: float64 arrays.
 
 This module also carries the minimal dense 2x2 matrix helpers (Hermiticity
 and density-matrix checks, max-norm, an elementwise 2x2 product and trace)
@@ -109,10 +109,10 @@ class Spectrum:
 def hamiltonian(params: DotParams) -> np.ndarray:
     """Dot Hamiltonian [[-epsilon, tau], [tau, epsilon]] in the localized basis.
 
-    Float parameters give one 2x2 matrix; (n,) arrays give an (n, 2, 2) stack.
+    Float parameters give one 2x2 float64 matrix; (n,) arrays give an (n, 2, 2) stack.
     """
     e, t = np.asarray(params.epsilon, dtype=float), np.asarray(params.tau, dtype=float)
-    return np.stack((-e, t, t, e), axis=-1).reshape(e.shape + (2, 2)).astype(np.complex128)
+    return np.stack((-e, t, t, e), axis=-1).reshape(e.shape + (2, 2))
 
 
 def thermal_factors(epsilon, tau, temperature) -> tuple[np.ndarray, np.ndarray]:
@@ -127,10 +127,10 @@ def thermal_factors(epsilon, tau, temperature) -> tuple[np.ndarray, np.ndarray]:
 def eigenbases(epsilon, tau, gap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(theta, |phi_1>, |phi_2>) at each element of equal-shape float arrays, or of floats:
     theta = atan2(tau, -epsilon)/2 from ``math`` (0 where E == 0), and the eigenvectors
-    as complex arrays with a last axis of length 2. The package takes theta only here."""
+    as float64 arrays with a last axis of length 2. The package takes theta only here."""
     theta = np.where(gap == 0.0, 0.0, 0.5 * map_math(math.atan2, tau, -epsilon))
     c, s = map_math(math.cos, theta), map_math(math.sin, theta)
-    phi1, phi2 = (np.stack(v, axis=-1).astype(np.complex128) for v in ((c, s), (s, -c)))
+    phi1, phi2 = (np.stack(v, axis=-1) for v in ((c, s), (s, -c)))
     return theta, phi1, phi2
 
 

@@ -22,11 +22,12 @@ entropies h(p) = -p ln p - (1-p) ln(1-p):
 where g = (1 - tanh(E/T))/2 is the excited-level thermal population. Both the
 closed forms and a literal density-matrix pipeline (build the states, trace
 against H, diagonalize for entropies) are exposed; they must agree, and the
-ledger discrepancy between them is the package's standing self-check. Only
-the matrix ledger carries the states rho1..rho3; a closed-form ledger leaves
-them as None. Each route has one kernel over an (n, 5) array of epsilon, tau,
-T, a, b (``run_cycle_matrix_batch``, ``run_cycle_closed_form_batch``), and
-``run_cycle_matrix`` and ``run_cycle_closed_form`` are one-row calls of them.
+ledger discrepancy between them is the package's standing self-check. Only the
+matrix ledger carries the states rho1..rho3, float64 matrices as H and every Kraus
+operator are real; a closed-form ledger leaves them as None. Each route has one
+kernel over an (n, 5) array of epsilon, tau, T, a, b (``run_cycle_matrix_batch``,
+``run_cycle_closed_form_batch``), and ``run_cycle_matrix`` and
+``run_cycle_closed_form`` are one-row calls of them.
 The matrix kernel is the one-point pipeline run on stacks:
 ``qdot.hamiltonian`` and ``qdot.gibbs_state``, then ``apply_channel`` for
 channel A and for channel B. ``tests/reference.py`` holds the scalar forms
@@ -71,7 +72,7 @@ class CycleInputs:
 class StrokeLedger:
     """Per-stroke energy and entropy changes; the matrix route adds the three states.
 
-    A ledger from ``run_cycle_matrix_batch`` holds (n,) arrays and state stacks.
+    A ledger from ``run_cycle_matrix_batch`` holds (n,) arrays and float64 state stacks.
     """
 
     dU1: float

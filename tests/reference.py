@@ -56,14 +56,14 @@ def eigenbasis(epsilon: float, tau: float) -> tuple[float, float, np.ndarray, np
     gap = math.hypot(epsilon, tau)
     theta = 0.0 if gap == 0.0 else 0.5 * math.atan2(tau, -epsilon)
     c, s = math.cos(theta), math.sin(theta)
-    return (gap, theta, np.array([c, s], dtype=np.complex128),
-            np.array([s, -c], dtype=np.complex128))
+    return (gap, theta, np.array([c, s], dtype=np.float64),
+            np.array([s, -c], dtype=np.float64))
 
 
 def hamiltonian(params: DotParams) -> np.ndarray:
     """[[-epsilon, tau], [tau, epsilon]] at one point."""
     return np.array([[-params.epsilon, params.tau], [params.tau, params.epsilon]],
-                    dtype=np.complex128)
+                    dtype=np.float64)
 
 
 def gibbs_state(params: DotParams, temperature: float) -> np.ndarray:

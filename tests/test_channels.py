@@ -30,7 +30,7 @@ def random_state(rng):
 def test_four_kraus_operators(orientation):
     ops = kraus_operators(MeasurementChannel(0.3, orientation))
     assert len(ops) == 4
-    assert all(op.shape == (2, 2) and op.dtype == np.complex128 for op in ops)
+    assert all(op.shape == (2, 2) and op.dtype == np.float64 for op in ops)
 
 
 # The module docstring's definitions: (keep or flip, row, column) of each
@@ -47,13 +47,13 @@ def test_kraus_operators_match_docstring_definitions(orientation, strength):
     factor = {"keep": math.sqrt(1.0 - strength), "flip": math.sqrt(strength)}
     expected = []
     for which, row, col in DEFINITIONS[orientation]:
-        m = np.zeros((2, 2), dtype=np.complex128)
+        m = np.zeros((2, 2), dtype=np.float64)
         m[row, col] = factor[which]
         expected.append(m)
     ops = kraus_operators(MeasurementChannel(strength, orientation))
     assert len(ops) == 4
     for op, m in zip(ops, expected):
-        assert op.dtype == np.complex128
+        assert op.dtype == np.float64
         assert (op == m).all()
 
 
@@ -155,9 +155,9 @@ def test_array_strengths_give_the_scalar_operators(orientation):
         zero_d = kraus_operators(MeasurementChannel(np.float64(p), orientation))
         zero_d_array = kraus_operators(MeasurementChannel(np.array(p), orientation))
         for k, op in enumerate(scalar):
-            assert op.shape == (2, 2) and op.dtype == np.complex128
+            assert op.shape == (2, 2) and op.dtype == np.float64
             assert stacked[k].shape == (len(strengths), 2, 2)
-            assert stacked[k].dtype == np.complex128
+            assert stacked[k].dtype == np.float64
             for other in (stacked[k][i], zero_d[k], zero_d_array[k]):
                 assert other.shape == (2, 2)
                 assert (other == op).all() and (np.signbit(other.real) == np.signbit(op.real)).all()
@@ -221,3 +221,28 @@ def test_kernel_equals_matmul_bit_for_bit(rng, orientation):
     np.testing.assert_array_equal(bits(apply_kraus(ops, states)), bits(ref))
     np.testing.assert_array_equal(bits(completeness_residual(ops)),
                                   bits(max_abs(acc - np.eye(2))))
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_accumulator_takes_the_dtype_of_state_and_operators(rng, orientation):
+    """The operators are real, so a real state stays float64; a complex state gives the
+    bytes of the all-complex products, operators cast to complex128 first."""
+    ops = kraus_operators(MeasurementChannel(0.35, orientation))
+    real = np.array([[0.6, -0.2], [-0.2, 0.4]])
+    assert apply_kraus(ops, real).dtype == np.float64
+    states = np.array([random_state(rng) for _ in range(16)])
+    for rho in (states[0], states):
+        got = apply_kraus(ops, rho)
+        ref = apply_kraus([m.astype(np.complex128) for m in ops], rho)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(bits(got), bits(ref))
+
+
+def test_empty_kraus_set():
+    """No operators: the residual is the identity's max-norm, the output zeros of the
+    state's dtype."""
+    assert completeness_residual([]) == 1.0
+    for rho in (np.eye(2) / 2.0, np.eye(2, dtype=complex) / 2.0):
+        out = apply_kraus([], rho)
+        assert out.dtype == rho.dtype
+        np.testing.assert_array_equal(bits(out), bits(np.zeros_like(rho)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dqdcycle import cli, verify
-from dqdcycle.qdot import DotParams, thermal_factors
+from dqdcycle.qdot import DotParams, hamiltonian, internal_energy, thermal_factors
 from dqdcycle.regimes import BRANCHES, MODES, Branch, Mode, branch_points, classify_grid
 from dqdcycle.regimes import mode_codes
 from dqdcycle.sweep import SCHEMA, AxisSpec, GridSpec, SweepCells, mode_area_fractions, run_sweep
@@ -351,26 +351,58 @@ def test_both_routes_classify_every_cell_alike(branch, tau, temperature, steps):
 ROUTE_GAP_BOUND = 64
 
 
-def route_gaps(rows: np.ndarray) -> np.ndarray:
+def route_gaps(rows: np.ndarray, matrix) -> np.ndarray:
     """The largest |matrix - closed form| over the rows, in units of u E for the dU fields
-    and of u for the dS fields."""
-    closed, matrix = run_cycle_closed_form_batch(rows), run_cycle_matrix_batch(rows)
+    and of u for the dS fields; ``matrix`` is the rows' matrix ledger."""
+    closed = run_cycle_closed_form_batch(rows)
     gap = np.hypot(rows[:, 0], rows[:, 1])
     return np.array([np.max(np.abs(getattr(matrix, f) - getattr(closed, f))
                             / (gap if f.startswith("dU") else 1.0))
                      for f in LEDGER_FIELDS]) / 2.0**-53
 
 
+# The largest admitted difference between the spectra of the work stroke's two states, in
+# units of u: over six times the worst seen (2.5 u).
+WORK_SPECTRUM_BOUND = 16
+
+
+def work_stroke_gaps(rows: np.ndarray, matrix, work: int) -> tuple[float, float]:
+    """On the matrix route, the work stroke ``work`` (an index into dU1..dU3) maps a state
+    to one with its spectrum. So the passive energies -E (lam_+ - lam_-) of the two states
+    agree, and W is the change in ergotropy U + E (lam_+ - lam_-). Gives the largest
+    spectrum difference over the rows, in u, and the largest |W - change in ergotropy|,
+    in u E."""
+    h = hamiltonian(DotParams(rows[:, 0], rows[:, 1]))
+    gap = np.hypot(rows[:, 0], rows[:, 1])
+    states = (matrix.rho1, matrix.rho2, matrix.rho3)
+    before, after = states[work - 1], states[work]  # stroke 1 runs rho3 -> rho1
+    lam_before, lam_after = np.linalg.eigvalsh(before), np.linalg.eigvalsh(after)
+    ergotropy = [internal_energy(h, rho) + gap * (lam[:, 1] - lam[:, 0])
+                 for rho, lam in ((before, lam_before), (after, lam_after))]
+    w = (matrix.dU1, matrix.dU2, matrix.dU3)[work]
+    return (np.max(np.abs(lam_after - lam_before)) / 2.0**-53,
+            np.max(np.abs(w - (ergotropy[1] - ergotropy[0])) / gap) / 2.0**-53)
+
+
 def test_route_gap_census():
     """Over 200,000 rows of ``verify``'s cycle distribution (seed 7) and every cell of the
     14 standard maps at 201^2, the two ledgers differ by at most ``ROUTE_GAP_BOUND``. The
     worst seen is 9.27 u E in dU and 6.13 u in dS on the rows, and 11.68 u E and 6 u on
-    the maps."""
+    the maps. On the maps, the work stroke's two states also have spectra within
+    ``WORK_SPECTRUM_BOUND``, and W is the change in ergotropy within ``ROUTE_GAP_BOUND``
+    u E; the worst seen is 2.5 u in the spectra and 7.85 u E in W."""
     rng = np.random.default_rng(7)
     worst = np.zeros(len(LEDGER_FIELDS))
     for _ in range(4):  # 50,000 rows at a time, to keep the stacks small
         rows = rng.uniform(verify._CYCLE_LOW, verify._CYCLE_HIGH, (50_000, 5))
-        worst = np.maximum(worst, route_gaps(rows))
+        worst = np.maximum(worst, route_gaps(rows, run_cycle_matrix_batch(rows)))
+    worst_work = np.zeros(2)
     for branch, tau, temperature in STANDARD_MAPS:
-        worst = np.maximum(worst, route_gaps(cell_rows(map_spec(branch, tau, temperature, 201))))
+        rows = cell_rows(map_spec(branch, tau, temperature, 201))
+        matrix = run_cycle_matrix_batch(rows)
+        worst = np.maximum(worst, route_gaps(rows, matrix))
+        work = BRANCHES[branch].strokes[2]
+        worst_work = np.maximum(worst_work, work_stroke_gaps(rows, matrix, work))
     assert np.all(worst <= ROUTE_GAP_BOUND), dict(zip(LEDGER_FIELDS, worst))
+    assert worst_work[0] <= WORK_SPECTRUM_BOUND, worst_work
+    assert worst_work[1] <= ROUTE_GAP_BOUND, worst_work

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from dqdcycle import channels, thermo, verify
+from dqdcycle import channels, qdot, thermo, verify
 from dqdcycle.qdot import DotParams, check_dot, hamiltonian, internal_energy
 from dqdcycle.thermo import (
     LEDGER_FIELDS,
@@ -182,6 +182,19 @@ def test_only_matrix_ledger_carries_states():
     np.testing.assert_allclose(np.linalg.eigvalsh(matrix.rho1), [g, 1.0 - g], atol=1e-15)
     np.testing.assert_allclose(matrix.rho2, np.diag([0.75, 0.25]), atol=1e-15)
     np.testing.assert_allclose(matrix.rho3, np.diag([0.65, 0.35]), atol=1e-15)
+
+
+def test_matrix_route_is_real():
+    """H, the eigenvectors, the Gibbs state, the Kraus operators and the three states of
+    the matrix route are all float64: the dot's H and every Kraus operator are real."""
+    params = DotParams(np.array([1.4, -0.3]), np.array([0.7, 0.0]))
+    batch = np.array([[1.4, 0.7, 3.0, 0.25, 0.65], [-0.3, 0.0, 0.5, 1.0, 0.0]])
+    ledger = run_cycle_matrix_batch(batch)
+    arrays = [hamiltonian(params), qdot.gibbs_state(params, 2.0),
+              *qdot.spectrum(DotParams(1.4, 0.7)).eigenvectors,
+              *channels.kraus_operators(channels.MeasurementChannel(0.25, channels.Orientation.B)),
+              ledger.rho1, ledger.rho2, ledger.rho3]
+    assert [x.dtype for x in arrays] == [np.float64] * len(arrays)
 
 
 def test_closed_form_builds_no_spectrum(monkeypatch):
