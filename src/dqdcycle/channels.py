@@ -105,8 +105,8 @@ def apply_channel(channel: MeasurementChannel, rho: np.ndarray) -> np.ndarray:
 
 def completeness_residual(kraus: KrausSet | np.ndarray):
     """Max-norm deviation of sum_k M_k^dag M_k from the identity; one per channel of
-    stacked operators. The products are ``qdot.matmul2``, as in ``apply_kraus``."""
-    acc = np.zeros(np.shape(kraus)[1:], dtype=np.result_type(float, *kraus))
-    for m in kraus:
-        acc += matmul2(dagger(m), m)
-    return max_abs(acc - np.eye(2))
+    stacked operators. The products are one ``qdot.matmul2`` call over the stacked set,
+    summed by ``np.add.reduce`` in operator order from +0; an empty set gives 1.0."""
+    ops = np.asarray(kraus)  # [] stacks to shape (0,), with no matrix axes
+    ops = np.asarray(ops, np.result_type(float, ops)).reshape(len(ops), *ops.shape[1:-2], 2, 2)
+    return max_abs(np.add.reduce(matmul2(dagger(ops), ops), axis=0, initial=0.0) - np.eye(2))

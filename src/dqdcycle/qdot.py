@@ -218,9 +218,9 @@ def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 2x2 product a b as elementwise products and sums, per matrix of a stack.
 
     Entry (i, k) is a[i, 0] b[0, k] + a[i, 1] b[1, k], each product and the
-    sum rounded on its own, written entry by entry, so that every ufunc
-    loops over the whole stack once. With no reduction, entry i of a stack
-    has the bits of the product of its matrices alone.
+    sum rounded on its own, written entry by entry, so that every ufunc loops
+    over the whole broadcast stack once; ``np.broadcast``, in C, sizes the output.
+    With no reduction, entry i of a stack has the bits of its matrices' product.
 
     Where at most one of the two terms is nonzero, as for a Kraus operator
     that is a real weight times one matrix unit |i><j|, this equals ``a @ b``
@@ -229,7 +229,7 @@ def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     up to ~1e-15 (9.9e-16 on random (256, 2, 2) stacks), so
     ``internal_energy`` and the random states of ``verify`` keep ``@``.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
     for i in (0, 1):
         for k in (0, 1):
             np.add(a[..., i, 0] * b[..., 0, k], a[..., i, 1] * b[..., 1, k], out=out[..., i, k])

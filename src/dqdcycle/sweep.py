@@ -34,9 +34,9 @@ per-cell build of it to check those bytes against.
 Both writers read the arrays row by row, never build a cell, and write each
 grid row's text as soon as it is formatted, so a write holds one row of text
 at a time. One ``%`` template per grid holds each strength's text (no float's
-text holds a ``%``); each epsilon, and each current whose float64 bits are
-the same along every row (W on the refrigerator branches), is formatted once
-per row. Before anything is written they raise ``ValueError`` unless
+text holds a ``%``); each epsilon, and each current broadcast along the rows
+(W on the refrigerator branches, as ``run_sweep`` lays it out), is formatted
+once per row. Before anything is written they raise ``ValueError`` unless
 ``result.cells`` is a ``SweepCells`` of the shape (ne, ns) that
 ``result.spec`` gives. A stream only has to have ``write``.
 """
@@ -224,18 +224,17 @@ def _format_cells(stream: IO[str], c: SweepCells, cell: str, sep: str, slot: str
     per float, so a float's text is ``slot % tuple(feed([x]))``. One ``%``
     template serves the grid, each strength's text baked in: no ``%.12e`` text
     and no JSON token holds a ``%``. Each row's epsilon is formatted once, and
-    so is a current whose bits are the same along every row; the other
-    currents keep ``slot`` and take the items of ``feed(row)``. The mode is
-    its code's item of ``feed`` over the mode names, and the performance is
-    ``performance(row)``, each row a list of floats (and None).
+    so is a current broadcast along the rows (stride 0, W on the refrigerator
+    branches); the others keep ``slot`` and take the items of ``feed(row)``.
+    The mode is its code's item of ``feed`` over the mode names, and the
+    performance is ``performance(row)``, each row a list of floats (and None).
     """
     def text(x: float) -> str:
         return slot % tuple(feed([x]))
 
     mode_text = tuple(feed([m.value for m in MODES]))
     currents = (c.Qh, c.Qc, c.W)
-    # Bit patterns, not ==, decide: 0.0 and -0.0 stay apart, and only NaNs with one bits merge.
-    constant = [bool((b == b[:, :1]).all()) for b in (x.view(np.int64) for x in currents)]
+    constant = [x.strides[1] == 0 for x in currents]
     slots = ["%s" if same else slot for same in constant]
     template = sep.join(cell % (slot % (s,), "%s", "%s", "%s", *slots)
                         for s in feed(c.strengths.tolist()))
@@ -269,8 +268,9 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
     ``-Infinity`` and ``NaN``; no token it writes for a float or None
     contains ``", "``, so splitting on it gives one token per cell. No finite
     check is needed: a ``GridSpec``'s axes are finite, ``qdot.check_dot`` bounds
-    each current by 2E, engine eta <= 2 and kappa lies in [0, 1]. As in
-    ``write_csv``, each grid row is written as soon as it is formatted.
+    each current by 2E, engine eta <= 2 and kappa lies in [0, 1]. The spec's numpy
+    scalars (a ``GridSpec`` takes numpy-integer steps) are written as their Python
+    values. As in ``write_csv``, each grid row is written as soon as it is formatted.
     """
     import json  # here, not at the top, so that importing the package loads no json
 
@@ -296,7 +296,7 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
             "area_fractions": {m.value: fractions[m] for m in Mode},
         },
         "cells": [],
-    }, indent=2)
+    }, indent=2, default=np.generic.item)
     # head ends with '"cells": []\n}'; the rows go between the brackets.
     stream.write(head[:-len("[]\n}")] + "[\n")
     _format_cells(stream, cells, _JSON_CELL, ",\n", "%s", tokens, tokens)

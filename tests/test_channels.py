@@ -15,7 +15,7 @@ from dqdcycle.channels import (
     completeness_residual,
     kraus_operators,
 )
-from dqdcycle.qdot import DotParams, dagger, gibbs_state, is_density_matrix, max_abs
+from dqdcycle.qdot import DotParams, dagger, gibbs_state, is_density_matrix, matmul2, max_abs
 
 strengths = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -221,6 +221,32 @@ def test_kernel_equals_matmul_bit_for_bit(rng, orientation):
     np.testing.assert_array_equal(bits(apply_kraus(ops, states)), bits(ref))
     np.testing.assert_array_equal(bits(completeness_residual(ops)),
                                   bits(max_abs(acc - np.eye(2))))
+
+
+def planted_operators(rng, shape):
+    """Dense complex matrices, not a Kraus family, over many scales, with exact zeros of
+    both signs planted in a quarter of the entries."""
+    parts = rng.normal(size=(2, *shape)) * np.exp2(rng.integers(-40, 40, size=(2, *shape)))
+    parts[rng.random(parts.shape) < 0.25] = 0.0
+    parts[rng.random(parts.shape) < 0.1] = -0.0
+    return parts[0] + 1j * parts[1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 9])
+def test_residual_of_a_dense_set_is_the_loop_sum(rng, k):
+    """On dense complex sets of k operators, as one matrix each and as (k, n, 2, 2) stacks,
+    the array, its list of operators and a loop adding each dagger(m) m to a zeros
+    accumulator give the same residual bits: the reduction adds in operator order."""
+    for shape in ((k, 2, 2), (k, 33, 2, 2)):
+        for _ in range(20):
+            ops = planted_operators(rng, shape)
+            acc = np.zeros(shape[1:], dtype=complex)
+            for m in ops:
+                acc += matmul2(dagger(m), m)
+            expected = bits(max_abs(acc - np.eye(2)))
+            np.testing.assert_array_equal(bits(completeness_residual(ops)), expected)
+            if k:  # an empty list has no stack axis: it gives the one residual 1.0
+                np.testing.assert_array_equal(bits(completeness_residual(list(ops))), expected)
 
 
 @pytest.mark.parametrize("orientation", list(Orientation))

@@ -375,6 +375,18 @@ def test_json_document_layout():
     assert all(c["performance"] is None for c in undefined)
 
 
+def test_json_writes_numpy_integer_steps_as_ints():
+    """A ``GridSpec`` takes numpy-integer steps; ``write_json`` writes them as the ints
+    they stand for, to the bytes of the same spec with ``int`` steps."""
+    spec = small_spec(steps=4)
+    numpy_steps = dataclasses.replace(
+        spec, strength_axis=dataclasses.replace(spec.strength_axis, steps=np.int64(4)),
+        epsilon_axis=dataclasses.replace(spec.epsilon_axis, steps=np.int32(4)))
+    text = json_text(run_sweep(numpy_steps))
+    assert text == json_text(run_sweep(spec)) == json_reference(run_sweep(spec))
+    assert json.loads(text)["grid"]["epsilon"]["steps"] == 4
+
+
 def test_cells_behave_as_the_oracle_list(oracle_sweep):
     """The grid has the cell count, row-major iteration and integer indexing of the scalar
     route's plain list of cells, and so has the oracle's grid."""
@@ -434,11 +446,16 @@ def stress_results():
     cells[30] = edited(cells[30], W=-0.0)
     engine = run_sweep(non_square_spec(Branch.ENGINE, 0.2, 1.0))
     minus = run_sweep(non_square_spec(Branch.REFRIGERATOR_MINUS, 0.0))
+    # W broadcast along the rows, as run_sweep lays it out, one special value per row.
+    specials = np.array([0.0, -0.0, math.nan, math.inf, -math.inf])[:, None]
+    broadcast = dataclasses.replace(plus.cells, W=np.broadcast_to(specials, (5, 7)))
     return {"edited plus": with_cells(plus, cells), "engine": with_cells(engine, engine.cells),
-            "minus at tau 0": with_cells(minus, minus.cells)}
+            "minus at tau 0": with_cells(minus, minus.cells),
+            "broadcast specials": dataclasses.replace(plus, cells=broadcast)}
 
 
-@pytest.mark.parametrize("name", ["edited plus", "engine", "minus at tau 0"])
+@pytest.mark.parametrize("name", ["edited plus", "engine", "minus at tau 0",
+                                  "broadcast specials"])
 def test_writers_equal_per_cell_references_under_stress(name):
     result = stress_results()[name]
     assert result.cells.mode.size == 35
@@ -453,6 +470,10 @@ def test_writers_equal_per_cell_references_under_stress(name):
         assert {r.split(",")[4] for r in rows[14:21]} == {"inf", "-inf", "nan"}
     if name == "minus at tau 0":
         assert all(c.result.mode is Mode.UNDEFINED for c in result.cells)
+    if name == "broadcast specials":
+        assert result.cells.W.strides[1] == 0
+        assert [r.split(",")[6] for r in rows[::7]] == [
+            "0.000000000000e+00", "-0.000000000000e+00", "nan", "inf", "-inf"]
 
 
 # The SweepCells fields indexed by epsilon first.
@@ -540,11 +561,13 @@ class CountingSink:
 def test_writers_hold_a_row_not_the_file(writer, branch, tau, temperature):
     """Writing a 401 x 101 map takes less than a tenth of its text in traced memory:
     each grid row is written as soon as it is formatted. On the refrigerator map W is
-    the same along every row, so it is formatted once per row."""
+    the same along every row and broadcast along the rows (stride 0), so it is
+    formatted once per row."""
     result = run_sweep(GridSpec(branch, AxisSpec(0.0, 1.0, 101),
                                 AxisSpec(0.05, 3.0, 401), tau, temperature))
     w = result.cells.W.view(np.int64)
     assert bool((w == w[:, :1]).all()) is (branch is Branch.REFRIGERATOR_PLUS)
+    assert (result.cells.W.strides[1] == 0) is (branch is Branch.REFRIGERATOR_PLUS)
     sink = CountingSink()
     tracemalloc.start()
     try:
